@@ -18,7 +18,7 @@ import numpy as np
 from . import analytics, harness
 from .clusters import decompose
 from .ensemble import sample_graph, write_edge_list
-from .spectral import graph_spectrum
+from .spectral import EigensolverError, graph_spectrum
 
 
 def _add_common(parser: argparse.ArgumentParser, sampling: bool = True) -> None:
@@ -351,7 +351,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

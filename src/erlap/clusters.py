@@ -1,9 +1,10 @@
 """Connected-cluster decomposition, classification, and census statistics.
 
 A cluster is a maximal connected subgraph; isolated vertices count as
-one-vertex clusters.  Decomposition uses union-find (path compression,
-union by size) followed by vectorized relabeling, so per-graph cost stays
-near-linear and the heavy lifting downstream is left to the eigensolves.
+one-vertex clusters.  Decomposition labels vertices by vectorized
+hook-and-compress rounds (Shiloach-Vishkin style) that leave every cluster
+rooted at its smallest vertex, so the canonical numbering falls out of a
+cumulative sum and no per-edge Python loop remains.
 """
 
 from __future__ import annotations
@@ -91,17 +92,16 @@ def _make_cluster(vertices: np.ndarray, local_edges: np.ndarray) -> Cluster:
     local_edges = np.ascontiguousarray(local_edges, dtype=np.int64).reshape(-1, 2)
     vertices.setflags(write=False)
     local_edges.setflags(write=False)
-    n = vertices.shape[0]
-    m = local_edges.shape[0]
-    is_isolated = n == 1
-    is_tree = m == n - 1
-    is_cyclic = m >= n
-    if is_tree and n >= 2:
-        degs = np.bincount(local_edges.ravel(), minlength=n)
-        is_linear = bool(degs.max() <= 2)
-    else:
-        is_linear = False
-    return Cluster(vertices, local_edges, is_isolated, is_tree, is_linear, is_cyclic)
+    bare = Cluster(vertices, local_edges, False, False, False, False)
+    return Cluster(vertices, local_edges, *classify(bare))
+
+
+def _stable_order(keys: np.ndarray, k: int) -> np.ndarray:
+    """Stable argsort of integer keys in [0, k); numpy radix-sorts 16-bit
+    keys, about 5x faster than its timsort on int64 at N = 2e4."""
+    if k <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
 class ClusterDecomposition:
@@ -122,26 +122,23 @@ class ClusterDecomposition:
         self.n_clusters = k
         self.sizes = np.bincount(labels, minlength=k).astype(np.int64)
         edges = graph.edges
-        self.edge_labels = labels[edges[:, 0]] if edges.shape[0] else np.empty(0, dtype=np.int64)
+        self.edge_labels = labels[edges[:, 0]]
         self.edge_counts = np.bincount(self.edge_labels, minlength=k).astype(np.int64)
         # vertex_order groups vertices by cluster, ascending inside each cluster
-        self.vertex_order = np.argsort(labels, kind="stable").astype(np.int64)
+        self.vertex_order = _stable_order(labels, k)
         self.vertex_starts = np.concatenate(([0], np.cumsum(self.sizes))).astype(np.int64)
         pos = np.empty(n, dtype=np.int64)
         pos[self.vertex_order] = np.arange(n, dtype=np.int64) - np.repeat(
             self.vertex_starts[:-1], self.sizes
         )
         self.local_index = pos
-        self.edge_order = np.argsort(self.edge_labels, kind="stable").astype(np.int64)
+        self.edge_order = _stable_order(self.edge_labels, k)
         self.edge_starts = np.concatenate(([0], np.cumsum(self.edge_counts))).astype(np.int64)
-        ordered = edges[self.edge_order] if edges.shape[0] else edges
         # local_edges rows follow edge_order (grouped by cluster), not the
         # graph's original edge order; edge_labels_grouped is the matching
         # per-row cluster label
-        self.local_edges = pos[ordered] if ordered.shape[0] else np.empty((0, 2), dtype=np.int64)
-        self.edge_labels_grouped = (
-            self.edge_labels[self.edge_order] if edges.shape[0] else self.edge_labels
-        )
+        self.local_edges = pos[edges[self.edge_order]]
+        self.edge_labels_grouped = self.edge_labels[self.edge_order]
         self._flag_arrays = None
         self._clusters = None
 
@@ -180,38 +177,35 @@ class ClusterDecomposition:
         return f"ClusterDecomposition(n={self.graph.n}, clusters={self.n_clusters})"
 
 
-def decompose(g: Graph) -> ClusterDecomposition:
-    """Union-find partition: vertices share a cluster iff a path joins them."""
-    n = g.n
-    parent = list(range(n))
-    size = [1] * n
-    for a, b in g.edges.tolist():
-        # find with path halving
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-    roots = np.asarray(parent, dtype=np.int64)
-    while True:
-        jumped = roots[roots]
-        if np.array_equal(jumped, roots):
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Cluster label of every vertex, clusters numbered by smallest member.
+
+    Each round keeps the edges whose endpoints still have different roots,
+    hooks every larger root under the smallest root it touches, and
+    pointer-jumps to a fixed point.  Vertices only ever point to smaller
+    ones, so the forest stays acyclic and ends rooted at cluster minima.
+    """
+    lab = np.arange(n, dtype=np.int64)
+    a, b = edges[:, 0], edges[:, 1]
+    while a.shape[0]:
+        la, lb = lab[a], lab[b]
+        live = la != lb
+        if not live.any():
             break
-        roots = jumped
-    uniq, inverse = np.unique(roots, return_inverse=True)
-    # relabel clusters by their smallest member so numbering is canonical
-    first_vertex = np.full(uniq.shape[0], n, dtype=np.int64)
-    np.minimum.at(first_vertex, inverse, np.arange(n, dtype=np.int64))
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[np.argsort(first_vertex)] = np.arange(uniq.shape[0], dtype=np.int64)
-    return ClusterDecomposition(g, rank[inverse])
+        a, b, la, lb = a[live], b[live], la[live], lb[live]
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+    is_root = lab == np.arange(n, dtype=np.int64)
+    return (np.cumsum(is_root) - 1)[lab]
+
+
+def decompose(g: Graph) -> ClusterDecomposition:
+    """Partition into clusters: vertices share a cluster iff a path joins them."""
+    return ClusterDecomposition(g, _component_labels(g.n, g.edges))
 
 
 def cluster_of_vertex(d: ClusterDecomposition, v: int) -> Cluster:
@@ -225,6 +219,9 @@ def _grow(arr: np.ndarray, length: int) -> np.ndarray:
     out = np.zeros(length, dtype=arr.dtype)
     out[: arr.shape[0]] = arr
     return out
+
+
+_SIZE_COUNTERS = ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size")
 
 
 class CensusAccumulator:
@@ -248,42 +245,42 @@ class CensusAccumulator:
         self.sq_total_clusters = 0
         self.vertices_on_trees = 0
 
-    def add(self, d: ClusterDecomposition) -> None:
-        if d.graph.n != self.n_vertices:
+    def add(self, d: ClusterDecomposition, n_reps: int = 1) -> None:
+        """Count ``n_reps`` realizations from the decomposition of their
+        disjoint union, realization b on vertices b*N .. (b+1)*N - 1."""
+        n = self.n_vertices
+        if d.graph.n != n * n_reps:
             raise ValueError(
-                f"mixed ensembles: accumulator has N={self.n_vertices}, got N={d.graph.n}"
+                f"mixed ensembles: accumulator expects {n_reps} x N={n} vertices, "
+                f"got {d.graph.n}"
             )
         _, tree, linear, _ = d.class_flag_arrays()
-        counts = np.bincount(d.sizes)
-        need = counts.shape[0]
-        self._ensure(need)
-        self.clusters_by_size[:need] += counts
-        self.sq_clusters_by_size[:need] += counts * counts
-        tcounts = np.bincount(d.sizes[tree], minlength=need)
-        self.trees_by_size[: tcounts.shape[0]] += tcounts
-        lcounts = np.bincount(d.sizes[linear], minlength=need)
-        self.linear_by_size[: lcounts.shape[0]] += lcounts
+        sizes = d.sizes
+        top = int(sizes.max()) + 1
+        self._ensure(top)
+        rep = d.vertex_order[d.vertex_starts[:-1]] // n
+        per_rep = np.bincount(rep * top + sizes, minlength=n_reps * top).reshape(n_reps, top)
+        k_per_rep = np.bincount(rep, minlength=n_reps)
+        self.clusters_by_size[:top] += per_rep.sum(axis=0)
+        self.sq_clusters_by_size[:top] += (per_rep * per_rep).sum(axis=0)
+        self.trees_by_size[:top] += np.bincount(sizes[tree], minlength=top)
+        self.linear_by_size[:top] += np.bincount(sizes[linear], minlength=top)
         self.total_clusters += int(d.n_clusters)
-        self.sq_total_clusters += int(d.n_clusters) ** 2
-        self.vertices_on_trees += int(d.sizes[tree].sum())
-        self.n_reps += 1
+        self.sq_total_clusters += int((k_per_rep * k_per_rep).sum())
+        self.vertices_on_trees += int(sizes[tree].sum())
+        self.n_reps += n_reps
 
     def _ensure(self, length: int) -> None:
-        if length > self.clusters_by_size.shape[0]:
-            self.clusters_by_size = _grow(self.clusters_by_size, length)
-            self.trees_by_size = _grow(self.trees_by_size, length)
-            self.linear_by_size = _grow(self.linear_by_size, length)
-            self.sq_clusters_by_size = _grow(self.sq_clusters_by_size, length)
+        for name in _SIZE_COUNTERS:
+            setattr(self, name, _grow(getattr(self, name), length))
 
     def merge(self, other: "CensusAccumulator") -> None:
         if (self.n_vertices, self.edge_prob) != (other.n_vertices, other.edge_prob):
             raise ValueError("cannot merge censuses over different (N, p) ensembles")
-        self._ensure(other.clusters_by_size.shape[0])
         n = other.clusters_by_size.shape[0]
-        self.clusters_by_size[:n] += other.clusters_by_size
-        self.trees_by_size[:n] += other.trees_by_size
-        self.linear_by_size[:n] += other.linear_by_size
-        self.sq_clusters_by_size[:n] += other.sq_clusters_by_size
+        self._ensure(n)
+        for name in _SIZE_COUNTERS:
+            getattr(self, name)[:n] += getattr(other, name)
         self.total_clusters += other.total_clusters
         self.sq_total_clusters += other.sq_total_clusters
         self.vertices_on_trees += other.vertices_on_trees

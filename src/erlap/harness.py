@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO
@@ -20,16 +19,19 @@ from typing import IO
 import numpy as np
 
 from . import analytics
-from .clusters import CensusAccumulator, CensusReport, decompose
-from .ensemble import GraphSpec, sample_graph
+from .clusters import CensusAccumulator, CensusReport, _grow, decompose
+from .ensemble import Graph, GraphSpec, sample_graph
 from .spectral import (
     DEFAULT_SIZE_CAP,
     IdsEstimate,
     MomentSamples,
+    _at_realization,
+    _run_chunked,
     cluster_min_gaps,
     empirical_ids,
     eigenvalues_cluster,
     graph_spectrum,
+    laplacian_of_cluster,
     moment_samples,
     path_emin_reference,
     quadratic_form,
@@ -392,29 +394,23 @@ class Vertex0Census:
         self.linear_counts = np.zeros(cap, dtype=np.int64)
         self.n_reps = 0
 
-    def add(self, size: int, is_linear: bool) -> None:
-        if size >= self.size_counts.shape[0]:
-            new = 1 << int(size).bit_length()
-            grown = np.zeros(new, dtype=np.int64)
-            grown[: self.size_counts.shape[0]] = self.size_counts
-            self.size_counts = grown
-            grown = np.zeros(new, dtype=np.int64)
-            grown[: self.linear_counts.shape[0]] = self.linear_counts
-            self.linear_counts = grown
-        self.size_counts[size] += 1
-        if is_linear:
-            self.linear_counts[size] += 1
-        self.n_reps += 1
+    def add(self, sizes, is_linear) -> None:
+        """Count one realization, or one per entry of matching arrays."""
+        sizes = np.atleast_1d(np.asarray(sizes, dtype=np.int64))
+        is_linear = np.atleast_1d(np.asarray(is_linear, dtype=bool))
+        top = int(sizes.max()) + 1
+        self.size_counts = _grow(self.size_counts, top)
+        self.linear_counts = _grow(self.linear_counts, top)
+        self.size_counts[:top] += np.bincount(sizes, minlength=top)
+        self.linear_counts[:top] += np.bincount(sizes[is_linear], minlength=top)
+        self.n_reps += sizes.shape[0]
 
     def merge(self, other: "Vertex0Census") -> None:
-        top = max(self.size_counts.shape[0], other.size_counts.shape[0])
-        for name in ("size_counts", "linear_counts"):
-            a = np.zeros(top, dtype=np.int64)
-            mine = getattr(self, name)
-            a[: mine.shape[0]] = mine
-            theirs = getattr(other, name)
-            a[: theirs.shape[0]] += theirs
-            setattr(self, name, a)
+        top = other.size_counts.shape[0]
+        self.size_counts = _grow(self.size_counts, top)
+        self.linear_counts = _grow(self.linear_counts, top)
+        self.size_counts[:top] += other.size_counts
+        self.linear_counts[:top] += other.linear_counts
         self.n_reps += other.n_reps
 
     def linear_chain_frequency(self, size: int) -> tuple[float, float]:
@@ -427,17 +423,27 @@ class Vertex0Census:
         return q, se
 
 
+# Census realizations are decomposed in blocks, one disjoint union of at most
+# this many vertices (one realization per block from N = 4096 on).
+_BLOCK_VERTICES = 4096
+
+
 def _census_chunk(args):
     spec, rs = args
-    acc = CensusAccumulator(spec.n_vertices, spec.edge_prob)
+    n = spec.n_vertices
+    acc = CensusAccumulator(n, spec.edge_prob)
     v0 = Vertex0Census()
-    for r in rs:
-        d = decompose(sample_graph(spec, r))
-        acc.add(d)
+    step = max(1, _BLOCK_VERTICES // n)
+    for i in range(0, len(rs), step):
+        block = rs[i : i + step]
+        # offsetting graph b by b*N keeps the concatenated edges sorted
+        edges = np.concatenate([sample_graph(spec, r).edges + b * n for b, r in enumerate(block)])
+        d = decompose(Graph(len(block) * n, edges, validate=False))
+        acc.add(d, n_reps=len(block))
         _, _, linear, _ = d.class_flag_arrays()
-        k0 = int(d.labels[0])
-        v0.add(int(d.sizes[k0]), bool(linear[k0]))
-    return [(rs[0], (acc, v0))]
+        k0 = d.labels[np.arange(len(block)) * n]
+        v0.add(d.sizes[k0], linear[k0])
+    return [(acc, v0)]
 
 
 @dataclass(frozen=True)
@@ -452,22 +458,9 @@ def run_census(config: ExperimentConfig) -> CensusRunResult:
     """Cluster census over the configured ensemble with analytic comparison."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = config.spec()
-    indices = list(range(config.n_reps))
-    if config.workers <= 1:
-        chunks = [indices]
-    else:
-        step = max(1, math.ceil(config.n_reps / (config.workers * 4)))
-        chunks = [indices[i : i + step] for i in range(0, config.n_reps, step)]
-    args = [(spec, rs) for rs in chunks]
-    if config.workers <= 1:
-        partials = [_census_chunk(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(_census_chunk, args))
-    flat = sorted((item for chunk in partials for item in chunk), key=lambda kv: kv[0])
-    acc, v0 = flat[0][1]
-    for _, (acc_part, v0_part) in flat[1:]:
+    parts = _run_chunked(_census_chunk, config.spec(), config.n_reps, (), config.workers)
+    acc, v0 = parts[0]
+    for acc_part, v0_part in parts[1:]:
         acc.merge(acc_part)
         v0.merge(v0_part)
     report = acc.report()
@@ -800,7 +793,9 @@ def _verify_ensemble(config: ExperimentConfig):
         if int(d.sizes.sum()) != g.n or int(d.edge_counts.sum()) != g.n_edges:
             violations.append(f"partition identity failed at realization {r}")
             continue
-        ids, sizes, gaps = cluster_min_gaps(d, config.size_cap)
+        with _at_realization(spec, r):
+            ids, sizes, gaps = cluster_min_gaps(d, config.size_cap)
+            spectrum = graph_spectrum(g, d, config.size_cap)
         clusters_checked += sizes.shape[0]
         bad = gaps < 1.0 / (sizes.astype(np.float64) ** 2)
         if bad.any():
@@ -811,7 +806,6 @@ def _verify_ensemble(config: ExperimentConfig):
                 f"e_min={float(gaps[i])!r} bound={1.0 / float(sizes[i]) ** 2!r} "
                 f"edges={cluster.edges.tolist()}"
             )
-        spectrum = graph_spectrum(g, d, config.size_cap)
         zeros = int(np.count_nonzero(spectrum.eigenvalues == 0.0))
         if zeros != d.n_clusters:
             violations.append(
@@ -828,12 +822,7 @@ def _verify_ensemble(config: ExperimentConfig):
         for k in ids:
             c = d.cluster(int(k))
             phi = rng.standard_normal(c.size)
-            lap = np.zeros((c.size, c.size))
-            i, j = c.edges[:, 0], c.edges[:, 1]
-            np.add.at(lap, (i, i), 1.0)
-            np.add.at(lap, (j, j), 1.0)
-            lap[i, j] -= 1.0
-            lap[j, i] -= 1.0
+            lap = laplacian_of_cluster(c).astype(np.float64)
             direct = float(phi @ lap @ phi)
             via_edges = quadratic_form(c, phi)
             scale = max(1.0, abs(direct))

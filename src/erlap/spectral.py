@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,26 @@ MAX_MOMENT_POWER = 12
 
 
 class EigensolverError(RuntimeError):
-    """Diagnostic eigensolver failure carrying the offending cluster."""
+    """Diagnostic eigensolver failure carrying the offending cluster and, in
+    ensemble runs, the ``(master_seed, realization)`` that replays it."""
 
-    def __init__(self, message: str, cluster: Cluster | None = None):
+    def __init__(self, message: str, cluster: Cluster | None = None,
+                 master_seed: int | None = None, realization: int | None = None):
+        if realization is not None:
+            message = f"{message} (master_seed={master_seed}, realization={realization})"
         super().__init__(message)
         self.cluster = cluster
+        self.master_seed = master_seed
+        self.realization = realization
+
+
+@contextmanager
+def _at_realization(spec: GraphSpec, r: int):
+    """Re-raise an :class:`EigensolverError` from inside tagged with (seed, r)."""
+    try:
+        yield
+    except EigensolverError as exc:
+        raise EigensolverError(str(exc), exc.cluster, spec.master_seed, r) from exc
 
 
 def laplacian_of_cluster(c: Cluster) -> np.ndarray:
@@ -306,32 +322,31 @@ def _ids_one(spec: GraphSpec, r: int, grid: np.ndarray, size_cap: int):
     return counts.astype(np.int64), int(d.n_clusters)
 
 
-def _ids_chunk(args):
-    spec, rs, grid, size_cap = args
-    return [(r, _ids_one(spec, r, grid, size_cap)) for r in rs]
+def _each_realization(args):
+    """Chunk worker applying ``one(spec, r, *extra)`` to each index ``r``."""
+    spec, rs, one, *extra = args
+    out = []
+    for r in rs:
+        with _at_realization(spec, r):
+            out.append(one(spec, r, *extra))
+    return out
 
 
 def _run_chunked(worker, spec, n_reps: int, extra: tuple, workers: int):
-    """Evaluate ``worker`` over realization indices, results in index order.
+    """Evaluate ``worker`` over contiguous ranges of realization indices and
+    concatenate the lists it returns, in index order.
 
     The per-realization function is pure, so a process pool changes only the
     wall time, never the collected values.
     """
-    indices = list(range(n_reps))
-    if workers <= 1:
-        chunks = [indices]
-    else:
-        step = max(1, math.ceil(n_reps / (workers * 4)))
-        chunks = [indices[i : i + step] for i in range(0, n_reps, step)]
-    args = [(spec, rs, *extra) for rs in chunks]
+    step = n_reps if workers <= 1 else max(1, math.ceil(n_reps / (workers * 4)))
+    args = [(spec, range(i, min(i + step, n_reps)), *extra) for i in range(0, n_reps, step)]
     if workers <= 1:
         nested = [worker(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(worker, args))
-    flat = [item for chunk in nested for item in chunk]
-    flat.sort(key=lambda kv: kv[0])
-    return [value for _, value in flat]
+            nested = list(pool.map(worker, args))  # map keeps the order of args
+    return [value for chunk in nested for value in chunk]
 
 
 def empirical_ids(
@@ -349,7 +364,7 @@ def empirical_ids(
     e = _validate_grid(grid)
     if n_reps < 1:
         raise ValueError("need at least one realization")
-    results = _run_chunked(_ids_chunk, spec, n_reps, (e, size_cap), workers)
+    results = _run_chunked(_each_realization, spec, n_reps, (_ids_one, e, size_cap), workers)
     counts = np.stack([c for c, _ in results])
     ks = np.asarray([k for _, k in results], dtype=np.int64)
     n = spec.n_vertices
@@ -441,11 +456,6 @@ def _moment_one(spec: GraphSpec, r: int, two_ks: tuple[int, ...], size_cap: int)
     return lap_row, deg_row, adj_row
 
 
-def _moment_chunk(args):
-    spec, rs, two_ks, size_cap = args
-    return [(r, _moment_one(spec, r, two_ks, size_cap)) for r in rs]
-
-
 def moment_samples(
     spec: GraphSpec,
     n_reps: int,
@@ -459,7 +469,9 @@ def moment_samples(
     if n_reps < 1:
         raise ValueError("need at least one realization")
     two_ks = tuple(2 * k for k in range(1, k_max + 1))
-    rows = _run_chunked(_moment_chunk, spec, n_reps, (two_ks, size_cap), workers)
+    rows = _run_chunked(
+        _each_realization, spec, n_reps, (_moment_one, two_ks, size_cap), workers
+    )
     return MomentSamples(
         n=spec.n_vertices,
         p=spec.edge_prob,

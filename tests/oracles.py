@@ -1,9 +1,10 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the library code paths it is used to
-check: components come from BFS instead of union-find, Laplacians are built
-entry by entry from the definition, and small ensembles are enumerated
-exhaustively with exact per-graph probabilities.
+check: components come from BFS or a sequential union-find instead of the
+vectorized hook-and-compress labelling, Laplacians are built entry by entry
+from the definition, and small ensembles are enumerated exhaustively with
+exact per-graph probabilities.
 """
 
 from __future__ import annotations
@@ -37,6 +38,41 @@ def bfs_components(n: int, edges) -> list[list[int]]:
                     queue.append(w)
         comps.append(sorted(comp))
     return sorted(comps)
+
+
+def union_find_labels(n: int, edges) -> np.ndarray:
+    """Canonical cluster labels by sequential union-find.
+
+    Path halving and union by size, then clusters renumbered 0..K-1 by
+    ascending smallest member vertex.
+    """
+    parent = list(range(n))
+    size = [1] * n
+    for a, b in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+    roots = np.asarray(parent, dtype=np.int64)
+    while True:
+        jumped = roots[roots]
+        if np.array_equal(jumped, roots):
+            break
+        roots = jumped
+    uniq, inverse = np.unique(roots, return_inverse=True)
+    first_vertex = np.full(uniq.shape[0], n, dtype=np.int64)
+    np.minimum.at(first_vertex, inverse, np.arange(n, dtype=np.int64))
+    rank = np.empty(uniq.shape[0], dtype=np.int64)
+    rank[np.argsort(first_vertex)] = np.arange(uniq.shape[0], dtype=np.int64)
+    return rank[inverse]
 
 
 def dense_laplacian(n: int, edges) -> np.ndarray:

@@ -18,7 +18,7 @@ from erlap.clusters import (
 )
 from erlap.ensemble import Graph, GraphSpec, sample_graph
 
-from oracles import bfs_components
+from oracles import bfs_components, union_find_labels
 
 
 def _graph(n, edges):
@@ -70,6 +70,45 @@ def test_decompose_matches_bfs(n, data):
     d = decompose(g)
     ours = sorted(c.vertices.tolist() for c in d.clusters)
     assert ours == bfs_components(n, pairs)
+    assert np.array_equal(d.labels, union_find_labels(n, g.edges))
+
+
+def _assert_labels_match_oracles(g):
+    labels = decompose(g).labels
+    assert np.array_equal(labels, union_find_labels(g.n, g.edges))
+    groups = [np.nonzero(labels == k)[0].tolist() for k in range(int(labels.max()) + 1)]
+    assert groups == bfs_components(g.n, g.edges.tolist())
+
+
+@given(
+    n=st.integers(min_value=2, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32),
+    p=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+)
+@settings(max_examples=30, deadline=None)
+def test_decompose_labels_match_oracles_on_samples(n, seed, p):
+    # supercritical samples carry a giant cluster full of cycles
+    if p < n:
+        _assert_labels_match_oracles(sample_graph(GraphSpec(n, p, seed), 0))
+
+
+@given(
+    n=st.integers(min_value=2, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**32),
+    pieces=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=30, deadline=None)
+def test_decompose_labels_match_oracles_on_shuffled_paths(n, seed, pieces):
+    # paths through randomly relabelled vertices need the most hook rounds
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(pieces - 1, n - 1), replace=False))
+    edges = [
+        sorted((int(u), int(v)))
+        for seg in np.split(order, cuts)
+        for u, v in zip(seg[:-1], seg[1:])
+    ]
+    _assert_labels_match_oracles(_graph(n, edges))
 
 
 def divmod_pair(k, n):
@@ -199,10 +238,37 @@ def test_census_merge_is_order_independent():
     assert a.vertices_on_trees == b.vertices_on_trees
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_census_block_add_equals_single_adds(data):
+    n = data.draw(st.integers(min_value=1, max_value=80), label="N")
+    n_reps = data.draw(st.integers(min_value=1, max_value=6), label="B")
+    total = n * (n - 1) // 2
+    graphs = []
+    for _ in range(n_reps):
+        idx = data.draw(st.sets(st.integers(0, max(total - 1, 0)), max_size=min(total, 90)))
+        graphs.append(_graph(n, [divmod_pair(k, n) for k in idx]))
+    union = _graph(n * n_reps, [
+        (i + b * n, j + b * n) for b, g in enumerate(graphs) for i, j in g.edges.tolist()
+    ])
+
+    block = CensusAccumulator(n, 0.5)
+    block.add(decompose(union), n_reps=n_reps)
+    single = CensusAccumulator(n, 0.5)
+    for g in graphs:
+        single.add(decompose(g))
+    for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size"):
+        assert np.array_equal(getattr(block, name), getattr(single, name)), name
+    for name in ("n_reps", "total_clusters", "sq_total_clusters", "vertices_on_trees"):
+        assert getattr(block, name) == getattr(single, name), name
+
+
 def test_census_rejects_mixed_ensembles():
     acc = CensusAccumulator(100, 0.5)
     with pytest.raises(ValueError):
         acc.add(decompose(_graph(50, [])))
+    with pytest.raises(ValueError):
+        acc.add(decompose(_graph(100, [])), n_reps=2)
     other = CensusAccumulator(100, 0.7)
     with pytest.raises(ValueError):
         acc.merge(other)

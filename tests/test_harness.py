@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from erlap.cli import cli_dispatch
-from erlap.ensemble import read_edge_list
+from erlap.clusters import CensusAccumulator, decompose
+from erlap.ensemble import GraphSpec, read_edge_list, sample_graph
 from erlap.harness import (
     BUILD_TAG,
     ExperimentConfig,
+    _census_chunk,
     fit_lifshitz_exponent,
     run_census,
     run_ids,
@@ -176,6 +178,34 @@ def test_run_census_outputs(tmp_path):
     assert rows[0].split(",")[:4] == ["size", "clusters", "trees", "linear"]
     summary = res.summary_path.read_text()
     assert "chain_frequency=" in summary and "chain_exact=" in summary
+
+
+def test_census_blocks_count_like_single_realizations():
+    # N=50 packs 81 realizations per block, so 200 of them leave a short last block
+    spec = GraphSpec(50, 1.2, 8)
+    [(acc, v0)] = _census_chunk((spec, range(200)))
+    want = CensusAccumulator(50, 1.2)
+    v0_sizes, v0_linear = [], []
+    for r in range(200):
+        d = decompose(sample_graph(spec, r))
+        want.add(d)
+        k0 = int(d.labels[0])
+        v0_sizes.append(int(d.sizes[k0]))
+        v0_linear.append(bool(d.class_flag_arrays()[2][k0]))
+    got_report, want_report = acc.report(), want.report()
+    for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size"):
+        assert np.array_equal(getattr(got_report, name), getattr(want_report, name)), name
+    assert (acc.n_reps, acc.total_clusters, acc.sq_total_clusters, acc.vertices_on_trees) == (
+        want.n_reps, want.total_clusters, want.sq_total_clusters, want.vertices_on_trees
+    )
+    top = max(v0_sizes) + 1
+    assert v0.n_reps == 200
+    assert np.array_equal(v0.size_counts[:top], np.bincount(v0_sizes, minlength=top))
+    assert np.array_equal(
+        v0.linear_counts[:top],
+        np.bincount(np.asarray(v0_sizes)[np.asarray(v0_linear)], minlength=top),
+    )
+    assert not v0.size_counts[top:].any()
 
 
 def test_run_census_single_rep_has_nan_se(tmp_path):
@@ -425,6 +455,19 @@ def test_cli_error_paths(tmp_path, capsys):
     # invalid parameter combination surfaces as exit 2 with an error line
     assert cli_dispatch(["ids", "--n", "1", "--p", "0.5", "--reps", "2", "--seed", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_giant_cluster_fails_cleanly(tmp_path, capsys):
+    # p=2 grows a giant cluster of ~4000 > size_cap vertices; the error crosses
+    # the process pool and names the realization to replay
+    argv = ["ids", "--n", "5000", "--p", "2.0", "--reps", "2", "--seed", "7",
+            "--workers", "2", "--outdir", str(tmp_path)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cluster of size ")
+    assert lines[0].endswith("(master_seed=7, realization=0)")
 
 
 def test_cli_config_file(tmp_path, capsys):
