@@ -420,9 +420,10 @@ def moment_inequality_check(moments, p: float, k: int) -> MomentInequalityReport
     """Check the even-moment inequality on collected samples at power 2k.
 
     ``moments`` must expose n, p, n_reps, mean_se(kind, two_k) and
-    slack_samples(k) (see :class:`erlap.spectral.MomentSamples`).  The
-    inequality is a limit statement, so the finite-N verdict is statistical:
-    satisfied means the mean slack stays above -4 standard errors.
+    slack_samples(k) (see :class:`erlap.spectral.MomentSamples`).  Trace
+    convexity of x -> x^{2k} (Jensen's trace inequality) makes the inequality
+    hold for every graph, so satisfied requires a nonnegative slack on every
+    realization and a mean slack above -4 standard errors.
     """
     p = float(p)
     if moments.p != p:
@@ -442,6 +443,7 @@ def moment_inequality_check(moments, p: float, k: int) -> MomentInequalityReport
     )
     rhs = (2.0 ** (two_k - 1)) * (deg_mean + adj_mean)
     ok = bool(slack_mean >= -4.0 * slack_se) if math.isfinite(slack_se) else bool(slack_mean >= 0)
+    ok = ok and bool(np.all(slack >= 0))
     return MomentInequalityReport(
         k=k,
         n=moments.n,

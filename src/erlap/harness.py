@@ -25,7 +25,7 @@ from .spectral import (
     DEFAULT_SIZE_CAP,
     IdsEstimate,
     MomentSamples,
-    _at_realization,
+    _each_realization,
     _run_chunked,
     cluster_min_gaps,
     empirical_ids,
@@ -779,69 +779,61 @@ class VerifyResult:
     clusters_checked: int
 
 
-def _verify_ensemble(config: ExperimentConfig):
-    """Sampled-ensemble property scan: spectral-gap floor, kernel identity,
-    partition identities, quadratic-form consistency."""
-    spec = config.spec()
+def _verify_one(spec: GraphSpec, r: int, size_cap: int):
+    """Property scan of realization ``r``: spectral-gap floor, kernel and partition
+    identities, quadratic form.  Returns (violations, clusters, gaps checked)."""
+    g = sample_graph(spec, r)
+    d = decompose(g)
+    if int(d.sizes.sum()) != g.n or int(d.edge_counts.sum()) != g.n_edges:
+        return [f"partition identity failed at realization {r}"], d.n_clusters, 0
     violations = []
-    clusters_total = 0
-    clusters_checked = 0
-    for r in range(config.n_reps):
-        g = sample_graph(spec, r)
-        d = decompose(g)
-        clusters_total += d.n_clusters
-        if int(d.sizes.sum()) != g.n or int(d.edge_counts.sum()) != g.n_edges:
-            violations.append(f"partition identity failed at realization {r}")
-            continue
-        with _at_realization(spec, r):
-            ids, sizes, gaps = cluster_min_gaps(d, config.size_cap)
-            spectrum = graph_spectrum(g, d, config.size_cap)
-        clusters_checked += sizes.shape[0]
-        bad = gaps < 1.0 / (sizes.astype(np.float64) ** 2)
-        if bad.any():
-            i = int(np.argmax(bad))
-            cluster = d.cluster(int(ids[i]))
+    ids, sizes, gaps = cluster_min_gaps(d, size_cap)
+    spectrum = graph_spectrum(g, d, size_cap)
+    bad = gaps < 1.0 / (sizes.astype(np.float64) ** 2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        cluster = d.cluster(int(ids[i]))
+        violations.append(
+            f"spectral-gap floor violated at realization {r}: size={int(sizes[i])} "
+            f"e_min={float(gaps[i])!r} bound={1.0 / float(sizes[i]) ** 2!r} "
+            f"edges={cluster.edges.tolist()}"
+        )
+    zeros = int(np.count_nonzero(spectrum.eigenvalues == 0.0))
+    if zeros != d.n_clusters:
+        violations.append(
+            f"kernel identity failed at realization {r}: zeros={zeros} clusters={d.n_clusters}"
+        )
+    # per-realization counting function must be nondecreasing in E
+    probe = np.geomspace(1e-3, 2.0 * max(float(spectrum.eigenvalues[-1]), 1.0), 24)
+    counts = np.searchsorted(spectrum.eigenvalues, probe, side="right")
+    if np.any(np.diff(counts) < 0):
+        violations.append(f"counting function not monotone at realization {r}")
+    # quadratic form and moment-vs-trace spot checks on a few clusters
+    rng = np.random.default_rng([spec.master_seed, r, 1])
+    ids = np.nonzero(d.sizes >= 2)[0][:3]
+    for k in ids:
+        c = d.cluster(int(k))
+        phi = rng.standard_normal(c.size)
+        lap = laplacian_of_cluster(c).astype(np.float64)
+        direct = float(phi @ lap @ phi)
+        via_edges = quadratic_form(c, phi)
+        scale = max(1.0, abs(direct))
+        if abs(direct - via_edges) > 1e-9 * scale:
             violations.append(
-                f"spectral-gap floor violated at realization {r}: size={int(sizes[i])} "
-                f"e_min={float(gaps[i])!r} bound={1.0 / float(sizes[i]) ** 2!r} "
-                f"edges={cluster.edges.tolist()}"
+                f"quadratic form mismatch at realization {r}: "
+                f"edge sum {via_edges!r} vs matrix {direct!r}"
             )
-        zeros = int(np.count_nonzero(spectrum.eigenvalues == 0.0))
-        if zeros != d.n_clusters:
-            violations.append(
-                f"kernel identity failed at realization {r}: zeros={zeros} clusters={d.n_clusters}"
-            )
-        # per-realization counting function must be nondecreasing in E
-        probe = np.geomspace(1e-3, 2.0 * max(float(spectrum.eigenvalues[-1]), 1.0), 24)
-        counts = np.searchsorted(spectrum.eigenvalues, probe, side="right")
-        if np.any(np.diff(counts) < 0):
-            violations.append(f"counting function not monotone at realization {r}")
-        # quadratic form and moment-vs-trace spot checks on a few clusters
-        rng = np.random.default_rng([config.master_seed, r, 1])
-        ids = np.nonzero(d.sizes >= 2)[0][:3]
-        for k in ids:
-            c = d.cluster(int(k))
-            phi = rng.standard_normal(c.size)
-            lap = laplacian_of_cluster(c).astype(np.float64)
-            direct = float(phi @ lap @ phi)
-            via_edges = quadratic_form(c, phi)
-            scale = max(1.0, abs(direct))
-            if abs(direct - via_edges) > 1e-9 * scale:
-                violations.append(
-                    f"quadratic form mismatch at realization {r}: "
-                    f"edge sum {via_edges!r} vs matrix {direct!r}"
-                )
-            if c.size <= 8:
-                eigs = eigenvalues_cluster(c, config.size_cap).eigenvalues
-                for power in (2, 4, 6):
-                    via_eigs = float(np.sum(eigs**power))
-                    via_trace = float(np.trace(np.linalg.matrix_power(lap, power)))
-                    if abs(via_eigs - via_trace) > 1e-8 * max(1.0, abs(via_trace)):
-                        violations.append(
-                            f"moment/trace mismatch at realization {r}: power {power}, "
-                            f"{via_eigs!r} vs {via_trace!r}"
-                        )
-    return violations, clusters_total, clusters_checked
+        if c.size <= 8:
+            eigs = eigenvalues_cluster(c, size_cap).eigenvalues
+            for power in (2, 4, 6):
+                via_eigs = float(np.sum(eigs**power))
+                via_trace = float(np.trace(np.linalg.matrix_power(lap, power)))
+                if abs(via_eigs - via_trace) > 1e-8 * max(1.0, abs(via_trace)):
+                    violations.append(
+                        f"moment/trace mismatch at realization {r}: power {power}, "
+                        f"{via_eigs!r} vs {via_trace!r}"
+                    )
+    return violations, d.n_clusters, sizes.shape[0]
 
 
 def run_verify(config: ExperimentConfig) -> VerifyResult:
@@ -885,7 +877,11 @@ def run_verify(config: ExperimentConfig) -> VerifyResult:
             sandwich_bad.append(p)
     checks.append(("bound_sandwich", not sandwich_bad, f"bad={sandwich_bad}"))
 
-    ens_violations, clusters_total, clusters_checked = _verify_ensemble(config)
+    extra = (_verify_one, config.size_cap)
+    rows = _run_chunked(_each_realization, config.spec(), config.n_reps, extra, config.workers)
+    ens_violations = [v for row in rows for v in row[0]]
+    clusters_total = sum(row[1] for row in rows)
+    clusters_checked = sum(row[2] for row in rows)
     violations.extend(ens_violations)
     checks.append(
         (

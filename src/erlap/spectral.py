@@ -1,20 +1,23 @@
 """Per-cluster Laplacian spectra, whole-graph spectra, IDS estimation, moments.
 
 The graph Laplacian L = D - A is block diagonal over clusters, so the graph
-spectrum is the multiset union of small per-cluster eigenproblems.  Clusters
-are grouped by size and solved as stacked dense symmetric eigenproblems,
-which keeps the LAPACK loop in C even when a realization holds thousands of
-tiny clusters.  Each connected cluster has a one-dimensional kernel; the
-smallest computed eigenvalue is replaced by an exact 0.0 so that zero counts
-(and hence the spectral value at the lower edge) never depend on a floating
-point threshold.
+spectrum is the multiset union of small per-cluster eigenproblems.  One
+builder assembles the clusters of each size as a stack of dense Laplacians,
+and one checked eigensolve handles every stack, which keeps the LAPACK loop
+in C even when a realization holds thousands of tiny clusters.  Each
+connected cluster has a one-dimensional kernel; the smallest computed
+eigenvalue is replaced by an exact 0.0 so that zero counts (and hence the
+spectral value at the lower edge) never depend on a floating point threshold.
+
+Moments need no eigensolve: Tr M^{2k} = ||M^k||_F^2 is an exact integer for
+M = L and for M = A, computed from the same stacks by integer-valued float64
+matrix products.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,9 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 2000
 MAX_MOMENT_POWER = 12
+# largest row panel of M^k held at once by the trace moments; without panels
+# the full stacked product raised the peak memory of a moments run
+_PANEL_BYTES = 64 * 1024
 
 
 class EigensolverError(RuntimeError):
@@ -58,37 +64,77 @@ class EigensolverError(RuntimeError):
         self.realization = realization
 
 
-@contextmanager
-def _at_realization(spec: GraphSpec, r: int):
-    """Re-raise an :class:`EigensolverError` from inside tagged with (seed, r)."""
+def _laplacian_stacks(sizes, edge_labels, local_edges, size_cap: int, cluster_of):
+    """Yield ``(size, cluster_ids, stack)`` per size class >= 2, ``stack[j]``
+    the dense float64 Laplacian of cluster ``cluster_ids[j]``.
+
+    ``edge_labels`` gives the cluster of each row of ``local_edges``.  A
+    largest cluster ``k`` beyond ``size_cap`` raises :class:`EigensolverError`
+    carrying ``cluster_of(k)``.
+    """
+    top = int(sizes.max()) if sizes.size else 0
+    if top > size_cap:
+        raise EigensolverError(
+            f"cluster of size {top} exceeds the eigensolver size cap {size_cap}",
+            cluster=cluster_of(int(np.argmax(sizes))),
+        )
+    esizes = sizes[edge_labels]
+    slot_of_cluster = np.empty(sizes.shape[0], dtype=np.int64)
+    for s in np.unique(sizes[sizes >= 2]):
+        s = int(s)
+        ids = np.nonzero(sizes == s)[0]
+        c = ids.shape[0]
+        slot_of_cluster[ids] = np.arange(c, dtype=np.int64)
+        mask = esizes == s
+        base = slot_of_cluster[edge_labels[mask]] * (s * s)
+        li, lj = local_edges[mask].T
+        flat = np.zeros(c * s * s, dtype=np.float64)
+        flat[base + li * s + lj] = -1.0
+        flat[base + lj * s + li] = -1.0
+        np.add.at(flat, base + li * s + li, 1.0)
+        np.add.at(flat, base + lj * s + lj, 1.0)
+        yield s, ids, flat.reshape(c, s, s)
+
+
+def _cluster_stacks(c: Cluster, size_cap: int):
+    """:func:`_laplacian_stacks` of the single cluster ``c`` (id 0)."""
+    return _laplacian_stacks(
+        np.array([c.size]), np.zeros(c.n_edges, dtype=np.int64), c.edges, size_cap, lambda k: c
+    )
+
+
+def _checked_eigvalsh(stack: np.ndarray, ids: np.ndarray, cluster_of) -> np.ndarray:
+    """Ascending eigenvalues of each stacked Laplacian, kernel pinned to 0.0; LAPACK
+    failures and negative eigenvalues raise :class:`EigensolverError`."""
     try:
-        yield
-    except EigensolverError as exc:
-        raise EigensolverError(str(exc), exc.cluster, spec.master_seed, r) from exc
+        vals = np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(
+            f"eigensolver failed to converge for size {stack.shape[1]}: {exc}",
+            cluster=cluster_of(int(ids[0])),
+        ) from exc
+    j = int(np.argmin(vals[:, 0]))
+    if vals[j, 0] < -1e-9:
+        raise EigensolverError(
+            f"computed eigenvalue {float(vals[j, 0])!r} violates nonnegativity",
+            cluster=cluster_of(int(ids[j])),
+        )
+    vals[:, 0] = 0.0
+    return vals
 
 
 def laplacian_of_cluster(c: Cluster) -> np.ndarray:
     """Dense integer Laplacian D - A of a cluster in local coordinates."""
-    n = c.size
-    lap = np.zeros((n, n), dtype=np.int64)
-    if c.n_edges:
-        i, j = c.edges[:, 0], c.edges[:, 1]
-        lap[i, j] = -1
-        lap[j, i] = -1
-        deg = c.local_degrees()
-        lap[np.arange(n), np.arange(n)] = deg
+    lap = np.zeros((1, 1), dtype=np.int64)
+    for _, _, stack in _cluster_stacks(c, c.size):
+        lap = stack[0].astype(np.int64)
     return lap
 
 
 def adjacency_of_cluster(c: Cluster) -> np.ndarray:
     """Dense 0/1 adjacency matrix of a cluster in local coordinates."""
-    n = c.size
-    adj = np.zeros((n, n), dtype=np.int64)
-    if c.n_edges:
-        i, j = c.edges[:, 0], c.edges[:, 1]
-        adj[i, j] = 1
-        adj[j, i] = 1
-    return adj
+    lap = laplacian_of_cluster(c)
+    return np.diag(np.diag(lap)) - lap
 
 
 def quadratic_form(c: Cluster, phi) -> float:
@@ -135,23 +181,10 @@ def eigenvalues_cluster(c: Cluster, size_cap: int = DEFAULT_SIZE_CAP) -> Cluster
     Raises :class:`EigensolverError` (with the cluster attached) when the
     cluster exceeds ``size_cap`` or LAPACK fails to converge.
     """
-    n = c.size
-    if n > size_cap:
-        raise EigensolverError(
-            f"cluster of size {n} exceeds the eigensolver size cap {size_cap}", cluster=c
-        )
-    if n == 1:
-        return ClusterSpectrum(1, np.zeros(1))
-    try:
-        vals = np.linalg.eigvalsh(laplacian_of_cluster(c).astype(np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver failed to converge: {exc}", cluster=c) from exc
-    if vals[0] < -1e-9:
-        raise EigensolverError(
-            f"computed eigenvalue {vals[0]!r} violates nonnegativity", cluster=c
-        )
-    vals[0] = 0.0
-    return ClusterSpectrum(n, vals)
+    vals = np.zeros((1, 1))
+    for _, ids, stack in _cluster_stacks(c, size_cap):
+        vals = _checked_eigvalsh(stack, ids, lambda k: c)
+    return ClusterSpectrum(c.size, vals[0])
 
 
 def path_emin_reference(n: int) -> float:
@@ -182,64 +215,14 @@ class GraphSpectrum:
         return self.eigenvalues.shape[0]
 
 
-def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, matrix: str):
-    """Eigenvalues of all clusters with size >= 2, grouped by cluster size.
+def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int):
+    """Laplacian eigenvalues of all clusters with size >= 2, grouped by size.
 
     Returns a list of (size, cluster_ids, values) with ``values`` of shape
-    (count, size), each row sorted ascending.  For ``matrix == "laplacian"``
-    the smallest eigenvalue per cluster is pinned to exact zero.
+    (count, size), each row sorted ascending with its first entry exactly 0.
     """
-    sizes = d.sizes
-    top = int(sizes.max()) if sizes.size else 0
-    if top > size_cap:
-        k = int(np.argmax(sizes))
-        raise EigensolverError(
-            f"cluster of size {top} exceeds the eigensolver size cap {size_cap}",
-            cluster=d.cluster(k),
-        )
-    out = []
-    labels = d.edge_labels_grouped
-    esizes = sizes[labels] if labels.size else labels
-    le = d.local_edges
-    slot_of_cluster = np.empty(d.n_clusters, dtype=np.int64)
-    for s in np.unique(sizes):
-        s = int(s)
-        if s < 2:
-            continue
-        ids = np.nonzero(sizes == s)[0]
-        c = ids.shape[0]
-        slot_of_cluster[ids] = np.arange(c, dtype=np.int64)
-        mask = esizes == s
-        slots = slot_of_cluster[labels[mask]]
-        li = le[mask, 0]
-        lj = le[mask, 1]
-        flat = np.zeros(c * s * s, dtype=np.float64)
-        off = 1.0 if matrix == "adjacency" else -1.0
-        base = slots * (s * s)
-        flat[base + li * s + lj] = off
-        flat[base + lj * s + li] = off
-        if matrix == "laplacian":
-            np.add.at(flat, base + li * s + li, 1.0)
-            np.add.at(flat, base + lj * s + lj, 1.0)
-        mats = flat.reshape(c, s, s)
-        try:
-            vals = np.linalg.eigvalsh(mats)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(
-                f"stacked eigensolver failed for size {s}: {exc}",
-                cluster=d.cluster(int(ids[0])),
-            ) from exc
-        if matrix == "laplacian":
-            low = float(vals[:, 0].min())
-            if low < -1e-9:
-                bad = int(ids[int(np.argmin(vals[:, 0]))])
-                raise EigensolverError(
-                    f"computed eigenvalue {low!r} violates nonnegativity",
-                    cluster=d.cluster(bad),
-                )
-            vals[:, 0] = 0.0
-        out.append((s, ids, vals))
-    return out
+    stacks = _laplacian_stacks(d.sizes, d.edge_labels_grouped, d.local_edges, size_cap, d.cluster)
+    return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster)) for s, ids, stack in stacks]
 
 
 def graph_spectrum(
@@ -250,7 +233,7 @@ def graph_spectrum(
         if d.graph.n != g.n or not (d.graph == g):
             raise ValueError("decomposition does not belong to this graph")
     parts = [np.zeros(int(np.count_nonzero(d.sizes == 1)))]
-    for _, _, vals in _grouped_eigenvalues(d, size_cap, "laplacian"):
+    for _, _, vals in _grouped_eigenvalues(d, size_cap):
         parts.append(vals.ravel())
     eigs = np.concatenate(parts)
     eigs.sort()
@@ -260,17 +243,10 @@ def graph_spectrum(
 def cluster_min_gaps(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP):
     """Cluster ids, sizes, and smallest nonzero eigenvalues of every cluster
     with at least two vertices."""
-    ids_out = []
-    sizes_out = []
-    gaps_out = []
-    for s, ids, vals in _grouped_eigenvalues(d, size_cap, "laplacian"):
-        ids_out.append(ids)
-        sizes_out.append(np.full(ids.shape[0], s, dtype=np.int64))
-        gaps_out.append(vals[:, 1])
-    if not sizes_out:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0)
-    return np.concatenate(ids_out), np.concatenate(sizes_out), np.concatenate(gaps_out)
+    groups = _grouped_eigenvalues(d, size_cap)
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids, _ in groups])
+    gaps = np.concatenate([np.empty(0)] + [vals[:, 1] for _, _, vals in groups])
+    return ids, d.sizes[ids], gaps
 
 
 @dataclass(frozen=True)
@@ -327,8 +303,10 @@ def _each_realization(args):
     spec, rs, one, *extra = args
     out = []
     for r in rs:
-        with _at_realization(spec, r):
+        try:
             out.append(one(spec, r, *extra))
+        except EigensolverError as exc:
+            raise EigensolverError(str(exc), exc.cluster, spec.master_seed, r) from exc
     return out
 
 
@@ -408,8 +386,10 @@ class MomentSamples:
     """Per-realization spectral moments for the Laplacian, degrees, adjacency.
 
     Row r of each array holds N^{-1} Tr[M^{2k}] for realization r and the
-    powers listed in ``two_ks``.  Means and standard errors derive from the
-    rows, so parallel collection order cannot change them.
+    powers listed in ``two_ks``.  The traces are exact integers, computed as
+    ||M^k||_F^2 and not as eigenvalue power sums, so each row is correctly
+    rounded.  Means and standard errors derive from the rows, so parallel
+    collection order cannot change them.
     """
 
     n: int
@@ -439,21 +419,41 @@ class MomentSamples:
         return (2.0 ** (2 * k - 1)) * (self.deg[:, col] + self.adj[:, col]) - self.lap[:, col]
 
 
+def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
+    """Add Tr M^{2k} = ||M^k||_F^2, summed over the stacked matrices M, to
+    ``traces[k - 1]`` for k = 1..len(traces).
+
+    The rows of M^k are built panel by panel as M[:, R, :] @ M @ ... @ M, so
+    the extra memory is a panel of ``_PANEL_BYTES`` or one row per matrix.
+    Entries of M^k are integers bounded by (2 d_max)^k, so the float64
+    products and panel sums are exact below 2^53; the totals are Python
+    integers and never wrap.
+    """
+    c, s, _ = stack.shape
+    rows = max(1, _PANEL_BYTES // (8 * c * s))
+    for lo in range(0, s, rows):
+        panel = stack[:, lo : lo + rows]
+        for k in range(len(traces)):
+            if k:
+                panel = panel @ stack
+            traces[k] += int(np.vdot(panel, panel))
+
+
 def _moment_one(spec: GraphSpec, r: int, two_ks: tuple[int, ...], size_cap: int):
     g = sample_graph(spec, r)
     d = decompose(g)
+    lap = [0] * len(two_ks)
+    adj = [0] * len(two_ks)
+    stacks = _laplacian_stacks(d.sizes, d.edge_labels_grouped, d.local_edges, size_cap, d.cluster)
+    for s, _, stack in stacks:
+        _add_trace_powers(stack, lap)
+        # A = D - L: the off-diagonal part of -L
+        np.negative(stack, out=stack)
+        stack[:, np.arange(s), np.arange(s)] = 0.0
+        _add_trace_powers(stack, adj)
     deg = degree_sequence(g).astype(np.float64)
-    lap_groups = _grouped_eigenvalues(d, size_cap, "laplacian")
-    adj_groups = _grouped_eigenvalues(d, size_cap, "adjacency")
-    n = float(g.n)
-    lap_row = np.empty(len(two_ks))
-    deg_row = np.empty(len(two_ks))
-    adj_row = np.empty(len(two_ks))
-    for col, two_k in enumerate(two_ks):
-        lap_row[col] = sum(float(np.sum(v**two_k)) for _, _, v in lap_groups) / n
-        adj_row[col] = sum(float(np.sum(v**two_k)) for _, _, v in adj_groups) / n
-        deg_row[col] = float(np.sum(deg**two_k)) / n
-    return lap_row, deg_row, adj_row
+    deg_row = [float(np.sum(deg**two_k)) / g.n for two_k in two_ks]
+    return np.array([t / g.n for t in lap]), np.array(deg_row), np.array([t / g.n for t in adj])
 
 
 def moment_samples(

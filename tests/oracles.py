@@ -86,6 +86,22 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
     return lap
 
 
+def eigen_moment_rows(n: int, edges, two_ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N^{-1} Tr M^{2k} for M = L, D, A as eigenvalue power sums.
+
+    Solves the dense N x N Laplacian and adjacency matrices of the whole
+    graph, so it shares neither the cluster stacks nor the integer trace
+    products of :func:`erlap.spectral.moment_samples`.
+    """
+    lap = dense_laplacian(n, edges)
+    deg = np.diag(lap).copy()
+    adj = np.diag(deg) - lap
+    rows = []
+    for values in (np.linalg.eigvalsh(lap), deg, np.linalg.eigvalsh(adj)):
+        rows.append(np.array([float(np.sum(values**two_k)) / n for two_k in two_ks]))
+    return tuple(rows)
+
+
 def all_graphs(n: int):
     """Yield (edge tuple, edge count) for every labeled graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -407,3 +407,11 @@ def test_moment_inequality_check_synthetic():
     assert abs(report.slack_mean - 1.3) < 1e-12
     with pytest.raises(ValueError):
         analytics.moment_inequality_check(FakeSamples(), 0.7, 1)
+
+    # the inequality holds for every graph: one negative row fails the check
+    # even though the mean slack is far above -4 standard errors
+    class OneNegativeRow(FakeSamples):
+        def slack_samples(self, k):
+            return np.array([1.3, 1.28, -1e-9, 1.30])
+
+    assert not analytics.moment_inequality_check(OneNegativeRow(), 0.5, 1).satisfied

@@ -1,14 +1,19 @@
 """Laplacian assembly, eigensolves, kernel bookkeeping, IDS, and moments."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erlap import spectral
 from erlap.analytics import lower_bound_L, upper_bound_U
 from erlap.clusters import decompose
 from erlap.ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from erlap.spectral import (
+    MAX_MOMENT_POWER,
     EigensolverError,
     GraphSpectrum,
     cluster_min_gaps,
@@ -22,7 +27,7 @@ from erlap.spectral import (
     spectral_moment,
 )
 
-from oracles import dense_laplacian, path_spectrum_closed_form
+from oracles import dense_laplacian, eigen_moment_rows, path_spectrum_closed_form
 
 
 def _graph(n, edges):
@@ -293,19 +298,47 @@ def test_moment_samples_small_scale():
 
 def test_adjacency_trace_identities_exact():
     g = sample_graph(GraphSpec(300, 1.0, 23), 0)
-    d = decompose(g)
     samples_one = moment_samples(GraphSpec(300, 1.0, 23), 1, k_max=2)
-    deg = degree_sequence(g).astype(float)
-    # Tr A^2 counts closed 2-walks: exactly the degree sum
-    assert abs(samples_one.adj[0, 0] - deg.sum() / g.n) < 1e-9
-    # Tr L^2 = sum d^2 + sum d
-    assert abs(samples_one.lap[0, 0] - (np.sum(deg**2) + deg.sum()) / g.n) < 1e-9
+    deg = degree_sequence(g)
+    # rows are exact integer traces divided by N, so the closed forms hold
+    # with ==: Tr A^2 = 2m counts closed 2-walks, Tr L^2 = sum d(d + 1)
+    assert samples_one.adj[0, 0] == 2 * g.n_edges / g.n
+    assert samples_one.lap[0, 0] == int(np.sum(deg * (deg + 1))) / g.n
     # Tr A^4 against a dense matrix power
     dense_adj = np.zeros((g.n, g.n))
     for i, j in g.edges.tolist():
         dense_adj[i, j] = dense_adj[j, i] = 1.0
     tr4 = float(np.trace(np.linalg.matrix_power(dense_adj, 4))) / g.n
     assert abs(samples_one.adj[0, 1] - tr4) < 1e-8 * max(1.0, tr4)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    p=st.floats(min_value=0.05, max_value=4.0),
+    k_max=st.integers(min_value=1, max_value=MAX_MOMENT_POWER // 2),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_moment_rows_match_eigenvalue_power_sums(n, p, k_max, seed):
+    # p up to 4 covers cyclic and supercritical graphs; an 8-byte panel
+    # budget forces one row per panel, so the panel split is covered too
+    spec = GraphSpec(n, min(p, n - 0.5), seed)
+    for panel_bytes in (spectral._PANEL_BYTES, 8):
+        with mock.patch.object(spectral, "_PANEL_BYTES", panel_bytes):
+            samples = moment_samples(spec, 2, k_max)
+        for r in range(2):
+            g = sample_graph(spec, r)
+            lap, deg, adj = eigen_moment_rows(g.n, g.edges.tolist(), samples.two_ks)
+            np.testing.assert_allclose(samples.lap[r], lap, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(samples.deg[r], deg, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(samples.adj[r], adj, rtol=1e-12, atol=0)
+
+
+def test_moments_giant_cluster_fails_cleanly():
+    with pytest.raises(EigensolverError) as err:
+        moment_samples(GraphSpec(3000, 3.0, 1), 1, 2, size_cap=100)
+    assert err.value.realization == 0
+    assert err.value.cluster.size > 100
 
 
 def test_graph_spectrum_type_invariants():
