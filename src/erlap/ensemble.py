@@ -46,7 +46,7 @@ class GraphSpec:
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
             raise ValueError(f"n_vertices must be an integer >= 2, got {n!r}")
         p = self.edge_prob
-        if not (0.0 < float(p) < float(n)):
+        if not (0.0 < float(p) < n):
             raise ValueError(f"edge_prob must satisfy 0 < p < N, got {p!r}")
         s = self.master_seed
         if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or not (0 <= s <= _MAX_SEED):
@@ -199,20 +199,19 @@ def _parse_edge_lines(lines: Iterable[str]) -> Graph:
         raise ValueError("empty edge-list input") from None
     n_str, m_str = first.split()
     n, m = int(n_str), int(m_str)
-    edges = np.empty((m, 2), dtype=np.int64)
-    k = 0
-    for line in it:
-        line = line.strip()
-        if not line:
-            continue
-        a, b = line.split()
-        if k >= m:
-            raise ValueError("more edges than declared")
-        edges[k, 0] = int(a)
-        edges[k, 1] = int(b)
-        k += 1
-    if k != m:
-        raise ValueError(f"declared {m} edges, found {k}")
+    if not (1 <= n and n * n < 2**63):
+        raise ValueError(f"vertex count {n} outside [1, 3037000499] (int64 edge keys i*N + j)")
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"edge count {m} outside [0, N(N-1)/2] for N={n}")
+    # storage grows with the edges actually read, never with the declared m
+    edges = []
+    for line in filter(str.strip, it):
+        a, b = map(int, line.split())
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError("edge endpoint out of range")
+        edges.append((a, b))
+    if len(edges) != m:
+        raise ValueError(f"declared {m} edges, found {len(edges)}")
     return Graph(n, edges, validate=True)
 
 

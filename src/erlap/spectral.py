@@ -9,6 +9,12 @@ connected cluster has a one-dimensional kernel; the smallest computed
 eigenvalue is replaced by an exact 0.0 so that zero counts (and hence the
 spectral value at the lower edge) never depend on a floating point threshold.
 
+IDS counts skip the sizes that Fiedler's theorem settles: a connected n-vertex
+graph has smallest nonzero eigenvalue >= 2(1 - cos(pi/n)), and LAPACK computes
+it within the margin n*eps*||L||_2 <= n*eps*2(n - 1), which also covers the
+floor's rounding.  A size whose floor minus margin exceeds the top grid energy
+adds exactly its kernel to each count #{lambda <= E}, so it is never solved.
+
 Moments need no eigensolve: Tr M^{2k} = ||M^k||_F^2 is an exact integer for
 M = L and for M = A, computed from the same stacks by integer-valued float64
 matrix products.
@@ -35,6 +41,7 @@ __all__ = [
     "adjacency_of_cluster",
     "quadratic_form",
     "eigenvalues_cluster",
+    "fiedler_floor",
     "path_emin_reference",
     "graph_spectrum",
     "cluster_min_gaps",
@@ -64,13 +71,13 @@ class EigensolverError(RuntimeError):
         self.realization = realization
 
 
-def _laplacian_stacks(sizes, edge_labels, local_edges, size_cap: int, cluster_of):
-    """Yield ``(size, cluster_ids, stack)`` per size class >= 2, ``stack[j]``
-    the dense float64 Laplacian of cluster ``cluster_ids[j]``.
+def _laplacian_stacks(sizes, edge_labels, local_edges, size_cap, cluster_of, min_size=2):
+    """Yield ``(size, cluster_ids, stack)`` per size class >= ``min_size``,
+    ``stack[j]`` the dense float64 Laplacian of cluster ``cluster_ids[j]``.
 
     ``edge_labels`` gives the cluster of each row of ``local_edges``.  A
     largest cluster ``k`` beyond ``size_cap`` raises :class:`EigensolverError`
-    carrying ``cluster_of(k)``.
+    carrying ``cluster_of(k)``, whatever ``min_size`` skips.
     """
     top = int(sizes.max()) if sizes.size else 0
     if top > size_cap:
@@ -80,7 +87,7 @@ def _laplacian_stacks(sizes, edge_labels, local_edges, size_cap: int, cluster_of
         )
     esizes = sizes[edge_labels]
     slot_of_cluster = np.empty(sizes.shape[0], dtype=np.int64)
-    for s in np.unique(sizes[sizes >= 2]):
+    for s in np.unique(sizes[sizes >= min_size]):
         s = int(s)
         ids = np.nonzero(sizes == s)[0]
         c = ids.shape[0]
@@ -187,6 +194,12 @@ def eigenvalues_cluster(c: Cluster, size_cap: int = DEFAULT_SIZE_CAP) -> Cluster
     return ClusterSpectrum(c.size, vals[0])
 
 
+def fiedler_floor(sizes) -> np.ndarray:
+    """Elementwise 2(1 - cos(pi/n)), Fiedler's floor (Czech. Math. J. 1973) on the smallest
+    nonzero Laplacian eigenvalue of a connected n-vertex graph; the path attains it."""
+    return 2.0 * (1.0 - np.cos(np.pi / np.asarray(sizes, dtype=np.float64)))
+
+
 def path_emin_reference(n: int) -> float:
     """Closed-form smallest nonzero Laplacian eigenvalue of the n-vertex path.
 
@@ -194,7 +207,15 @@ def path_emin_reference(n: int) -> float:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"path needs n >= 2 vertices, got {n!r}")
-    return 2.0 * (1.0 - math.cos(math.pi / n))
+    return float(fiedler_floor(n))
+
+
+def _min_solved_size(e_max: float, size_cap: int) -> int:
+    """Smallest size whose floor minus margin (module docstring) reaches ``e_max``;
+    that difference falls with n and is negative from n ~ 12000 on."""
+    n = np.arange(2, min(size_cap, 1 << 14) + 1)
+    reach = fiedler_floor(n) - n * np.finfo(np.float64).eps * 2.0 * (n - 1) <= e_max
+    return int(n[np.argmax(reach)]) if reach.any() else size_cap + 1
 
 
 @dataclass(frozen=True)
@@ -215,14 +236,24 @@ class GraphSpectrum:
         return self.eigenvalues.shape[0]
 
 
-def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int):
-    """Laplacian eigenvalues of all clusters with size >= 2, grouped by size.
+def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, min_size: int = 2):
+    """Laplacian eigenvalues of all clusters with size >= ``min_size`` >= 2, by size.
 
     Returns a list of (size, cluster_ids, values) with ``values`` of shape
     (count, size), each row sorted ascending with its first entry exactly 0.
     """
-    stacks = _laplacian_stacks(d.sizes, d.edge_labels_grouped, d.local_edges, size_cap, d.cluster)
+    stacks = _laplacian_stacks(d.sizes, d.edge_labels_grouped, d.local_edges, size_cap,
+                               d.cluster, min_size)
     return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster)) for s, ids, stack in stacks]
+
+
+def _counting_function(d: ClusterDecomposition, groups, energies: np.ndarray) -> np.ndarray:
+    """#{eigenvalues <= E} at each energy E > 0: one kernel per cluster plus
+    the nonzero eigenvalues <= E of the solved ``groups``."""
+    counts = np.full(energies.shape, d.n_clusters, dtype=np.int64)
+    for _, _, vals in groups:
+        counts += np.searchsorted(np.sort(vals[:, 1:], axis=None), energies, side="right")
+    return counts
 
 
 def graph_spectrum(
@@ -240,13 +271,17 @@ def graph_spectrum(
     return GraphSpectrum(eigs, d.n_clusters)
 
 
-def cluster_min_gaps(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP):
-    """Cluster ids, sizes, and smallest nonzero eigenvalues of every cluster
-    with at least two vertices."""
-    groups = _grouped_eigenvalues(d, size_cap)
+def _min_gaps(d: ClusterDecomposition, groups):
+    """Cluster ids, sizes, and smallest nonzero eigenvalues of the solved ``groups``."""
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids, _ in groups])
     gaps = np.concatenate([np.empty(0)] + [vals[:, 1] for _, _, vals in groups])
     return ids, d.sizes[ids], gaps
+
+
+def cluster_min_gaps(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP):
+    """Cluster ids, sizes, and smallest nonzero eigenvalues of every cluster
+    with at least two vertices."""
+    return _min_gaps(d, _grouped_eigenvalues(d, size_cap))
 
 
 @dataclass(frozen=True)
@@ -254,11 +289,14 @@ class IdsEstimate:
     """Monte Carlo estimate of the eigenvalue counting function on a grid.
 
     ``sigma`` are means over realizations of N^{-1} #{eigenvalues <= E}
-    (closed right endpoint); ``sigma0`` is the mean cluster count per vertex,
-    computed structurally from the decomposition and never from thresholded
-    eigenvalues.  ``delta_sigma`` is the per-realization difference
-    sigma(E) - sigma(0) re-averaged, carrying its own standard error since
-    the two terms are correlated.
+    (closed right endpoint, so right-continuous in E).  Sizes n whose Fiedler
+    floor 2(1 - cos(pi/n)) less the margin n*eps*2(n - 1) exceeds the top energy
+    add only their kernel and are not solved; the counts equal the full spectrum's.
+    ``sigma0`` is the mean cluster count per vertex, computed structurally
+    from the decomposition and never from thresholded eigenvalues.
+    ``delta_sigma`` is the per-realization difference sigma(E) - sigma(0)
+    re-averaged, carrying its own standard error since the two terms are
+    correlated.
     """
 
     n: int
@@ -283,19 +321,17 @@ def _validate_grid(grid) -> np.ndarray:
     e = np.asarray(grid, dtype=np.float64)
     if e.ndim != 1 or e.size == 0:
         raise ValueError("energy grid must be a nonempty 1-d array")
-    if np.any(e <= 0.0):
-        raise ValueError("energy grid must be strictly positive")
+    if not np.all((e > 0.0) & np.isfinite(e)):
+        raise ValueError("energy grid must be finite and strictly positive")
     if np.any(np.diff(e) <= 0.0):
         raise ValueError("energy grid must be strictly increasing")
     return e
 
 
-def _ids_one(spec: GraphSpec, r: int, grid: np.ndarray, size_cap: int):
-    g = sample_graph(spec, r)
-    d = decompose(g)
-    spectrum = graph_spectrum(g, d, size_cap)
-    counts = np.searchsorted(spectrum.eigenvalues, grid, side="right")
-    return counts.astype(np.int64), int(d.n_clusters)
+def _ids_one(spec: GraphSpec, r: int, grid: np.ndarray, size_cap: int, min_size: int):
+    d = decompose(sample_graph(spec, r))
+    groups = _grouped_eigenvalues(d, size_cap, min_size)
+    return _counting_function(d, groups, grid), int(d.n_clusters)
 
 
 def _each_realization(args):
@@ -342,7 +378,8 @@ def empirical_ids(
     e = _validate_grid(grid)
     if n_reps < 1:
         raise ValueError("need at least one realization")
-    results = _run_chunked(_each_realization, spec, n_reps, (_ids_one, e, size_cap), workers)
+    extra = (_ids_one, e, size_cap, _min_solved_size(float(e[-1]), size_cap))
+    results = _run_chunked(_each_realization, spec, n_reps, extra, workers)
     counts = np.stack([c for c, _ in results])
     ks = np.asarray([k for _, k in results], dtype=np.int64)
     n = spec.n_vertices

@@ -86,6 +86,16 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
     return lap
 
 
+def dense_counting_function(n: int, edges, energies) -> np.ndarray:
+    """#{eigenvalues <= E} of the dense N x N Laplacian of the whole graph.
+
+    One eigensolve of the full matrix: no clusters, no pinned kernel and no
+    pruning, so its zero eigenvalues carry rounding of either sign.
+    """
+    vals = np.linalg.eigvalsh(dense_laplacian(n, edges))
+    return np.searchsorted(vals, np.asarray(energies, dtype=np.float64), side="right")
+
+
 def eigen_moment_rows(n: int, edges, two_ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """N^{-1} Tr M^{2k} for M = L, D, A as eigenvalue power sums.
 

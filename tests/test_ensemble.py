@@ -195,6 +195,35 @@ def test_edge_list_rejects_malformed():
         read_edge_list(io.StringIO("3 2\n0 1\n"))
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO(""))
+    # headers are checked before anything is sized from them: "5 99999999999999"
+    # once asked np.empty for 1.42 PiB
+    for text in ("5 99999999999999\n", "5 11\n", "5 -1\n", "0 0\n", "3037000500 0\n",
+                 "4 1\n0 9223372036854775808\n", "4 1\n0 1 2\n", "4 1\n0 1\n1 2\n",
+                 "4 1\n1 0\n", "4 1\n-1 2\n"):
+        with pytest.raises(ValueError):
+            read_edge_list(io.StringIO(text))
+    assert read_edge_list(io.StringIO("3037000499 1\n\n  0 3037000498 \n\n")).n_edges == 1
+
+
+_edge_tokens = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["99999999999999", str(10**400), "9" * 5000, "1_0", "0x1", "1.0"]),
+    st.text(max_size=4),
+)
+_edge_lines = st.lists(_edge_tokens, max_size=3).map(" ".join)
+
+
+@given(header=_edge_lines, body=st.lists(_edge_lines, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_read_edge_list_fuzz_raises_only_value_error(header, body):
+    try:
+        g = read_edge_list(io.StringIO("\n".join([header] + body)))
+    except ValueError:
+        return
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    assert read_edge_list(io.StringIO(buf.getvalue())) == g
 
 
 def test_realization_index_validation():

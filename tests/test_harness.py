@@ -2,9 +2,12 @@
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erlap.cli import cli_dispatch
 from erlap.clusters import CensusAccumulator, decompose
@@ -76,6 +79,47 @@ def test_config_validation():
         ExperimentConfig(k_max=5)
     with pytest.raises(ValueError):
         ExperimentConfig(workers=0)
+    # a non-finite top energy would set the eigensolve pruning threshold
+    for bad in (dict(e_max=math.inf), dict(e_max=math.nan), dict(e_min=math.nan),
+                dict(anchor_e_max=math.inf), dict(anchor_e_min=math.nan)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
+
+_config_values = st.one_of(
+    st.sampled_from(["none", "nan", "inf", "-inf", "-0.0", "1e400", str(10**400), "9" * 5000,
+                     "explicit", "linear", "0.1,nan", "0.5,0.1", "", ",", "1_0"]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+
+
+@given(
+    changes=st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)] + ["format", "x"]),
+        _config_values,
+        max_size=4,
+    ),
+    drop=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_config_file_fuzz_raises_only_value_error(changes, drop):
+    buf = io.StringIO()
+    ExperimentConfig().to_file(buf)
+    lines = buf.getvalue().splitlines()
+    if drop:
+        lines = lines[:-1]
+    lines += [f"{key}={value}" for key, value in changes.items()]
+    try:
+        config = ExperimentConfig.from_file(io.StringIO("\n".join(lines)))
+    except ValueError:
+        return
+    # whatever parses re-serializes to a fixed point
+    once, twice = io.StringIO(), io.StringIO()
+    config.to_file(once)
+    ExperimentConfig.from_file(io.StringIO(once.getvalue())).to_file(twice)
+    assert twice.getvalue() == once.getvalue()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -438,6 +482,46 @@ def test_cli_verify_serializes_violations(tmp_path, capsys, monkeypatch):
     assert "VERIFY tau_normalization: FAILED" in captured.out
     assert "verify status=violated" in captured.out
     assert "VIOLATION tau_normalization" in captured.err
+
+
+def test_run_verify_solves_each_cluster_once(monkeypatch):
+    import erlap.spectral as spectral_module
+
+    real = spectral_module._grouped_eigenvalues
+    solved = []
+
+    def counting(d, *args):
+        groups = real(d, *args)
+        solved.append(sum(ids.shape[0] for _, ids, _ in groups))
+        return groups
+
+    monkeypatch.setattr(spectral_module, "_grouped_eigenvalues", counting)
+    result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=3, master_seed=77))
+    assert result.ok
+    assert len(solved) == 3 and sum(solved) == result.clusters_checked
+
+
+def test_run_verify_flags_gaps_below_fiedler_floor(monkeypatch):
+    # lower every computed gap by a relative 1e-6: still far above 1/n^2, but
+    # far below Fiedler's floor less the eigensolver allowance
+    import erlap.spectral as spectral_module
+
+    real = spectral_module._grouped_eigenvalues
+
+    def lowered(d, *args):
+        groups = real(d, *args)
+        for s, _, vals in groups:
+            vals[:, 1] = spectral_module.fiedler_floor(s) * (1.0 - 1e-6)
+        return groups
+
+    monkeypatch.setattr(spectral_module, "_grouped_eigenvalues", lowered)
+    result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=2, master_seed=77))
+    assert not result.ok
+    assert dict((name, ok) for name, ok, _ in result.checks)["ensemble_scan"] is False
+    assert [v.split(":")[0] for v in result.violations] == [
+        "Fiedler floor violated at realization 0",
+        "Fiedler floor violated at realization 1",
+    ]
 
 
 def test_run_verify_workers_do_not_change_result():

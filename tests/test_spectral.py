@@ -13,12 +13,14 @@ from erlap.analytics import lower_bound_L, upper_bound_U
 from erlap.clusters import decompose
 from erlap.ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from erlap.spectral import (
+    DEFAULT_SIZE_CAP,
     MAX_MOMENT_POWER,
     EigensolverError,
     GraphSpectrum,
     cluster_min_gaps,
     eigenvalues_cluster,
     empirical_ids,
+    fiedler_floor,
     graph_spectrum,
     laplacian_of_cluster,
     moment_samples,
@@ -27,7 +29,12 @@ from erlap.spectral import (
     spectral_moment,
 )
 
-from oracles import dense_laplacian, eigen_moment_rows, path_spectrum_closed_form
+from oracles import (
+    dense_counting_function,
+    dense_laplacian,
+    eigen_moment_rows,
+    path_spectrum_closed_form,
+)
 
 
 def _graph(n, edges):
@@ -143,6 +150,130 @@ def test_path_reference_values():
     assert abs(path_emin_reference(2) - 2.0) < 1e-12
     assert abs(path_emin_reference(3) - 1.0) < 1e-12
     assert abs(path_emin_reference(10) - 0.09788696740969285) < 1e-12
+
+
+def test_fiedler_floor_is_the_path_gap_and_bounds_every_cluster():
+    ns = np.arange(2, 201)
+    floors = fiedler_floor(ns)
+    assert floors.tolist() == [path_emin_reference(int(n)) for n in ns]
+    assert np.max(np.abs(floors - [path_spectrum_closed_form(int(n))[1] for n in ns])) == 0.0
+    d = decompose(sample_graph(GraphSpec(3000, 0.9, 5), 0))
+    _, sizes, gaps = cluster_min_gaps(d)
+    # paths attain the floor, so computed gaps may sit a few ulps below it
+    assert np.all(gaps >= fiedler_floor(sizes) * (1.0 - 1e-12))
+
+
+def test_min_solved_size_brackets_the_floor():
+    assert spectral._min_solved_size(0.5, DEFAULT_SIZE_CAP) == 5
+    assert spectral._min_solved_size(2.0, DEFAULT_SIZE_CAP) == 2
+    assert spectral._min_solved_size(1e-9, 100) == 101
+    # a huge cap must not size the search
+    assert spectral._min_solved_size(1e-9, 10**12) == 12164
+    for n in range(2, 30):
+        floor = float(fiedler_floor(n))
+        # within 3 ulps of the floor (the margin is at least 4 eps), size n is solved ...
+        below = above = floor
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 4.0)
+        for e in (below, floor, above):
+            assert spectral._min_solved_size(float(e), DEFAULT_SIZE_CAP) <= n
+        # ... and clearly below it, size n is pruned
+        assert spectral._min_solved_size(floor * (1 - 1e-9), DEFAULT_SIZE_CAP) == n + 1
+
+
+def test_grid_rejects_non_finite_energies():
+    spec = GraphSpec(50, 0.5, 1)
+    for grid in ([math.nan], [0.1, math.nan], [math.inf], [0.1, math.inf], [-math.inf, 0.1]):
+        with pytest.raises(ValueError):
+            empirical_ids(spec, 2, grid)
+
+
+def _pruned_and_full_counts(d, grid):
+    min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
+    pruned = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP, min_size)
+    full = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
+    return (spectral._counting_function(d, pruned, grid),
+            spectral._counting_function(d, full, grid))
+
+
+def _assert_matches_dense(g, grid, counts):
+    # the dense whole-graph solve rounds each eigenvalue by up to N*eps*||L||,
+    # ||L|| <= 2(N - 1), so it brackets the counts between E -/+ that much
+    tol = 2.0 * g.n * g.n * np.finfo(np.float64).eps
+    edges = g.edges.tolist()
+    assert np.all(dense_counting_function(g.n, edges, grid - tol) <= counts)
+    assert np.all(counts <= dense_counting_function(g.n, edges, grid + tol))
+
+
+_grids = st.lists(
+    st.floats(min_value=1e-4, max_value=5.0), min_size=1, max_size=8, unique=True
+).map(lambda xs: np.array(sorted(xs)))
+
+
+@given(
+    n=st.integers(min_value=2, max_value=80),
+    p=st.floats(min_value=0.05, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    grid=_grids,
+)
+@settings(max_examples=80, deadline=None)
+def test_pruned_ids_counts_match_dense_oracle(n, p, seed, grid):
+    # p up to 4 covers cyclic and supercritical clusters
+    spec = GraphSpec(n, min(p, n - 0.5), seed)
+    min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
+    counts, k = spectral._ids_one(spec, 0, grid, DEFAULT_SIZE_CAP, min_size)
+    g = sample_graph(spec, 0)
+    d = decompose(g)
+    assert k == d.n_clusters
+    pruned, full = _pruned_and_full_counts(d, grid)
+    assert np.array_equal(counts, pruned) and np.array_equal(pruned, full)
+    _assert_matches_dense(g, grid, counts)
+
+
+@given(
+    paths=st.lists(st.integers(min_value=2, max_value=30), max_size=5),
+    extra=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=14),
+    target=st.integers(min_value=2, max_value=30),
+    ulps=st.one_of(st.integers(min_value=-6, max_value=6), st.integers(-1000, 0)),
+    lower=_grids,
+)
+@settings(max_examples=150, deadline=None)
+def test_pruning_exact_when_top_energy_sits_on_a_path_floor(paths, extra, target, ulps, lower):
+    # disjoint paths attain Fiedler's floor, and from n = 10 on their computed
+    # gaps fall up to ~10^3 ulps below it; a random graph on 12 more vertices
+    # adds trees and cycles.  The top energy lands a few ulps around the floor
+    # of one path size, where pruning that size would drop a computed
+    # eigenvalue that the full count includes.
+    edges = {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    start = 12
+    for size in paths + [target]:
+        edges |= {(v, v + 1) for v in range(start, start + size - 1)}
+        start += size
+    g = Graph(start, sorted(edges))
+    floor = float(fiedler_floor(target))
+    e_max = floor + ulps * float(np.spacing(floor))
+    grid = np.unique(np.append(lower[lower < e_max], e_max))
+    pruned, full = _pruned_and_full_counts(decompose(g), grid)
+    assert np.array_equal(pruned, full)
+    _assert_matches_dense(g, grid, pruned)
+
+
+def test_size_cap_checked_whatever_min_size():
+    # a 12-vertex path beside small clusters: the cap applies to the largest
+    # cluster of the decomposition even when min_size skips or spans its size
+    g = _graph(20, [(i, i + 1) for i in range(11)] + [(12, 13), (14, 15), (15, 16)])
+    d = decompose(g)
+    for min_size in (2, 5, 12, 13, 50):
+        with pytest.raises(EigensolverError) as err:
+            spectral._grouped_eigenvalues(d, 8, min_size)
+        assert err.value.cluster.size == 12
+    # end to end at p = 3: the giant cluster raises whether the top energy prunes
+    # sizes below 5 or every size up to the cap
+    for grid in ([0.05, 0.5], [1e-9]):
+        with pytest.raises(EigensolverError) as err:
+            empirical_ids(GraphSpec(3000, 3.0, 1), 1, grid, size_cap=100)
+        assert err.value.realization == 0
+        assert err.value.cluster.size > 100
 
 
 def test_size_cap_raises_diagnostic():
