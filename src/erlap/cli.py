@@ -18,7 +18,7 @@ import numpy as np
 from . import analytics, harness
 from .clusters import decompose
 from .ensemble import sample_graph, write_edge_list
-from .spectral import EigensolverError, graph_spectrum
+from .spectral import EigensolverError, _each_realization, graph_spectrum
 
 
 def _add_common(parser: argparse.ArgumentParser, sampling: bool = True) -> None:
@@ -144,11 +144,17 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _spectrum_one(spec, r, size_cap):
+    g = sample_graph(spec, r)
+    return g, graph_spectrum(g, decompose(g), size_cap)
+
+
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
-    g = sample_graph(config.spec(), args.rep)
-    d = decompose(g)
-    spectrum = graph_spectrum(g, d, config.size_cap)
+    # _each_realization names (master_seed, realization) in an eigensolver error
+    [(g, spectrum)] = _each_realization(
+        (config.spec(), [args.rep], _spectrum_one, config.size_cap)
+    )
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = harness.write_table(

@@ -9,6 +9,7 @@ cumulative sum and no per-edge Python loop remains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -213,34 +214,33 @@ def cluster_of_vertex(d: ClusterDecomposition, v: int) -> Cluster:
     return d.cluster_of_vertex(v)
 
 
-def _grow(arr: np.ndarray, length: int) -> np.ndarray:
-    if arr.shape[0] >= length:
-        return arr
-    out = np.zeros(length, dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
-
-
-_SIZE_COUNTERS = ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size")
+_SIZE_COUNTERS = (
+    "clusters_by_size",
+    "trees_by_size",
+    "linear_by_size",
+    "sq_clusters_by_size",
+    "vertex0_by_size",
+    "vertex0_linear_by_size",
+)
 
 
 class CensusAccumulator:
     """Order-independent accumulation of per-size cluster counts.
 
-    All counters are integers, so merging partial accumulators is exact,
-    associative, and commutative; parallel reductions over realizations
-    cannot change the result.
+    Besides the cluster counts, each realization adds one indicator for the
+    cluster covering its vertex 0: ``vertex0_by_size`` counts realizations by
+    that cluster's size, ``vertex0_linear_by_size`` those where it is a
+    linear chain.  All counters are integers, so merging partial
+    accumulators is exact, associative, and commutative; parallel reductions
+    over realizations cannot change the result.
     """
 
     def __init__(self, n_vertices: int, edge_prob: float):
         self.n_vertices = int(n_vertices)
         self.edge_prob = float(edge_prob)
         self.n_reps = 0
-        cap = 64
-        self.clusters_by_size = np.zeros(cap, dtype=np.int64)
-        self.trees_by_size = np.zeros(cap, dtype=np.int64)
-        self.linear_by_size = np.zeros(cap, dtype=np.int64)
-        self.sq_clusters_by_size = np.zeros(cap, dtype=np.int64)
+        for name in _SIZE_COUNTERS:
+            setattr(self, name, np.zeros(64, dtype=np.int64))
         self.total_clusters = 0
         self.sq_total_clusters = 0
         self.vertices_on_trees = 0
@@ -261,10 +261,13 @@ class CensusAccumulator:
         rep = d.vertex_order[d.vertex_starts[:-1]] // n
         per_rep = np.bincount(rep * top + sizes, minlength=n_reps * top).reshape(n_reps, top)
         k_per_rep = np.bincount(rep, minlength=n_reps)
+        k0 = d.labels[np.arange(n_reps) * n]  # cluster of each realization's vertex 0
         self.clusters_by_size[:top] += per_rep.sum(axis=0)
         self.sq_clusters_by_size[:top] += (per_rep * per_rep).sum(axis=0)
         self.trees_by_size[:top] += np.bincount(sizes[tree], minlength=top)
         self.linear_by_size[:top] += np.bincount(sizes[linear], minlength=top)
+        self.vertex0_by_size[:top] += np.bincount(sizes[k0], minlength=top)
+        self.vertex0_linear_by_size[:top] += np.bincount(sizes[k0[linear[k0]]], minlength=top)
         self.total_clusters += int(d.n_clusters)
         self.sq_total_clusters += int((k_per_rep * k_per_rep).sum())
         self.vertices_on_trees += int(sizes[tree].sum())
@@ -272,7 +275,9 @@ class CensusAccumulator:
 
     def _ensure(self, length: int) -> None:
         for name in _SIZE_COUNTERS:
-            setattr(self, name, _grow(getattr(self, name), length))
+            arr = getattr(self, name)
+            if arr.shape[0] < length:
+                setattr(self, name, np.pad(arr, (0, length - arr.shape[0])))
 
     def merge(self, other: "CensusAccumulator") -> None:
         if (self.n_vertices, self.edge_prob) != (other.n_vertices, other.edge_prob):
@@ -292,12 +297,9 @@ class CensusAccumulator:
             n_vertices=self.n_vertices,
             edge_prob=self.edge_prob,
             n_reps=self.n_reps,
-            clusters_by_size=self.clusters_by_size[:top].copy(),
-            trees_by_size=self.trees_by_size[:top].copy(),
-            linear_by_size=self.linear_by_size[:top].copy(),
-            sq_clusters_by_size=self.sq_clusters_by_size[:top].copy(),
             total_clusters=self.total_clusters,
             vertices_on_trees=self.vertices_on_trees,
+            **{name: getattr(self, name)[:top].copy() for name in _SIZE_COUNTERS},
         )
 
 
@@ -309,6 +311,10 @@ class CensusReport:
     number density tau_hat(n) is (mean clusters of size n per realization)/N;
     the size distribution of the cluster covering a fixed vertex follows as
     n * N * density, which ties the two counting conventions together.
+    ``vertex0_by_size`` holds one indicator per realization, the size of the
+    cluster covering vertex 0 (so it sums to ``n_reps``);
+    ``vertex0_linear_by_size`` counts the realizations where that cluster
+    is a linear chain, which gives :meth:`linear_chain_frequency`.
     """
 
     n_vertices: int
@@ -318,6 +324,8 @@ class CensusReport:
     trees_by_size: np.ndarray
     linear_by_size: np.ndarray
     sq_clusters_by_size: np.ndarray
+    vertex0_by_size: np.ndarray
+    vertex0_linear_by_size: np.ndarray
     total_clusters: int
     vertices_on_trees: int
 
@@ -331,6 +339,10 @@ class CensusReport:
         sizes = np.arange(self.clusters_by_size.shape[0], dtype=np.int64)
         if int((sizes * self.clusters_by_size).sum()) != self.n_vertices * self.n_reps:
             raise ValueError("census does not cover all vertices")
+        if int(self.vertex0_by_size.sum()) != self.n_reps or np.any(
+            self.vertex0_linear_by_size > self.vertex0_by_size
+        ):
+            raise ValueError("inconsistent vertex-0 counts (one per realization, linear <= total)")
 
     @property
     def max_size(self) -> int:
@@ -368,6 +380,14 @@ class CensusReport:
     def mean_cluster_density(self) -> float:
         """Mean K/N over the accumulated realizations."""
         return self.total_clusters / (self.n_reps * self.n_vertices)
+
+    def linear_chain_frequency(self, size: int) -> tuple[float, float]:
+        """Fraction of realizations whose vertex 0 lies on a linear chain of
+        ``size`` vertices, with its binomial standard error (NaN when R == 1)."""
+        r = self.n_reps
+        count = int(self.vertex0_linear_by_size[size]) if 0 <= size <= self.max_size else 0
+        q = count / r
+        return q, (math.sqrt(q * (1.0 - q) / r) if r >= 2 else math.nan)
 
 
 def census(

@@ -19,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from . import analytics, spectral
-from .clusters import CensusAccumulator, CensusReport, _grow, decompose
+from .clusters import CensusAccumulator, CensusReport, decompose
 from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from .spectral import (
     DEFAULT_SIZE_CAP,
@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "BoundsReport",
     "LifshitzFit",
-    "Vertex0Census",
     "IdsRunResult",
     "CensusRunResult",
     "MomentsRunResult",
@@ -135,7 +134,7 @@ class ExperimentConfig:
     def to_file(self, dest: str | Path | IO[str]) -> None:
         lines = [f"format={_CONFIG_FORMAT}\n"]
         for f in fields(self):
-            lines.append(f"{f.name}={_encode(getattr(self, f.name))}\n")
+            lines.append(f"{f.name}={_fmt(getattr(self, f.name))}\n")
         text = "".join(lines)
         if hasattr(dest, "write"):
             dest.write(text)
@@ -164,16 +163,6 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _encode(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _decode(f, raw: str):
     t = f.type
     if raw == "none" and t.endswith("None"):
@@ -188,13 +177,18 @@ def _decode(f, raw: str):
 
 
 def _fmt(value) -> str:
+    """The one text form of config fields, table cells and summary values;
+    :func:`_decode` reads the config fields back."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(_fmt(float(v)) for v in value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return "nan" if math.isnan(v) else repr(v)
+        return repr(float(value))
     return str(value)
 
 
@@ -205,7 +199,7 @@ def _header_lines(name: str, config: ExperimentConfig, extra: dict | None = None
         f"# seed={config.master_seed}\n",
     ]
     for f in fields(config):
-        lines.append(f"# config.{f.name}={_encode(getattr(config, f.name))}\n")
+        lines.append(f"# config.{f.name}={_fmt(getattr(config, f.name))}\n")
     for key, value in (extra or {}).items():
         lines.append(f"# {key}={_fmt(value)}\n")
     return lines
@@ -236,7 +230,7 @@ def write_summary(path: Path, name: str, config: ExperimentConfig, values: dict)
         f"seed={config.master_seed}\n",
     ]
     for f in fields(config):
-        lines.append(f"config.{f.name}={_encode(getattr(config, f.name))}\n")
+        lines.append(f"config.{f.name}={_fmt(getattr(config, f.name))}\n")
     for key, value in values.items():
         lines.append(f"{key}={_fmt(value)}\n")
     path.write_text("".join(lines), newline="\n")
@@ -387,43 +381,6 @@ def run_ids(config: ExperimentConfig) -> IdsRunResult:
 # census
 
 
-class Vertex0Census:
-    """Integer counters for the cluster covering vertex 0, one per realization."""
-
-    def __init__(self, cap: int = 64):
-        self.size_counts = np.zeros(cap, dtype=np.int64)
-        self.linear_counts = np.zeros(cap, dtype=np.int64)
-        self.n_reps = 0
-
-    def add(self, sizes, is_linear) -> None:
-        """Count one realization, or one per entry of matching arrays."""
-        sizes = np.atleast_1d(np.asarray(sizes, dtype=np.int64))
-        is_linear = np.atleast_1d(np.asarray(is_linear, dtype=bool))
-        top = int(sizes.max()) + 1
-        self.size_counts = _grow(self.size_counts, top)
-        self.linear_counts = _grow(self.linear_counts, top)
-        self.size_counts[:top] += np.bincount(sizes, minlength=top)
-        self.linear_counts[:top] += np.bincount(sizes[is_linear], minlength=top)
-        self.n_reps += sizes.shape[0]
-
-    def merge(self, other: "Vertex0Census") -> None:
-        top = other.size_counts.shape[0]
-        self.size_counts = _grow(self.size_counts, top)
-        self.linear_counts = _grow(self.linear_counts, top)
-        self.size_counts[:top] += other.size_counts
-        self.linear_counts[:top] += other.linear_counts
-        self.n_reps += other.n_reps
-
-    def linear_chain_frequency(self, size: int) -> tuple[float, float]:
-        """Frequency (and binomial standard error) of a linear chain of ``size``."""
-        if self.n_reps < 1:
-            raise ValueError("no realizations accumulated")
-        count = int(self.linear_counts[size]) if size < self.linear_counts.shape[0] else 0
-        q = count / self.n_reps
-        se = math.sqrt(q * (1.0 - q) / self.n_reps) if self.n_reps >= 2 else math.nan
-        return q, se
-
-
 # Census realizations are decomposed in blocks, one disjoint union of at most
 # this many vertices (one realization per block from N = 4096 on).
 _BLOCK_VERTICES = 4096
@@ -433,24 +390,18 @@ def _census_chunk(args):
     spec, rs = args
     n = spec.n_vertices
     acc = CensusAccumulator(n, spec.edge_prob)
-    v0 = Vertex0Census()
     step = max(1, _BLOCK_VERTICES // n)
     for i in range(0, len(rs), step):
         block = rs[i : i + step]
         # offsetting graph b by b*N keeps the concatenated edges sorted
         edges = np.concatenate([sample_graph(spec, r).edges + b * n for b, r in enumerate(block)])
-        d = decompose(Graph(len(block) * n, edges, validate=False))
-        acc.add(d, n_reps=len(block))
-        _, _, linear, _ = d.class_flag_arrays()
-        k0 = d.labels[np.arange(len(block)) * n]
-        v0.add(d.sizes[k0], linear[k0])
-    return [(acc, v0)]
+        acc.add(decompose(Graph(len(block) * n, edges, validate=False)), n_reps=len(block))
+    return [acc]
 
 
 @dataclass(frozen=True)
 class CensusRunResult:
     report: CensusReport
-    vertex0: Vertex0Census
     census_csv: Path
     summary_path: Path
 
@@ -459,11 +410,9 @@ def run_census(config: ExperimentConfig) -> CensusRunResult:
     """Cluster census over the configured ensemble with analytic comparison."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    parts = _run_chunked(_census_chunk, config.spec(), config.n_reps, (), config.workers)
-    acc, v0 = parts[0]
-    for acc_part, v0_part in parts[1:]:
-        acc.merge(acc_part)
-        v0.merge(v0_part)
+    acc, *parts = _run_chunked(_census_chunk, config.spec(), config.n_reps, (), config.workers)
+    for part in parts:
+        acc.merge(part)
     report = acc.report()
 
     n = config.n_vertices
@@ -504,7 +453,7 @@ def run_census(config: ExperimentConfig) -> CensusRunResult:
         {"se_note": "nan standard errors mean R < 2" if config.n_reps < 2 else "ok"},
     )
     chain = config.chain_size
-    freq, freq_se = v0.linear_chain_frequency(chain)
+    freq, freq_se = report.linear_chain_frequency(chain)
     summary = {
         "status": "ok",
         "total_clusters": report.total_clusters,
@@ -521,7 +470,7 @@ def run_census(config: ExperimentConfig) -> CensusRunResult:
     else:
         summary["note"] = "p >= 1: cluster-density limit unverified, reporting raw mean K/N only"
     summary_path = write_summary(outdir / "census_summary.txt", "census", config, summary)
-    return CensusRunResult(report, v0, census_csv, summary_path)
+    return CensusRunResult(report, census_csv, summary_path)
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +770,8 @@ def _verify_one(spec: GraphSpec, r: int, size_cap: int):
         violations.append(f"counting function not monotone at realization {r}")
     # quadratic form and moment-vs-trace spot checks on a few clusters
     rng = np.random.default_rng([spec.master_seed, r, 1])
-    ids = np.nonzero(d.sizes >= 2)[0][:3]
-    for k in ids:
+    solved = {size: (group_ids, vals) for size, group_ids, vals in groups}
+    for k in np.nonzero(d.sizes >= 2)[0][:3]:
         c = d.cluster(int(k))
         phi = rng.standard_normal(c.size)
         lap = laplacian_of_cluster(c).astype(np.float64)
@@ -835,7 +784,8 @@ def _verify_one(spec: GraphSpec, r: int, size_cap: int):
                 f"edge sum {via_edges!r} vs matrix {direct!r}"
             )
         if c.size <= 8:
-            eigs = eigenvalues_cluster(c, size_cap).eigenvalues
+            group_ids, vals = solved[c.size]
+            eigs = vals[np.searchsorted(group_ids, k)]
             for power in (2, 4, 6):
                 via_eigs = float(np.sum(eigs**power))
                 via_trace = float(np.trace(np.linalg.matrix_power(lap, power)))

@@ -155,7 +155,7 @@ def test_criterion_7_finite_linear_chain_probability(tmp_path):
         outdir=str(tmp_path),
     )
     res = run_census(config)
-    freq, se = res.vertex0.linear_chain_frequency(3)
+    freq, se = res.report.linear_chain_frequency(3)
     exact = linear_prob_finite(200, 0.5, 3)
     ok = abs(freq - exact) < 3.0 * se
     _report(

@@ -1,5 +1,6 @@
 """Cluster decomposition, classification, and census bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,29 @@ def test_census_hand_case():
     assert report.total_clusters == 2
     assert report.trees_by_size.tolist() == [0, 1, 1]
     assert report.linear_by_size.tolist() == [0, 0, 1]
+    # vertex 0 lies on the 2-vertex chain
+    assert report.vertex0_by_size.tolist() == [0, 0, 1]
+    assert report.vertex0_linear_by_size.tolist() == [0, 0, 1]
+    freq, se = report.linear_chain_frequency(2)
+    assert freq == 1.0 and math.isnan(se)  # one realization has no standard error
+
+
+def test_linear_chain_frequency_above_largest_cluster():
+    spec = GraphSpec(200, 0.5, 4)
+    report = census((decompose(sample_graph(spec, r)) for r in range(20)), edge_prob=0.5)
+    for size in (report.max_size + 1, 10**6):
+        assert report.linear_chain_frequency(size) == (0.0, 0.0)
+
+
+def test_census_report_rejects_inconsistent_vertex0_counts():
+    spec = GraphSpec(100, 0.7, 2)
+    report = census((decompose(sample_graph(spec, r)) for r in range(5)), edge_prob=0.7)
+    extra = report.vertex0_by_size.copy()
+    extra[1] += 1
+    with pytest.raises(ValueError):
+        dataclasses.replace(report, vertex0_by_size=extra)
+    with pytest.raises(ValueError):
+        dataclasses.replace(report, vertex0_linear_by_size=report.vertex0_by_size + 1)
 
 
 def test_census_counting_identity_exact():
@@ -234,6 +258,8 @@ def test_census_merge_is_order_independent():
     assert np.array_equal(a.sq_clusters_by_size, b.sq_clusters_by_size)
     assert np.array_equal(a.trees_by_size, b.trees_by_size)
     assert np.array_equal(a.linear_by_size, b.linear_by_size)
+    assert np.array_equal(a.vertex0_by_size, b.vertex0_by_size)
+    assert np.array_equal(a.vertex0_linear_by_size, b.vertex0_linear_by_size)
     assert a.total_clusters == b.total_clusters
     assert a.vertices_on_trees == b.vertices_on_trees
 
@@ -257,7 +283,8 @@ def test_census_block_add_equals_single_adds(data):
     single = CensusAccumulator(n, 0.5)
     for g in graphs:
         single.add(decompose(g))
-    for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size"):
+    for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size",
+                 "vertex0_by_size", "vertex0_linear_by_size"):
         assert np.array_equal(getattr(block, name), getattr(single, name)), name
     for name in ("n_reps", "total_clusters", "sq_total_clusters", "vertices_on_trees"):
         assert getattr(block, name) == getattr(single, name), name

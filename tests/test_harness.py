@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlap.cli import cli_dispatch
-from erlap.clusters import CensusAccumulator, decompose
+from erlap.clusters import CensusAccumulator, census, decompose
 from erlap.ensemble import GraphSpec, read_edge_list, sample_graph
 from erlap.harness import (
     BUILD_TAG,
@@ -60,6 +60,28 @@ def test_config_round_trip(tmp_path):
     buf = io.StringIO()
     config.to_file(buf)
     assert ExperimentConfig.from_file(io.StringIO(buf.getvalue())) == config
+
+
+def test_config_round_trip_numpy_scalars(tmp_path):
+    # numpy 2 reprs scalars as np.float64(0.5); the echo must stay a plain number
+    config = ExperimentConfig(
+        n_vertices=np.int64(300),
+        edge_prob=np.float64(0.5),
+        n_reps=np.int32(3),
+        master_seed=np.uint32(7),
+        e_min=np.float32(0.125),
+        e_max=np.float64(0.5),
+        noise_floor=np.float64(4.5),
+        outdir=str(tmp_path),
+    )
+    path = tmp_path / "run.cfg"
+    config.to_file(path)
+    text = path.read_text()
+    assert "np." not in text
+    assert "edge_prob=0.5\n" in text and "n_vertices=300\n" in text
+    assert ExperimentConfig.from_file(path) == config
+    summary = run_census(config).summary_path.read_text()
+    assert "np." not in summary and "config.edge_prob=0.5\n" in summary
 
 
 def test_config_validation():
@@ -216,8 +238,7 @@ def test_run_census_outputs(tmp_path):
         )
     )
     assert res.report.n_reps == 40
-    assert res.vertex0.n_reps == 40
-    assert int(res.vertex0.size_counts.sum()) == 40
+    assert int(res.report.vertex0_by_size.sum()) == 40
     text = res.census_csv.read_text()
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert rows[0].split(",")[:4] == ["size", "clusters", "trees", "linear"]
@@ -228,7 +249,7 @@ def test_run_census_outputs(tmp_path):
 def test_census_blocks_count_like_single_realizations():
     # N=50 packs 81 realizations per block, so 200 of them leave a short last block
     spec = GraphSpec(50, 1.2, 8)
-    [(acc, v0)] = _census_chunk((spec, range(200)))
+    [acc] = _census_chunk((spec, range(200)))
     want = CensusAccumulator(50, 1.2)
     v0_sizes, v0_linear = [], []
     for r in range(200):
@@ -238,19 +259,33 @@ def test_census_blocks_count_like_single_realizations():
         v0_sizes.append(int(d.sizes[k0]))
         v0_linear.append(bool(d.class_flag_arrays()[2][k0]))
     got_report, want_report = acc.report(), want.report()
-    for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size"):
+    for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size",
+                 "vertex0_by_size", "vertex0_linear_by_size"):
         assert np.array_equal(getattr(got_report, name), getattr(want_report, name)), name
     assert (acc.n_reps, acc.total_clusters, acc.sq_total_clusters, acc.vertices_on_trees) == (
         want.n_reps, want.total_clusters, want.sq_total_clusters, want.vertices_on_trees
     )
     top = max(v0_sizes) + 1
-    assert v0.n_reps == 200
-    assert np.array_equal(v0.size_counts[:top], np.bincount(v0_sizes, minlength=top))
+    assert got_report.n_reps == 200
+    assert np.array_equal(got_report.vertex0_by_size[:top], np.bincount(v0_sizes, minlength=top))
     assert np.array_equal(
-        v0.linear_counts[:top],
+        got_report.vertex0_linear_by_size[:top],
         np.bincount(np.asarray(v0_sizes)[np.asarray(v0_linear)], minlength=top),
     )
-    assert not v0.size_counts[top:].any()
+    assert not got_report.vertex0_by_size[top:].any()
+
+
+def test_census_function_counts_vertex0_like_run_census(tmp_path):
+    config = ExperimentConfig(
+        n_vertices=120, edge_prob=0.8, n_reps=150, master_seed=31, outdir=str(tmp_path)
+    )
+    want = run_census(config).report
+    got = census(
+        (decompose(sample_graph(config.spec(), r)) for r in range(config.n_reps)), edge_prob=0.8
+    )
+    assert np.array_equal(got.vertex0_by_size, want.vertex0_by_size)
+    assert np.array_equal(got.vertex0_linear_by_size, want.vertex0_linear_by_size)
+    assert got.linear_chain_frequency(3) == want.linear_chain_frequency(3)
 
 
 def test_run_census_single_rep_has_nan_se(tmp_path):
@@ -501,6 +536,25 @@ def test_run_verify_solves_each_cluster_once(monkeypatch):
     assert len(solved) == 3 and sum(solved) == result.clusters_checked
 
 
+def test_run_verify_calls_cluster_solver_only_for_path_oracle(monkeypatch):
+    # the ensemble scan's moment/trace spot checks reuse the realization's one solve
+    import erlap.harness as harness_module
+
+    real = harness_module.eigenvalues_cluster
+    sizes = []
+
+    def counting(c, *args, **kwargs):
+        sizes.append(c.size)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "eigenvalues_cluster", counting)
+    for reps in (1, 4):
+        sizes.clear()
+        config = ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=reps, master_seed=77)
+        assert run_verify(config).ok
+        assert sizes == list(range(2, 201))
+
+
 def test_run_verify_flags_gaps_below_fiedler_floor(monkeypatch):
     # lower every computed gap by a relative 1e-6: still far above 1/n^2, but
     # far below Fiedler's floor less the eigensolver allowance
@@ -518,10 +572,12 @@ def test_run_verify_flags_gaps_below_fiedler_floor(monkeypatch):
     result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=2, master_seed=77))
     assert not result.ok
     assert dict((name, ok) for name, ok, _ in result.checks)["ensemble_scan"] is False
-    assert [v.split(":")[0] for v in result.violations] == [
+    assert [v.split(":")[0] for v in result.violations if v.startswith("Fiedler")] == [
         "Fiedler floor violated at realization 0",
         "Fiedler floor violated at realization 1",
     ]
+    # the moment/trace spot checks read the same lowered eigenvalues
+    assert all(v.startswith(("Fiedler floor", "moment/trace mismatch")) for v in result.violations)
 
 
 def test_run_verify_workers_do_not_change_result():
@@ -563,6 +619,18 @@ def test_cli_giant_cluster_fails_cleanly(tmp_path, capsys):
     assert lines[0].endswith("(master_seed=7, realization=0)")
 
 
+def test_cli_spectrum_giant_cluster_names_realization(tmp_path, capsys):
+    argv = ["spectrum", "--n", "5000", "--p", "2.0", "--rep", "3", "--seed", "9",
+            "--outdir", str(tmp_path)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cluster of size 3929 exceeds the eigensolver size cap 2000 "
+        "(master_seed=9, realization=3)"
+    ]
+
+
 def test_cli_moments_giant_cluster_fails_cleanly(tmp_path, capsys):
     argv = ["moments", "--n", "5000", "--p", "2.0", "--outdir", str(tmp_path)]
     assert cli_dispatch(argv) == 2
@@ -585,6 +653,8 @@ def test_benchmark_hooks_exist():
         assert callable(getattr(harness_module, name)), name
     for name in ("sample_graph", "decompose", "_grouped_eigenvalues"):
         assert callable(getattr(spectral_module, name)), name
+    for name in ("add", "merge", "report"):
+        assert callable(getattr(CensusAccumulator, name)), name
     # the traced run reads the decomposition from the first positional argument
     d = decompose(sample_graph(GraphSpec(50, 0.8, 3), 0))
     groups = spectral_module._grouped_eigenvalues(d, 50)
