@@ -65,7 +65,6 @@ from .spectral import (
     GraphSpectrum,
     IdsEstimate,
     MomentSamples,
-    adjacency_of_cluster,
     cluster_min_gaps,
     eigenvalues_cluster,
     empirical_ids,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,17 +69,14 @@ def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     else:
         config = harness.ExperimentConfig()
     overrides = {}
-    known = {f.name for f in fields(harness.ExperimentConfig)}
     for arg, field in _ARG_TO_FIELD.items():
         value = getattr(args, arg, None)
-        if value is not None and field in known:
+        if value is not None:
             overrides[field] = value
     if getattr(args, "energies", None):
         overrides["energies"] = tuple(float(x) for x in args.energies.split(","))
         overrides["grid_kind"] = "explicit"
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
 

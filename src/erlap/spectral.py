@@ -4,16 +4,20 @@ The graph Laplacian L = D - A is block diagonal over clusters, so the graph
 spectrum is the multiset union of small per-cluster eigenproblems.  One
 builder assembles the clusters of each size as a stack of dense Laplacians,
 and one checked eigensolve handles every stack, which keeps the LAPACK loop
-in C even when a realization holds thousands of tiny clusters.  Each
-connected cluster has a one-dimensional kernel; the smallest computed
-eigenvalue is replaced by an exact 0.0 so that zero counts (and hence the
-spectral value at the lower edge) never depend on a floating point threshold.
+in C even when a realization holds thousands of tiny clusters.
+
+LAPACK computes every eigenvalue of an n-vertex Laplacian within the margin
+n*eps*||L||_2 <= n*eps*2(n - 1).  Each connected cluster has a one-dimensional
+kernel: the solve requires its smallest computed eigenvalue to lie within that
+margin of 0 and then replaces it by an exact 0.0, so that zero counts (and
+hence the spectral value at the lower edge) never depend on a floating point
+threshold.
 
 IDS counts skip the sizes that Fiedler's theorem settles: a connected n-vertex
-graph has smallest nonzero eigenvalue >= 2(1 - cos(pi/n)), and LAPACK computes
-it within the margin n*eps*||L||_2 <= n*eps*2(n - 1), which also covers the
-floor's rounding.  A size whose floor minus margin exceeds the top grid energy
-adds exactly its kernel to each count #{lambda <= E}, so it is never solved.
+graph has smallest nonzero eigenvalue >= 2(1 - cos(pi/n)), and the margin also
+covers the floor's rounding.  A size whose floor minus margin exceeds the top
+grid energy adds exactly its kernel to each count #{lambda <= E}, so it is
+never solved.
 
 Moments need no eigensolve: Tr M^{2k} = ||M^k||_F^2 is an exact integer for
 M = L and for M = A, computed from the same stacks by integer-valued float64
@@ -38,7 +42,6 @@ __all__ = [
     "IdsEstimate",
     "MomentSamples",
     "laplacian_of_cluster",
-    "adjacency_of_cluster",
     "quadratic_form",
     "eigenvalues_cluster",
     "fiedler_floor",
@@ -110,20 +113,30 @@ def _cluster_stacks(c: Cluster, size_cap: int):
     )
 
 
+def _eig_margin(n):
+    """n*eps*2(n - 1), the eigensolver's error bound on any eigenvalue of an
+    n-vertex Laplacian (module docstring)."""
+    return n * np.finfo(np.float64).eps * 2.0 * (n - 1)
+
+
 def _checked_eigvalsh(stack: np.ndarray, ids: np.ndarray, cluster_of) -> np.ndarray:
     """Ascending eigenvalues of each stacked Laplacian, kernel pinned to 0.0; LAPACK
-    failures and negative eigenvalues raise :class:`EigensolverError`."""
+    failures and a smallest eigenvalue outside the margin of 0 raise
+    :class:`EigensolverError`."""
+    s = stack.shape[1]
+    margin = _eig_margin(s)
     try:
         vals = np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
-            f"eigensolver failed to converge for size {stack.shape[1]}: {exc}",
+            f"eigensolver failed to converge for size {s}: {exc}",
             cluster=cluster_of(int(ids[0])),
         ) from exc
-    j = int(np.argmin(vals[:, 0]))
-    if vals[j, 0] < -1e-9:
+    j = int(np.argmax(np.abs(vals[:, 0])))
+    if abs(vals[j, 0]) > margin:
         raise EigensolverError(
-            f"computed eigenvalue {float(vals[j, 0])!r} violates nonnegativity",
+            f"computed kernel eigenvalue {float(vals[j, 0])!r} of a size-{s} cluster "
+            f"exceeds the margin {margin!r}",
             cluster=cluster_of(int(ids[j])),
         )
     vals[:, 0] = 0.0
@@ -136,12 +149,6 @@ def laplacian_of_cluster(c: Cluster) -> np.ndarray:
     for _, _, stack in _cluster_stacks(c, c.size):
         lap = stack[0].astype(np.int64)
     return lap
-
-
-def adjacency_of_cluster(c: Cluster) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of a cluster in local coordinates."""
-    lap = laplacian_of_cluster(c)
-    return np.diag(np.diag(lap)) - lap
 
 
 def quadratic_form(c: Cluster, phi) -> float:
@@ -214,7 +221,7 @@ def _min_solved_size(e_max: float, size_cap: int) -> int:
     """Smallest size whose floor minus margin (module docstring) reaches ``e_max``;
     that difference falls with n and is negative from n ~ 12000 on."""
     n = np.arange(2, min(size_cap, 1 << 14) + 1)
-    reach = fiedler_floor(n) - n * np.finfo(np.float64).eps * 2.0 * (n - 1) <= e_max
+    reach = fiedler_floor(n) - _eig_margin(n) <= e_max
     return int(n[np.argmax(reach)]) if reach.any() else size_cap + 1
 
 

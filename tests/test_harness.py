@@ -101,6 +101,10 @@ def test_config_validation():
         ExperimentConfig(k_max=5)
     with pytest.raises(ValueError):
         ExperimentConfig(workers=0)
+    # explicit energies pass the grid validation of empirical_ids
+    for bad in ((math.nan, 1.0), (math.inf,), (1.0, 0.5), None):
+        with pytest.raises(ValueError):
+            ExperimentConfig(grid_kind="explicit", energies=bad)
     # a non-finite top energy would set the eigensolve pruning threshold
     for bad in (dict(e_max=math.inf), dict(e_max=math.nan), dict(e_min=math.nan),
                 dict(anchor_e_max=math.inf), dict(anchor_e_min=math.nan)):
@@ -491,6 +495,24 @@ def test_cli_ids_and_census(tmp_path, capsys):
     assert (tmp_path / "census.csv").exists()
 
 
+def test_cli_rejects_bad_explicit_energies(tmp_path, capsys):
+    for energies in ("nan,1", "inf", "1,0.5"):
+        status = cli_dispatch(
+            ["bounds", "--p", "0.5", "--energies", energies, "--outdir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not (tmp_path / "bound_curve.csv").exists()
+
+
+def test_cli_arg_map_names_config_fields():
+    from erlap.cli import _ARG_TO_FIELD
+
+    assert set(_ARG_TO_FIELD.values()) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     assert (
         cli_dispatch(
@@ -537,7 +559,7 @@ def test_run_verify_solves_each_cluster_once(monkeypatch):
 
 
 def test_run_verify_calls_cluster_solver_only_for_path_oracle(monkeypatch):
-    # the ensemble scan's moment/trace spot checks reuse the realization's one solve
+    # the ensemble scan checks only the realization's one stacked solve
     import erlap.harness as harness_module
 
     real = harness_module.eigenvalues_cluster
@@ -576,8 +598,29 @@ def test_run_verify_flags_gaps_below_fiedler_floor(monkeypatch):
         "Fiedler floor violated at realization 0",
         "Fiedler floor violated at realization 1",
     ]
-    # the moment/trace spot checks read the same lowered eigenvalues
-    assert all(v.startswith(("Fiedler floor", "moment/trace mismatch")) for v in result.violations)
+    # the trace identities read the same lowered eigenvalues
+    assert all(v.startswith(("Fiedler floor", "trace identity")) for v in result.violations)
+
+
+def test_run_verify_flags_eigenvalue_sums_off_the_traces(monkeypatch):
+    # raise each cluster's top eigenvalue by a relative 1e-9: the gaps only grow,
+    # so no floor fires, but the exact Tr L and Tr L^2 catch every realization
+    import erlap.spectral as spectral_module
+
+    real = spectral_module._grouped_eigenvalues
+
+    def raised(d, *args):
+        groups = real(d, *args)
+        for _, _, vals in groups:
+            vals[:, -1] *= 1.0 + 1e-9
+        return groups
+
+    monkeypatch.setattr(spectral_module, "_grouped_eigenvalues", raised)
+    result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=3, master_seed=77))
+    assert not result.ok
+    assert {v.split(":")[0] for v in result.violations} == {
+        f"trace identity violated at realization {r}" for r in range(3)
+    }
 
 
 def test_run_verify_workers_do_not_change_result():

@@ -288,6 +288,25 @@ def test_size_cap_raises_diagnostic():
     assert err.value.cluster.size == 12
 
 
+def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
+    # the smallest eigenvalue must lie within n*eps*2(n - 1) of 0 before it is
+    # pinned; a P3 Laplacian shifted either way by a tiny multiple of I is rejected
+    c = _single_cluster(_path_graph(3))
+    lap = laplacian_of_cluster(c).astype(np.float64)
+    ids = np.array([0])
+    assert spectral._checked_eigvalsh(lap[None].copy(), ids, lambda k: c)[0, 0] == 0.0
+    for shift in (1e-9, -1e-12):
+        with pytest.raises(EigensolverError, match="kernel") as err:
+            spectral._checked_eigvalsh((lap + shift * np.eye(3))[None], ids, lambda k: c)
+        assert err.value.cluster is c
+    # in an ensemble run the error names the realization that replays it
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-9)
+    with pytest.raises(EigensolverError) as err:
+        empirical_ids(GraphSpec(300, 0.5, 5), 2, [0.5, 3.0])
+    assert (err.value.master_seed, err.value.realization) == (5, 0)
+
+
 def test_graph_spectrum_union_and_kernel():
     g = _graph(3, [(0, 1)])
     s = graph_spectrum(g, decompose(g))
