@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -94,17 +93,19 @@ def m_of_E(E: float) -> int:
     return max(2, math.floor(1.0 / math.sqrt(E)))
 
 
-def M_of_E(E: float) -> int:
+def M_of_E(E):
     """Smallest integer chain length whose spectral gap upper bound 12/n^2
     falls below E: floor(sqrt(12/E)) + 1, clamped to >= 2.
 
     Near-integer arguments resolve by the floor of the computed double;
     when sqrt(12/E) lands exactly on an integer k the result is k + 1.
+    Accepts scalar E (returns an int) or array E (returns an int64 array).
     """
-    E = float(E)
-    if not E > 0.0:
+    e = np.asarray(E, dtype=np.float64)
+    if not np.all(e > 0.0):
         raise ValueError(f"energy must be positive, got {E!r}")
-    return max(2, math.floor(math.sqrt(12.0 / E)) + 1)
+    m = np.maximum(2, np.floor(np.sqrt(12.0 / e)).astype(np.int64) + 1)
+    return int(m) if np.isscalar(E) else m
 
 
 _ZETA32_CACHE: float | None = None
@@ -154,8 +155,7 @@ def lower_bound_L(E, p: float, mode: str = "staircase"):
         raise ValueError("energy must be positive")
     F = decay_F(p)
     if mode == "staircase":
-        m_big = np.maximum(2, np.floor(np.sqrt(12.0 / e)).astype(np.int64) + 1)
-        val = np.exp(-F * m_big) / (2.0 * p)
+        val = np.exp(-F * M_of_E(e)) / (2.0 * p)
     elif mode == "smooth":
         val = math.exp(-F) / (2.0 * p) * np.exp(-TWO_SQRT3 * F * e**-0.5)
     else:
@@ -367,33 +367,6 @@ def replica_g(p: float) -> float:
     q = replica_q(p)
     x = p * (1.0 - q)
     return -math.sqrt(1.0 - x) * math.log(x)
-
-
-def _stirling_second_kind(k: int) -> list[list[int]]:
-    """Table S(i, j) for i, j <= k via the standard recurrence (exact ints)."""
-    table = [[0] * (k + 1) for _ in range(k + 1)]
-    table[0][0] = 1
-    for i in range(1, k + 1):
-        for j in range(1, i + 1):
-            table[i][j] = j * table[i - 1][j] + table[i - 1][j - 1]
-    return table
-
-
-def poisson_moment_touchard(p: float, k: int) -> float:
-    """Poisson moment via the Touchard polynomial sum_j S(k, j) p^j.
-
-    Exact rational arithmetic in the coefficients; serves as an independent
-    cross-check of the series route.
-    """
-    p = _check_p_positive(p)
-    if k == 0:
-        return 1.0
-    table = _stirling_second_kind(k)
-    acc = Fraction(0)
-    pf = Fraction(p)
-    for j in range(1, k + 1):
-        acc += table[k][j] * pf**j
-    return float(acc)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The graph Laplacian L = D - A is block diagonal over clusters, so the graph
 spectrum is the multiset union of small per-cluster eigenproblems.  One
 builder assembles the clusters of each size as a stack of dense Laplacians,
 and one checked eigensolve handles every stack, which keeps the LAPACK loop
-in C even when a realization holds thousands of tiny clusters.
+in C even when a realization holds thousands of tiny clusters.  The builder
+lays out in local coordinates only the cluster sizes it is asked to solve.
 
 LAPACK computes every eigenvalue of an n-vertex Laplacian within the margin
 n*eps*||L||_2 <= n*eps*2(n - 1).  Each connected cluster has a one-dimensional
@@ -74,43 +75,70 @@ class EigensolverError(RuntimeError):
         self.realization = realization
 
 
-def _laplacian_stacks(sizes, edge_labels, local_edges, size_cap, cluster_of, min_size=2):
-    """Yield ``(size, cluster_ids, stack)`` per size class >= ``min_size``,
-    ``stack[j]`` the dense float64 Laplacian of cluster ``cluster_ids[j]``.
+def _stable_order(keys: np.ndarray, k: int) -> np.ndarray:
+    """Stable argsort of integer keys in [0, k); numpy radix-sorts 16-bit
+    keys, about 5x faster than its timsort on int64 at N = 2e4."""
+    if k <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
-    ``edge_labels`` gives the cluster of each row of ``local_edges``.  A
-    largest cluster ``k`` beyond ``size_cap`` raises :class:`EigensolverError`
-    carrying ``cluster_of(k)``, whatever ``min_size`` skips.
+
+def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, min_size: int = 2):
+    """Yield ``(size, cluster_ids, stack)`` per size class >= ``min_size``,
+    ``stack[j]`` the dense float64 Laplacian of cluster ``cluster_ids[j]`` with
+    its vertices numbered in ascending order.
+
+    Only the clusters yielded are laid out in local coordinates.  A largest
+    cluster beyond ``size_cap`` raises :class:`EigensolverError` carrying that
+    cluster, whatever ``min_size`` skips.
     """
+    sizes = d.sizes
     top = int(sizes.max()) if sizes.size else 0
     if top > size_cap:
         raise EigensolverError(
             f"cluster of size {top} exceeds the eigensolver size cap {size_cap}",
-            cluster=cluster_of(int(np.argmax(sizes))),
+            cluster=d.cluster(int(np.argmax(sizes))),
         )
-    esizes = sizes[edge_labels]
-    slot_of_cluster = np.empty(sizes.shape[0], dtype=np.int64)
-    for s in np.unique(sizes[sizes >= min_size]):
-        s = int(s)
-        ids = np.nonzero(sizes == s)[0]
-        c = ids.shape[0]
-        slot_of_cluster[ids] = np.arange(c, dtype=np.int64)
-        mask = esizes == s
-        base = slot_of_cluster[edge_labels[mask]] * (s * s)
-        li, lj = local_edges[mask].T
-        flat = np.zeros(c * s * s, dtype=np.float64)
-        flat[base + li * s + lj] = -1.0
-        flat[base + lj * s + li] = -1.0
-        np.add.at(flat, base + li * s + li, 1.0)
-        np.add.at(flat, base + lj * s + lj, 1.0)
-        yield s, ids, flat.reshape(c, s, s)
+    # the solved clusters in (size, id) order, so that each size class is one run
+    order = np.flatnonzero(sizes >= min_size)
+    order = order[np.argsort(sizes[order], kind="stable")]
+    m = order.size
+    if not m:
+        return
+    rank = np.full(sizes.shape[0], m, dtype=np.int64)  # m marks a skipped cluster
+    rank[order] = np.arange(m)
+    counts = sizes[order]
+    # group the solved clusters' vertices by rank; the stable sort keeps each
+    # cluster's vertices ascending, so a vertex's place in its group is its local index
+    vrank = rank[d.labels]
+    vertices = np.flatnonzero(vrank < m)
+    vertices = vertices[_stable_order(vrank[vertices], m)]
+    local = np.empty(d.graph.n, dtype=np.int64)
+    local[vertices] = np.arange(vertices.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # the same grouping for edges: cluster order[j] owns rows estart[j]:estart[j + 1]
+    erank = rank[d.edge_labels]
+    edges = np.flatnonzero(erank < m)
+    edges = edges[_stable_order(erank[edges], m)]
+    slot, (li, lj) = erank[edges], local[d.graph.edges[edges]].T
+    estart = np.concatenate(([0], np.cumsum(d.edge_counts[order])))
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [m])).tolist()
+    for a, b in zip(runs[:-1], runs[1:]):
+        s = int(counts[a])
+        lo, hi = estart[a], estart[b]
+        base = (slot[lo:hi] - a) * (s * s)
+        i, j = li[lo:hi], lj[lo:hi]
+        flat = np.zeros((b - a) * s * s, dtype=np.float64)
+        flat[base + i * s + j] = -1.0
+        flat[base + j * s + i] = -1.0
+        np.add.at(flat, base + i * s + i, 1.0)
+        np.add.at(flat, base + j * s + j, 1.0)
+        yield s, order[a:b], flat.reshape(b - a, s, s)
 
 
-def _cluster_stacks(c: Cluster, size_cap: int):
-    """:func:`_laplacian_stacks` of the single cluster ``c`` (id 0)."""
-    return _laplacian_stacks(
-        np.array([c.size]), np.zeros(c.n_edges, dtype=np.int64), c.edges, size_cap, lambda k: c
-    )
+def _connected(n: int, edges) -> ClusterDecomposition:
+    """Decomposition of a connected graph on ``n`` vertices, such as a cluster in
+    its local coordinates: every vertex carries label 0, so no labelling pass runs."""
+    return ClusterDecomposition(Graph(n, edges, validate=False), np.zeros(n, dtype=np.int64))
 
 
 def _eig_margin(n):
@@ -146,7 +174,7 @@ def _checked_eigvalsh(stack: np.ndarray, ids: np.ndarray, cluster_of) -> np.ndar
 def laplacian_of_cluster(c: Cluster) -> np.ndarray:
     """Dense integer Laplacian D - A of a cluster in local coordinates."""
     lap = np.zeros((1, 1), dtype=np.int64)
-    for _, _, stack in _cluster_stacks(c, c.size):
+    for _, _, stack in _laplacian_stacks(_connected(c.size, c.edges), c.size):
         lap = stack[0].astype(np.int64)
     return lap
 
@@ -195,8 +223,12 @@ def eigenvalues_cluster(c: Cluster, size_cap: int = DEFAULT_SIZE_CAP) -> Cluster
     Raises :class:`EigensolverError` (with the cluster attached) when the
     cluster exceeds ``size_cap`` or LAPACK fails to converge.
     """
+    try:
+        stacks = list(_laplacian_stacks(_connected(c.size, c.edges), size_cap))
+    except EigensolverError as exc:  # the size cap names the local copy of c
+        raise EigensolverError(str(exc), cluster=c) from exc
     vals = np.zeros((1, 1))
-    for _, ids, stack in _cluster_stacks(c, size_cap):
+    for _, ids, stack in stacks:
         vals = _checked_eigvalsh(stack, ids, lambda k: c)
     return ClusterSpectrum(c.size, vals[0])
 
@@ -249,8 +281,7 @@ def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, min_size: int =
     Returns a list of (size, cluster_ids, values) with ``values`` of shape
     (count, size), each row sorted ascending with its first entry exactly 0.
     """
-    stacks = _laplacian_stacks(d.sizes, d.edge_labels_grouped, d.local_edges, size_cap,
-                               d.cluster, min_size)
+    stacks = _laplacian_stacks(d, size_cap, min_size)
     return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster)) for s, ids, stack in stacks]
 
 
@@ -488,8 +519,7 @@ def _moment_one(spec: GraphSpec, r: int, two_ks: tuple[int, ...], size_cap: int)
     d = decompose(g)
     lap = [0] * len(two_ks)
     adj = [0] * len(two_ks)
-    stacks = _laplacian_stacks(d.sizes, d.edge_labels_grouped, d.local_edges, size_cap, d.cluster)
-    for s, _, stack in stacks:
+    for s, _, stack in _laplacian_stacks(d, size_cap):
         _add_trace_powers(stack, lap)
         # A = D - L: the off-diagonal part of -L
         np.negative(stack, out=stack)

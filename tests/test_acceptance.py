@@ -20,7 +20,7 @@ from erlap.analytics import (
     tau_tail_bound,
 )
 from erlap.clusters import decompose
-from erlap.ensemble import GraphSpec, sample_graph
+from erlap.ensemble import Graph, GraphSpec, sample_graph
 from erlap.harness import (
     ExperimentConfig,
     build_bounds_report,
@@ -80,12 +80,10 @@ def test_criterion_2_path_oracle():
     worst = 0.0
     ok = True
     for n in range(2, 201):
-        from erlap.clusters import _make_cluster
-
         edges = np.stack(
             [np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)], axis=1
         )
-        c = _make_cluster(np.arange(n, dtype=np.int64), edges)
+        c = decompose(Graph(n, edges)).cluster(0)
         e_min = eigenvalues_cluster(c).e_min
         ref = path_emin_reference(n)
         worst = max(worst, abs(e_min - ref))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erlap import spectral
 from erlap.cli import cli_dispatch
 from erlap.clusters import CensusAccumulator, census, decompose
 from erlap.ensemble import GraphSpec, read_edge_list, sample_graph
@@ -24,7 +25,7 @@ from erlap.harness import (
     run_verify,
     weighted_line_fit,
 )
-from erlap.spectral import empirical_ids
+from erlap.spectral import empirical_ids, fiedler_floor
 
 
 def _strip_machine_lines(data: bytes) -> bytes:
@@ -600,6 +601,15 @@ def test_run_verify_flags_gaps_below_fiedler_floor(monkeypatch):
     ]
     # the trace identities read the same lowered eigenvalues
     assert all(v.startswith(("Fiedler floor", "trace identity")) for v in result.violations)
+
+
+def test_fiedler_floor_less_margin_covers_the_inverse_square_floor():
+    # verify checks Fiedler's floor less the eigensolver margin (at most
+    # n*eps*2(n - 1)); that bound is at least 1/n^2 for n = 2..11,888, so the
+    # paper's 1/n^2 floor on the smallest nonzero eigenvalue is checked with it
+    n = np.arange(2, 11_889)
+    bound = fiedler_floor(n) - spectral._eig_margin(n)
+    assert np.all(bound >= 1.0 / n.astype(np.float64) ** 2)
 
 
 def test_run_verify_flags_eigenvalue_sums_off_the_traces(monkeypatch):

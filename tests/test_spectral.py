@@ -30,6 +30,7 @@ from erlap.spectral import (
 )
 
 from oracles import (
+    bfs_components,
     dense_counting_function,
     dense_laplacian,
     eigen_moment_rows,
@@ -71,6 +72,35 @@ def test_laplacian_rows_sum_to_zero_exactly():
         assert lap.dtype == np.int64
         assert np.all(lap.sum(axis=1) == 0)
         assert np.array_equal(lap, lap.T)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=80),
+    p=st.floats(min_value=0.05, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_laplacian_stacks_match_dense_oracle(n, p, seed, data):
+    # the builder lays out only the sizes >= min_size, each row the dense
+    # Laplacian of its cluster; clusters themselves are cut from the labels
+    g = sample_graph(GraphSpec(n, min(p, n - 0.5), seed), 0)
+    d = decompose(g)
+    min_size = data.draw(st.integers(min_value=2, max_value=int(d.sizes.max()) + 1))
+    yielded = []
+    for s, ids, stack in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP, min_size):
+        assert np.array_equal(ids, np.flatnonzero(d.sizes == s))
+        for k, lap in zip(ids, stack):
+            c = d.cluster(int(k))
+            assert np.array_equal(lap, dense_laplacian(c.size, c.edges.tolist()))
+        yielded.append(s)
+    assert yielded == sorted({int(s) for s in d.sizes if s >= min_size})
+    components = bfs_components(n, g.edges.tolist())
+    for k in range(d.n_clusters):
+        c = d.cluster(k)
+        assert c.vertices.tolist() == components[k]
+        inside = np.isin(g.edges[:, 0], c.vertices)
+        assert np.array_equal(c.vertices[c.edges], g.edges[inside])
 
 
 def test_quadratic_form_hand_cases():
