@@ -114,7 +114,6 @@ class ClusterDecomposition:
         self.edge_labels = labels[graph.edges[:, 0]]
         self.edge_counts = np.bincount(self.edge_labels, minlength=k).astype(np.int64)
         self._flag_arrays = None
-        self._clusters = None
 
     @cached_property
     def max_degree(self) -> np.ndarray:
@@ -144,12 +143,6 @@ class ClusterDecomposition:
         edges.setflags(write=False)
         bare = Cluster(vertices, edges, False, False, False, False)
         return Cluster(vertices, edges, *classify(bare))
-
-    @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        if self._clusters is None:
-            self._clusters = tuple(self.cluster(k) for k in range(self.n_clusters))
-        return self._clusters
 
     def cluster_of_vertex(self, v: int) -> Cluster:
         if not 0 <= v < self.graph.n:

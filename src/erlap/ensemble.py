@@ -19,6 +19,7 @@ __all__ = [
     "GraphSpec",
     "Graph",
     "sample_graph",
+    "sample_pair_indices",
     "degree_sequence",
     "pair_index",
     "index_pair",
@@ -128,15 +129,9 @@ def index_pair(idx, n: int):
     # float solve of i*(2n-1-i)/2 <= k, then exact integer fixup (off by <= 1)
     i = ((b - np.sqrt(b * b - 8.0 * k)) / 2.0).astype(np.int64)
     i = np.clip(i, 0, n - 2)
-    while True:
-        low = k < _row_offset(i, n)
-        if not low.any():
-            break
+    while (low := k < _row_offset(i, n)).any():
         i[low] -= 1
-    while True:
-        high = k >= _row_offset(i + 1, n)
-        if not high.any():
-            break
+    while (high := k >= _row_offset(i + 1, n)).any():
         i[high] += 1
     j = k - _row_offset(i, n) + i + 1
     return np.stack([i, j], axis=1)
@@ -161,18 +156,21 @@ def _skip_indices(rng: np.random.Generator, q: float, total: int) -> np.ndarray:
     return idx[idx < total]
 
 
-def sample_graph(spec: GraphSpec, realization_index: int) -> Graph:
-    """Draw realization ``r`` of the ensemble; a pure function of (spec, r)."""
+def sample_pair_indices(spec: GraphSpec, realization_index: int) -> np.ndarray:
+    """Sorted linear indices (:func:`pair_index`) of the edges of realization ``r``."""
     r = realization_index
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 0:
         raise ValueError(f"realization_index must be a nonnegative integer, got {r!r}")
     n = spec.n_vertices
-    q = spec.edge_prob / n
-    total = n * (n - 1) // 2
     rng = np.random.default_rng([spec.master_seed, int(r)])
-    idx = _skip_indices(rng, q, total)
+    return _skip_indices(rng, spec.edge_prob / n, n * (n - 1) // 2)
+
+
+def sample_graph(spec: GraphSpec, realization_index: int) -> Graph:
+    """Draw realization ``r`` of the ensemble; a pure function of (spec, r)."""
+    idx = sample_pair_indices(spec, realization_index)
     # ascending linear index == lexicographic (i, j) order, so no re-sort needed
-    return Graph(n, index_pair(idx, n), validate=False)
+    return Graph(spec.n_vertices, index_pair(idx, spec.n_vertices), validate=False)
 
 
 def degree_sequence(g: Graph) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from . import analytics, spectral
+from . import analytics, ensemble, spectral
 from .clusters import CensusAccumulator, CensusReport, decompose
 from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from .spectral import (
@@ -191,16 +191,9 @@ def _fmt(value) -> str:
 
 
 def _header_lines(name: str, config: ExperimentConfig, extra: dict | None = None) -> list[str]:
-    lines = [
-        f"# format=erlap-{name}-1\n",
-        f"# build={BUILD_TAG}\n",
-        f"# seed={config.master_seed}\n",
-    ]
-    for f in fields(config):
-        lines.append(f"# config.{f.name}={_fmt(getattr(config, f.name))}\n")
-    for key, value in (extra or {}).items():
-        lines.append(f"# {key}={_fmt(value)}\n")
-    return lines
+    head = [("format", f"erlap-{name}-1"), ("build", BUILD_TAG), ("seed", config.master_seed)]
+    head += [(f"config.{f.name}", getattr(config, f.name)) for f in fields(config)]
+    return [f"# {key}={_fmt(value)}\n" for key, value in head + list((extra or {}).items())]
 
 
 def write_table(
@@ -221,16 +214,8 @@ def write_table(
 
 
 def write_summary(path: Path, name: str, config: ExperimentConfig, values: dict) -> Path:
-    """Write a versioned key=value summary record."""
-    lines = [
-        f"format=erlap-{name}-summary-1\n",
-        f"build={BUILD_TAG}\n",
-        f"seed={config.master_seed}\n",
-    ]
-    for f in fields(config):
-        lines.append(f"config.{f.name}={_fmt(getattr(config, f.name))}\n")
-    for key, value in values.items():
-        lines.append(f"{key}={_fmt(value)}\n")
+    """Write a versioned key=value summary record: a table's header lines, unprefixed."""
+    lines = [line[2:] for line in _header_lines(f"{name}-summary", config, values)]
     path.write_text("".join(lines), newline="\n")
     return path
 
@@ -391,8 +376,10 @@ def _census_chunk(args):
     step = max(1, _BLOCK_VERTICES // n)
     for i in range(0, len(rs), step):
         block = rs[i : i + step]
-        # offsetting graph b by b*N keeps the concatenated edges sorted
-        edges = np.concatenate([sample_graph(spec, r).edges + b * n for b, r in enumerate(block)])
+        # one index_pair call per block; offsetting graph b by b*N keeps the edges sorted
+        idx = [ensemble.sample_pair_indices(spec, r) for r in block]
+        offsets = np.repeat(np.arange(len(block)) * n, [x.size for x in idx])
+        edges = ensemble.index_pair(np.concatenate(idx), n) + offsets[:, None]
         acc.add(decompose(Graph(len(block) * n, edges, validate=False)), n_reps=len(block))
     return [acc]
 

@@ -18,7 +18,10 @@ IDS counts skip the sizes that Fiedler's theorem settles: a connected n-vertex
 graph has smallest nonzero eigenvalue >= 2(1 - cos(pi/n)), and the margin also
 covers the floor's rounding.  A size whose floor minus margin exceeds the top
 grid energy adds exactly its kernel to each count #{lambda <= E}, so it is
-never solved.
+never solved.  Nor are trees: #{lambda <= E} is the number of pivots <= 0 of
+L - E*I (Sylvester's law of inertia), and a forest eliminates leaf to root with no
+fill-in.  A Laplacian eigenvalue is an algebraic integer, so it equals a float E only
+at an integer E, where exact integer pivots count the ties; others take float64 ones.
 
 Moments need no eigensolve: Tr M^{2k} = ||M^k||_F^2 is an exact integer for
 M = L and for M = A, computed from the same stacks by integer-valued float64
@@ -47,6 +50,7 @@ __all__ = [
     "eigenvalues_cluster",
     "fiedler_floor",
     "path_emin_reference",
+    "forest_counting_function",
     "graph_spectrum",
     "cluster_min_gaps",
     "empirical_ids",
@@ -83,10 +87,11 @@ def _stable_order(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, min_size: int = 2):
+def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, min_size: int = 2,
+                      trees: bool = True):
     """Yield ``(size, cluster_ids, stack)`` per size class >= ``min_size``,
     ``stack[j]`` the dense float64 Laplacian of cluster ``cluster_ids[j]`` with
-    its vertices numbered in ascending order.
+    its vertices numbered in ascending order; ``trees=False`` leaves the trees out.
 
     Only the clusters yielded are laid out in local coordinates.  A largest
     cluster beyond ``size_cap`` raises :class:`EigensolverError` carrying that
@@ -100,7 +105,7 @@ def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, min_size: int = 2)
             cluster=d.cluster(int(np.argmax(sizes))),
         )
     # the solved clusters in (size, id) order, so that each size class is one run
-    order = np.flatnonzero(sizes >= min_size)
+    order = np.flatnonzero((sizes >= min_size) & (trees | (d.edge_counts >= sizes)))
     order = order[np.argsort(sizes[order], kind="stable")]
     m = order.size
     if not m:
@@ -275,13 +280,14 @@ class GraphSpectrum:
         return self.eigenvalues.shape[0]
 
 
-def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, min_size: int = 2):
-    """Laplacian eigenvalues of all clusters with size >= ``min_size`` >= 2, by size.
+def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, min_size: int = 2,
+                         trees: bool = True):
+    """Laplacian eigenvalues of the clusters :func:`_laplacian_stacks` yields, by size.
 
     Returns a list of (size, cluster_ids, values) with ``values`` of shape
     (count, size), each row sorted ascending with its first entry exactly 0.
     """
-    stacks = _laplacian_stacks(d, size_cap, min_size)
+    stacks = _laplacian_stacks(d, size_cap, min_size, trees)
     return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster)) for s, ids, stack in stacks]
 
 
@@ -291,6 +297,56 @@ def _counting_function(d: ClusterDecomposition, groups, energies: np.ndarray) ->
     counts = np.full(energies.shape, d.n_clusters, dtype=np.int64)
     for _, _, vals in groups:
         counts += np.searchsorted(np.sort(vals[:, 1:], axis=None), energies, side="right")
+    return counts
+
+
+@np.errstate(divide="ignore")
+def forest_counting_function(n: int, edges, energies) -> np.ndarray:
+    """#{eigenvalues <= E}, kernel included, at each energy E of the Laplacian of the
+    forest on vertices 0..n-1 with ``edges``: the pivots <= 0 of L - E*I (module docstring).
+
+    Each round peels the current leaves, one per parent, into their parents; a tree's root
+    is the larger end of its last edge.  Zero pivots follow Jacobs and Trevisan (Linear
+    Algebra Appl. 2011): the parent's pivot becomes -1/2, one zero child's 2, and the
+    parent sends nothing on, which leaves the parent out of the count.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = np.asarray(energies, dtype=np.float64)
+    deg = np.bincount(edges.ravel(), minlength=n)
+    live = deg.copy()
+    # the sum of a vertex's live neighbours is a leaf's parent
+    nbr = np.bincount(edges.ravel(), edges[:, ::-1].ravel(), n).astype(np.int64)
+    owner = np.empty(n, dtype=np.int64)
+    rounds = []
+    while (leaves := np.flatnonzero(live == 1)).size:
+        parents = nbr[leaves]
+        keep = (live[parents] > 1) | (leaves < parents)
+        owner[parents[keep]] = leaves[keep]  # one write per parent lands: its leaf goes now
+        keep &= owner[parents] == leaves
+        leaves, parents = leaves[keep], parents[keep]
+        live[leaves] = 0
+        live[parents] -= 1
+        nbr[parents] -= leaves
+        rounds.append((leaves, parents))
+    if live.any():
+        raise ValueError("edges do not form a forest")
+    whole = e == np.floor(e)
+    counts = np.empty(e.shape, dtype=np.int64)
+    # a leaf's pivot a adds -1/a to its parent's; a zero pivot sends 1/0 = inf, so
+    # its parent falls to -inf and later sends 1/-inf = -0
+    f = deg[:, None] - e[~whole]
+    for leaves, parents in rounds:
+        f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
+    counts[~whole] = np.count_nonzero((f <= 0) & (f > -np.inf), axis=0)
+    if whole.any():  # pivots f/g in Python integers, g = 0 leaving a vertex out
+        f = deg.astype(object)[:, None] - np.array([int(x) for x in e[whole]], dtype=object)
+        g = np.ones_like(f)
+        for leaves, parents in rounds:
+            fl, gl, fp, gp = f[leaves], g[leaves], f[parents], g[parents]
+            sent = gl != 0  # f/g - gl/fl; a zero pivot leaves g = 0 at its parent
+            f[parents] = np.where(sent, fp * fl - gp * gl, fp)
+            g[parents] = np.where(sent, gp * fl, gp)
+        counts[whole] = np.count_nonzero((g != 0) & ((f == 0) | ((f < 0) != (g < 0))), axis=0)
     return counts
 
 
@@ -329,7 +385,8 @@ class IdsEstimate:
     ``sigma`` are means over realizations of N^{-1} #{eigenvalues <= E}
     (closed right endpoint, so right-continuous in E).  Sizes n whose Fiedler
     floor 2(1 - cos(pi/n)) less the margin n*eps*2(n - 1) exceeds the top energy
-    add only their kernel and are not solved; the counts equal the full spectrum's.
+    add only their kernel; the other trees count by inertia, exactly at integer E, and
+    cyclic clusters by computed eigenvalues, which can round a tie there either way.
     ``sigma0`` is the mean cluster count per vertex, computed structurally
     from the decomposition and never from thresholded eigenvalues.
     ``delta_sigma`` is the per-realization difference sigma(E) - sigma(0)
@@ -368,8 +425,12 @@ def _validate_grid(grid) -> np.ndarray:
 
 def _ids_one(spec: GraphSpec, r: int, grid: np.ndarray, size_cap: int, min_size: int):
     d = decompose(sample_graph(spec, r))
-    groups = _grouped_eigenvalues(d, size_cap, min_size)
-    return _counting_function(d, groups, grid), int(d.n_clusters)
+    counts = _counting_function(d, _grouped_eigenvalues(d, size_cap, min_size, trees=False), grid)
+    tree = (d.sizes >= min_size) & (d.edge_counts == d.sizes - 1)
+    # a counted tree has an edge, so its edges' ends are all its vertices
+    vertices, edges = np.unique(d.graph.edges[tree[d.edge_labels]], return_inverse=True)
+    forest = forest_counting_function(vertices.size, edges.reshape(-1, 2), grid)
+    return counts + forest - np.count_nonzero(tree), int(d.n_clusters)  # kernels counted above
 
 
 def _each_realization(args):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +95,54 @@ def dense_counting_function(n: int, edges, energies) -> np.ndarray:
     """
     vals = np.linalg.eigvalsh(dense_laplacian(n, edges))
     return np.searchsorted(vals, np.asarray(energies, dtype=np.float64), side="right")
+
+
+def exact_tree_counts(n: int, edges, energies) -> np.ndarray:
+    """#{eigenvalues <= E} of the Laplacian of a forest at each energy, exactly.
+
+    Each tree is rooted by depth-first search and eliminated children first with
+    ``Fraction`` pivots (Jacobs and Trevisan, Linear Algebra Appl. 2011): a
+    vertex's pivot is its degree minus E minus 1/a over the pivots a of its
+    children; a vertex with a zero child takes pivot -1/2, one zero child takes
+    2, and the edge to its own parent is cut.  By Sylvester's law of inertia the
+    count is the number of pivots <= 0.  A float is a dyadic rational, so
+    ``Fraction(E)`` is exact.
+    """
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[int(i)].append(int(j))
+        adj[int(j)].append(int(i))
+    counts = []
+    for energy in energies:
+        e = Fraction(float(energy))
+        parent = [None] * n
+        seen = [False] * n
+        total = 0
+        for root in range(n):
+            if seen[root]:
+                continue
+            order, stack = [], [root]
+            seen[root] = True
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        parent[w] = v
+                        stack.append(w)
+            pivot, cut = {}, set()
+            for v in reversed(order):
+                children = [w for w in adj[v] if parent[w] == v and w not in cut]
+                zeros = [w for w in children if pivot[w] == 0]
+                if zeros:
+                    pivot[v], pivot[zeros[0]] = Fraction(-1, 2), Fraction(2)
+                    cut.add(v)
+                else:
+                    pivot[v] = len(adj[v]) - e - sum(1 / pivot[w] for w in children)
+            total += sum(1 for a in pivot.values() if a <= 0)
+        counts.append(total)
+    return np.array(counts, dtype=np.int64)
 
 
 def eigen_moment_rows(n: int, edges, two_ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

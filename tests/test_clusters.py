@@ -40,17 +40,19 @@ def _cluster(n, edges):
 def test_empty_graph_singletons():
     d = decompose(_graph(5, []))
     assert d.n_clusters == 5
-    assert all(c.size == 1 for c in d.clusters)
-    assert [int(c.vertices[0]) for c in d.clusters] == [0, 1, 2, 3, 4]
+    clusters = [d.cluster(k) for k in range(d.n_clusters)]
+    assert all(c.size == 1 for c in clusters)
+    assert [int(c.vertices[0]) for c in clusters] == [0, 1, 2, 3, 4]
 
 
 def test_hand_decomposition():
     d = decompose(_graph(6, [(0, 1), (1, 2), (3, 4)]))
     assert d.n_clusters == 3
-    groups = [c.vertices.tolist() for c in d.clusters]
+    clusters = [d.cluster(k) for k in range(d.n_clusters)]
+    groups = [c.vertices.tolist() for c in clusters]
     assert groups == [[0, 1, 2], [3, 4], [5]]
     # local edges of the first cluster are re-indexed to 0..size-1
-    assert d.clusters[0].edges.tolist() == [[0, 1], [1, 2]]
+    assert clusters[0].edges.tolist() == [[0, 1], [1, 2]]
 
 
 @given(
@@ -69,7 +71,7 @@ def test_decompose_matches_bfs(n, data):
     )
     g = _graph(n, pairs)
     d = decompose(g)
-    ours = sorted(c.vertices.tolist() for c in d.clusters)
+    ours = sorted(d.cluster(k).vertices.tolist() for k in range(d.n_clusters))
     assert ours == bfs_components(n, pairs)
     assert np.array_equal(d.labels, union_find_labels(n, g.edges))
 

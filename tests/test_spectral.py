@@ -21,6 +21,7 @@ from erlap.spectral import (
     eigenvalues_cluster,
     empirical_ids,
     fiedler_floor,
+    forest_counting_function,
     graph_spectrum,
     laplacian_of_cluster,
     moment_samples,
@@ -34,6 +35,7 @@ from oracles import (
     dense_counting_function,
     dense_laplacian,
     eigen_moment_rows,
+    exact_tree_counts,
     path_spectrum_closed_form,
 )
 
@@ -226,6 +228,20 @@ def _pruned_and_full_counts(d, grid):
             spectral._counting_function(d, full, grid))
 
 
+def _exact_ids_counts(g, grid):
+    # README tie policy: trees count exactly, cyclic clusters their computed eigenvalues
+    counts = np.zeros(grid.shape, dtype=np.int64)
+    for comp in bfs_components(g.n, g.edges.tolist()):
+        index = {v: i for i, v in enumerate(comp)}
+        edges = [(index[a], index[b]) for a, b in g.edges.tolist() if a in index]
+        if len(edges) == len(comp) - 1:
+            counts += exact_tree_counts(len(comp), edges, grid)
+        else:
+            vals = np.linalg.eigvalsh(dense_laplacian(len(comp), edges))
+            counts += np.searchsorted(vals, grid, side="right")
+    return counts
+
+
 def _assert_matches_dense(g, grid, counts):
     # the dense whole-graph solve rounds each eigenvalue by up to N*eps*||L||,
     # ||L|| <= 2(N - 1), so it brackets the counts between E -/+ that much
@@ -256,8 +272,68 @@ def test_pruned_ids_counts_match_dense_oracle(n, p, seed, grid):
     d = decompose(g)
     assert k == d.n_clusters
     pruned, full = _pruned_and_full_counts(d, grid)
-    assert np.array_equal(counts, pruned) and np.array_equal(pruned, full)
+    assert np.array_equal(pruned, full)
+    # the grids draw integer energies too, where an eigensolve can round a tie
+    # below E: trees count exactly there
+    assert np.array_equal(counts, _exact_ids_counts(g, grid))
     _assert_matches_dense(g, grid, counts)
+
+
+def _random_forest(data, max_n):
+    n = data.draw(st.integers(min_value=1, max_value=max_n))
+    perm = data.draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        u = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=v - 1)))
+        if u is not None:
+            edges.append(sorted((perm[u], perm[v])))
+    return n, sorted(edges)
+
+
+@given(
+    data=st.data(),
+    energies=st.lists(
+        st.one_of(
+            st.integers(min_value=1, max_value=64).map(lambda k: k / 8),
+            st.floats(min_value=1e-3, max_value=8.0).map(lambda x: round(x, 6)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_forest_counts_match_exact_oracle(data, energies):
+    # integer energies (k/8 with 8 | k) carry ties, the others cannot
+    n, edges = _random_forest(data, 60)
+    counts = forest_counting_function(n, edges, energies)
+    assert np.array_equal(counts, exact_tree_counts(n, edges, energies))
+
+
+def test_forest_counts_closed_forms():
+    # the star K_{1,m} has spectrum 0, 1 (m - 1 times), m + 1
+    for m in range(1, 12):
+        star = [(0, i) for i in range(1, m + 1)]
+        grid = [0.5, 1.0, 1.5] + [float(e) for e in range(2, m + 3)]
+        want = [1, m, m] + [m] * (m - 1) + [m + 1, m + 1]
+        assert forest_counting_function(m + 1, star, grid).tolist() == want
+    # P3 has spectrum 0, 1, 3, and P_n for even n has the eigenvalue 2 (k = n/2)
+    assert forest_counting_function(3, [(0, 1), (1, 2)], [0.5, 1, 2, 3]).tolist() == [1, 2, 2, 3]
+    for n in range(2, 41, 2):
+        path = [(i, i + 1) for i in range(n - 1)]
+        assert forest_counting_function(n, path, [2.0]).tolist() == [n // 2 + 1]
+        below = np.count_nonzero(path_spectrum_closed_form(n) < 2.0 - 1e-9)
+        assert below == n // 2
+    # a forest counts as the sum of its trees: P3, K_{1,3} (0, 1, 1, 4), a vertex
+    forest = [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]
+    assert forest_counting_function(8, forest, [1.0, 3.0]).tolist() == [2 + 3 + 1, 3 + 3 + 1]
+    assert forest_counting_function(4, [], [0.25, 2.0]).tolist() == [4, 4]
+
+
+def test_forest_counts_reject_a_cycle():
+    with pytest.raises(ValueError, match="forest"):
+        forest_counting_function(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [1.0])
+    with pytest.raises(ValueError, match="forest"):
+        forest_counting_function(2, [(0, 1), (0, 1)], [1.0])
 
 
 @given(
@@ -329,11 +405,12 @@ def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
         with pytest.raises(EigensolverError, match="kernel") as err:
             spectral._checked_eigvalsh((lap + shift * np.eye(3))[None], ids, lambda k: c)
         assert err.value.cluster is c
-    # in an ensemble run the error names the realization that replays it
+    # in an ensemble run the error names the realization that replays it; IDS
+    # runs solve only cyclic clusters, which p = 2 brings into realization 0
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-9)
     with pytest.raises(EigensolverError) as err:
-        empirical_ids(GraphSpec(300, 0.5, 5), 2, [0.5, 3.0])
+        empirical_ids(GraphSpec(300, 2.0, 5), 2, [0.5, 3.0])
     assert (err.value.master_seed, err.value.realization) == (5, 0)
 
 
