@@ -36,8 +36,6 @@ from .clusters import (
     Cluster,
     ClusterDecomposition,
     census,
-    classify,
-    cluster_of_vertex,
     decompose,
 )
 from .ensemble import (
@@ -73,7 +71,6 @@ from .spectral import (
     moment_samples,
     path_emin_reference,
     quadratic_form,
-    spectral_moment,
 )
 
 __version__ = "0.1.0"

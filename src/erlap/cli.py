@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,60 +25,37 @@ def _add_common(parser: argparse.ArgumentParser, sampling: bool = True) -> None:
     parser.add_argument("--config", type=str, default=None, help="config file to start from")
     parser.add_argument("--outdir", type=str, default=None, help="output directory")
     if sampling:
-        parser.add_argument("--n", type=int, default=None, help="number of vertices N")
-        parser.add_argument("--p", type=float, default=None, help="edge probability parameter p")
-        parser.add_argument("--reps", type=int, default=None, help="number of realizations")
-        parser.add_argument("--seed", type=int, default=None, help="master seed")
+        parser.add_argument("--n", dest="n_vertices", type=int, default=None, help="number of vertices N")
+        parser.add_argument("--p", dest="edge_prob", type=float, default=None, help="edge probability parameter p")
+        parser.add_argument("--reps", dest="n_reps", type=int, default=None, help="number of realizations")
+        parser.add_argument("--seed", dest="master_seed", type=int, default=None, help="master seed")
         parser.add_argument("--workers", type=int, default=None, help="parallel workers")
     else:
-        parser.add_argument("--p", type=float, default=None, help="edge probability parameter p")
+        parser.add_argument("--p", dest="edge_prob", type=float, default=None, help="edge probability parameter p")
 
 
 def _add_grid(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", type=str, default=None, choices=("geometric", "linear"))
-    parser.add_argument("--emin", type=float, default=None, help="smallest grid energy")
-    parser.add_argument("--emax", type=float, default=None, help="largest grid energy")
-    parser.add_argument("--points", type=int, default=None, help="grid point count")
+    parser.add_argument("--grid", dest="grid_kind", type=str, default=None, choices=("geometric", "linear"))
+    parser.add_argument("--emin", dest="e_min", type=float, default=None, help="smallest grid energy")
+    parser.add_argument("--emax", dest="e_max", type=float, default=None, help="largest grid energy")
+    parser.add_argument("--points", dest="n_points", type=int, default=None, help="grid point count")
     parser.add_argument("--energies", type=str, default=None, help="explicit comma-separated grid")
 
 
-_ARG_TO_FIELD = {
-    "n": "n_vertices",
-    "p": "edge_prob",
-    "reps": "n_reps",
-    "seed": "master_seed",
-    "workers": "workers",
-    "outdir": "outdir",
-    "grid": "grid_kind",
-    "emin": "e_min",
-    "emax": "e_max",
-    "points": "n_points",
-    "kmax": "k_max",
-    "chain_size": "chain_size",
-    "nmax": "tau_n_max",
-    "anchor_emin": "anchor_e_min",
-    "anchor_emax": "anchor_e_max",
-    "anchor_points": "anchor_points",
-    "noise_floor": "noise_floor",
-}
-
-
 def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
-    if getattr(args, "config", None):
+    """The ``--config`` file (or the defaults) overridden by every flag given; each
+    config flag's dest is its :class:`~erlap.harness.ExperimentConfig` field."""
+    if args.config:
         config = harness.ExperimentConfig.from_file(args.config)
     else:
         config = harness.ExperimentConfig()
-    overrides = {}
-    for arg, field in _ARG_TO_FIELD.items():
-        value = getattr(args, arg, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "energies", None):
-        overrides["energies"] = tuple(float(x) for x in args.energies.split(","))
+    overrides = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)
+                 if getattr(args, f.name, None) is not None}
+    energies = overrides.pop("energies", None)
+    if energies:  # an explicit grid
+        overrides["energies"] = tuple(float(x) for x in energies.split(","))
         overrides["grid_kind"] = "explicit"
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    return replace(config, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lif = sub.add_parser("lifshitz", help="spectral-edge exponent regression")
     _add_common(p_lif)
     _add_grid(p_lif)
-    p_lif.add_argument("--anchor-emin", dest="anchor_emin", type=float, default=None)
-    p_lif.add_argument("--anchor-emax", dest="anchor_emax", type=float, default=None)
+    p_lif.add_argument("--anchor-emin", dest="anchor_e_min", type=float, default=None)
+    p_lif.add_argument("--anchor-emax", dest="anchor_e_max", type=float, default=None)
     p_lif.add_argument("--anchor-points", dest="anchor_points", type=int, default=None)
 
     p_bounds = sub.add_parser("bounds", help="analytic bound curves (no sampling)")
@@ -119,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tau = sub.add_parser("tau", help="cluster-size density table (no sampling)")
     _add_common(p_tau, sampling=False)
-    p_tau.add_argument("--nmax", type=int, default=None, help="largest tabulated size")
+    p_tau.add_argument("--nmax", dest="tau_n_max", type=int, default=None, help="largest tabulated size")
 
     p_mom = sub.add_parser("moments", help="spectral moment table and inequality check")
     _add_common(p_mom)
-    p_mom.add_argument("--kmax", type=int, default=None, help="largest k (powers 2k)")
+    p_mom.add_argument("--kmax", dest="k_max", type=int, default=None, help="largest k (powers 2k)")
 
     p_verify = sub.add_parser("verify", help="run the full property gate")
     _add_common(p_verify)

@@ -7,9 +7,12 @@ rooted at its smallest vertex, so the canonical numbering falls out of a
 cumulative sum and no per-edge Python loop remains.
 
 A decomposition keeps only the labels and per-cluster counts that every
-consumer reads.  It lays out no cluster in local coordinates: a single
-:class:`Cluster` record is cut from the labels on request, and the stacked
-eigensolves lay out the clusters they solve themselves.
+consumer reads.  Classification needs nothing more: a cluster is a tree iff
+it has one edge fewer than vertices, so the class masks are per-cluster
+array expressions.  No cluster is laid out in local coordinates: a single
+:class:`Cluster` record (vertices and edges only) is cut from the labels on
+request, and the stacked eigensolves lay out the clusters they solve
+themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -25,22 +28,12 @@ from .ensemble import Graph, degree_sequence
 
 __all__ = [
     "Cluster",
-    "ClassFlags",
     "ClusterDecomposition",
     "CensusAccumulator",
     "CensusReport",
     "decompose",
-    "classify",
     "census",
-    "cluster_of_vertex",
 ]
-
-
-class ClassFlags(NamedTuple):
-    is_isolated: bool
-    is_tree: bool
-    is_linear_chain: bool
-    is_cyclic: bool
 
 
 @dataclass(frozen=True)
@@ -49,15 +42,12 @@ class Cluster:
 
     ``vertices`` holds the global vertex ids sorted ascending; ``edges``
     holds the internal edges re-indexed to 0..size-1 (position in the sorted
-    vertex list), canonical i < j rows in lexicographic order.
+    vertex list), canonical i < j rows in lexicographic order.  Its class
+    follows from the counts alone (see :class:`ClusterDecomposition`).
     """
 
     vertices: np.ndarray
     edges: np.ndarray
-    is_isolated: bool
-    is_tree: bool
-    is_linear_chain: bool
-    is_cyclic: bool
 
     @property
     def size(self) -> int:
@@ -67,31 +57,8 @@ class Cluster:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def local_degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.size).astype(np.int64)
-
-    def flags(self) -> ClassFlags:
-        return ClassFlags(self.is_isolated, self.is_tree, self.is_linear_chain, self.is_cyclic)
-
     def __repr__(self) -> str:
         return f"Cluster(size={self.size}, edges={self.n_edges})"
-
-
-def classify(cluster: Cluster) -> ClassFlags:
-    """Recompute class flags from the cluster's own vertex/edge data.
-
-    A connected cluster on n vertices is a tree iff it has n-1 internal
-    edges (single vertices are degenerate trees); a linear chain is a tree
-    with n >= 2 and no vertex of degree > 2, leaving exactly two endpoints
-    of degree 1 and n-2 interior vertices of degree 2.
-    """
-    n = cluster.size
-    m = cluster.n_edges
-    is_isolated = n == 1
-    is_tree = m == n - 1
-    is_cyclic = m >= n
-    is_linear = bool(is_tree and n >= 2 and cluster.local_degrees().max() <= 2)
-    return ClassFlags(is_isolated, is_tree, is_linear, is_cyclic)
 
 
 class ClusterDecomposition:
@@ -99,10 +66,14 @@ class ClusterDecomposition:
 
     Clusters are numbered 0..K-1 by ascending smallest member vertex.  The
     per-vertex ``labels``, per-edge ``edge_labels`` and per-cluster ``sizes``
-    and ``edge_counts`` are computed eagerly (cheap, vectorized); the class
-    flags, the per-cluster ``max_degree`` and :class:`Cluster` records are
-    built on request, because hot loops (census, batched eigensolves) only
-    need the arrays.
+    and ``edge_counts`` are computed eagerly (cheap, vectorized); the
+    ``is_tree`` mask, the per-cluster ``max_degree`` and :class:`Cluster`
+    records are built on request, because hot loops (census, batched
+    eigensolves) only need the arrays.
+
+    ``is_tree`` is the one classification rule: a connected cluster on n
+    vertices has at least n - 1 edges and is a tree iff it has exactly n - 1
+    (an isolated vertex is a degenerate tree); every other cluster is cyclic.
     """
 
     def __init__(self, graph: Graph, labels: np.ndarray):
@@ -113,7 +84,11 @@ class ClusterDecomposition:
         self.sizes = np.bincount(labels, minlength=k).astype(np.int64)
         self.edge_labels = labels[graph.edges[:, 0]]
         self.edge_counts = np.bincount(self.edge_labels, minlength=k).astype(np.int64)
-        self._flag_arrays = None
+
+    @cached_property
+    def is_tree(self) -> np.ndarray:
+        """True for each cluster with exactly size - 1 edges."""
+        return self.edge_counts == self.sizes - 1
 
     @cached_property
     def max_degree(self) -> np.ndarray:
@@ -123,14 +98,11 @@ class ClusterDecomposition:
         return out
 
     def class_flag_arrays(self):
-        """Boolean arrays (isolated, tree, linear, cyclic) indexed by cluster."""
-        if self._flag_arrays is None:
-            isolated = self.sizes == 1
-            tree = self.edge_counts == self.sizes - 1
-            linear = tree & (self.sizes >= 2) & (self.max_degree <= 2)
-            cyclic = self.edge_counts >= self.sizes
-            self._flag_arrays = (isolated, tree, linear, cyclic)
-        return self._flag_arrays
+        """Boolean arrays (isolated, tree, linear, cyclic) indexed by cluster; a
+        linear chain is a tree of size >= 2 with no vertex of degree > 2."""
+        tree = self.is_tree
+        linear = tree & (self.sizes >= 2) & (self.max_degree <= 2)
+        return self.sizes == 1, tree, linear, ~tree
 
     def cluster(self, k: int) -> Cluster:
         """Cluster ``k`` with its vertices ascending and its edges renumbered to
@@ -141,8 +113,7 @@ class ClusterDecomposition:
         edges = np.searchsorted(vertices, self.graph.edges[self.edge_labels == k])
         vertices.setflags(write=False)
         edges.setflags(write=False)
-        bare = Cluster(vertices, edges, False, False, False, False)
-        return Cluster(vertices, edges, *classify(bare))
+        return Cluster(vertices, edges)
 
     def cluster_of_vertex(self, v: int) -> Cluster:
         if not 0 <= v < self.graph.n:
@@ -184,11 +155,6 @@ def decompose(g: Graph) -> ClusterDecomposition:
     return ClusterDecomposition(g, _component_labels(g.n, g.edges))
 
 
-def cluster_of_vertex(d: ClusterDecomposition, v: int) -> Cluster:
-    """The unique cluster containing vertex ``v``."""
-    return d.cluster_of_vertex(v)
-
-
 _SIZE_COUNTERS = (
     "clusters_by_size",
     "trees_by_size",
@@ -217,7 +183,6 @@ class CensusAccumulator:
         for name in _SIZE_COUNTERS:
             setattr(self, name, np.zeros(64, dtype=np.int64))
         self.total_clusters = 0
-        self.sq_total_clusters = 0
         self.vertices_on_trees = 0
 
     def add(self, d: ClusterDecomposition, n_reps: int = 1) -> None:
@@ -236,7 +201,6 @@ class CensusAccumulator:
         rep = np.empty(d.n_clusters, dtype=np.int64)
         rep[d.labels] = np.arange(d.graph.n, dtype=np.int64) // n  # realization of each cluster
         per_rep = np.bincount(rep * top + sizes, minlength=n_reps * top).reshape(n_reps, top)
-        k_per_rep = np.bincount(rep, minlength=n_reps)
         k0 = d.labels[np.arange(n_reps) * n]  # cluster of each realization's vertex 0
         self.clusters_by_size[:top] += per_rep.sum(axis=0)
         self.sq_clusters_by_size[:top] += (per_rep * per_rep).sum(axis=0)
@@ -245,7 +209,6 @@ class CensusAccumulator:
         self.vertex0_by_size[:top] += np.bincount(sizes[k0], minlength=top)
         self.vertex0_linear_by_size[:top] += np.bincount(sizes[k0[linear[k0]]], minlength=top)
         self.total_clusters += int(d.n_clusters)
-        self.sq_total_clusters += int((k_per_rep * k_per_rep).sum())
         self.vertices_on_trees += int(sizes[tree].sum())
         self.n_reps += n_reps
 
@@ -263,7 +226,6 @@ class CensusAccumulator:
         for name in _SIZE_COUNTERS:
             getattr(self, name)[:n] += getattr(other, name)
         self.total_clusters += other.total_clusters
-        self.sq_total_clusters += other.sq_total_clusters
         self.vertices_on_trees += other.vertices_on_trees
         self.n_reps += other.n_reps
 

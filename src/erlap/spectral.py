@@ -5,7 +5,7 @@ spectrum is the multiset union of small per-cluster eigenproblems.  One
 builder assembles the clusters of each size as a stack of dense Laplacians,
 and one checked eigensolve handles every stack, which keeps the LAPACK loop
 in C even when a realization holds thousands of tiny clusters.  The builder
-lays out in local coordinates only the cluster sizes it is asked to solve.
+lays out in local coordinates only the clusters it is asked to solve.
 
 LAPACK computes every eigenvalue of an n-vertex Laplacian within the margin
 n*eps*||L||_2 <= n*eps*2(n - 1).  Each connected cluster has a one-dimensional
@@ -54,7 +54,6 @@ __all__ = [
     "graph_spectrum",
     "cluster_min_gaps",
     "empirical_ids",
-    "spectral_moment",
     "moment_samples",
 ]
 
@@ -87,15 +86,15 @@ def _stable_order(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, min_size: int = 2,
-                      trees: bool = True):
-    """Yield ``(size, cluster_ids, stack)`` per size class >= ``min_size``,
-    ``stack[j]`` the dense float64 Laplacian of cluster ``cluster_ids[j]`` with
-    its vertices numbered in ascending order; ``trees=False`` leaves the trees out.
+def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, *, solve=None):
+    """Yield ``(size, cluster_ids, stack)`` per size class of the clusters in the
+    boolean mask ``solve`` (default: every cluster of size >= 2), ``stack[j]`` the
+    dense float64 Laplacian of cluster ``cluster_ids[j]`` with its vertices
+    numbered in ascending order.
 
     Only the clusters yielded are laid out in local coordinates.  A largest
     cluster beyond ``size_cap`` raises :class:`EigensolverError` carrying that
-    cluster, whatever ``min_size`` skips.
+    cluster, whatever ``solve`` leaves out.
     """
     sizes = d.sizes
     top = int(sizes.max()) if sizes.size else 0
@@ -105,7 +104,7 @@ def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, min_size: int = 2,
             cluster=d.cluster(int(np.argmax(sizes))),
         )
     # the solved clusters in (size, id) order, so that each size class is one run
-    order = np.flatnonzero((sizes >= min_size) & (trees | (d.edge_counts >= sizes)))
+    order = np.flatnonzero(sizes >= 2 if solve is None else solve)
     order = order[np.argsort(sizes[order], kind="stable")]
     m = order.size
     if not m:
@@ -280,14 +279,13 @@ class GraphSpectrum:
         return self.eigenvalues.shape[0]
 
 
-def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, min_size: int = 2,
-                         trees: bool = True):
+def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, *, solve=None):
     """Laplacian eigenvalues of the clusters :func:`_laplacian_stacks` yields, by size.
 
     Returns a list of (size, cluster_ids, values) with ``values`` of shape
     (count, size), each row sorted ascending with its first entry exactly 0.
     """
-    stacks = _laplacian_stacks(d, size_cap, min_size, trees)
+    stacks = _laplacian_stacks(d, size_cap, solve=solve)
     return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster)) for s, ids, stack in stacks]
 
 
@@ -425,8 +423,9 @@ def _validate_grid(grid) -> np.ndarray:
 
 def _ids_one(spec: GraphSpec, r: int, grid: np.ndarray, size_cap: int, min_size: int):
     d = decompose(sample_graph(spec, r))
-    counts = _counting_function(d, _grouped_eigenvalues(d, size_cap, min_size, trees=False), grid)
-    tree = (d.sizes >= min_size) & (d.edge_counts == d.sizes - 1)
+    counted = d.sizes >= min_size
+    tree = counted & d.is_tree
+    counts = _counting_function(d, _grouped_eigenvalues(d, size_cap, solve=counted & ~d.is_tree), grid)
     # a counted tree has an edge, so its edges' ends are all its vertices
     vertices, edges = np.unique(d.graph.edges[tree[d.edge_labels]], return_inverse=True)
     forest = forest_counting_function(vertices.size, edges.reshape(-1, 2), grid)
@@ -506,15 +505,6 @@ def empirical_ids(
         delta_sigma=delta,
         delta_sigma_se=delta_se,
     )
-
-
-def spectral_moment(s: GraphSpectrum, k: int) -> float:
-    """k-th spectral moment N^{-1} sum(lambda^k); k = 0 gives 1 exactly."""
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_MOMENT_POWER:
-        raise ValueError(f"moment order must be an integer in [0, {MAX_MOMENT_POWER}]")
-    if k == 0:
-        return 1.0
-    return float(np.mean(s.eigenvalues**k))
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,23 @@ def union_find_labels(n: int, edges) -> np.ndarray:
     return rank[inverse]
 
 
+def classify(cluster) -> tuple[bool, bool, bool, bool]:
+    """(isolated, tree, linear chain, cyclic) of one connected cluster record.
+
+    Recomputed from the record's own vertex and edge lists: a connected cluster
+    on n vertices is a tree iff it has n - 1 edges (a single vertex is a
+    degenerate tree) and cyclic otherwise; a linear chain is a tree with n >= 2
+    and no vertex of degree > 2, counted edge by edge.
+    """
+    n, m = len(cluster.vertices), len(cluster.edges)
+    degree = [0] * n
+    for i, j in cluster.edges.tolist():
+        degree[i] += 1
+        degree[j] += 1
+    tree = m == n - 1
+    return n == 1, tree, tree and n >= 2 and max(degree) <= 2, m >= n
+
+
 def dense_laplacian(n: int, edges) -> np.ndarray:
     """Laplacian assembled entry by entry from the defining formula."""
     lap = np.zeros((n, n))

@@ -105,10 +105,14 @@ def test_M_of_E_near_integer_policy():
 
 
 def test_zeta_constant():
+    # the literal the 10^6-term sum gave, 2 ulps above the correctly rounded value
     import mpmath
 
-    ref = float(mpmath.zeta(mpmath.mpf(3) / 2)) - 1.0
-    assert abs(zeta_three_halves_minus_one() - ref) < 1e-12
+    assert zeta_three_halves_minus_one() == 1.6123753486854888
+    with mpmath.workdps(40):
+        ref = float(mpmath.zeta(mpmath.mpf(3) / 2) - 1)
+    assert ref == 1.6123753486854884
+    assert abs(zeta_three_halves_minus_one() - ref) <= 2 * np.spacing(ref)
 
 
 def test_upper_bound_golden_values():

@@ -9,32 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlap.analytics import tau_n
-from erlap.clusters import (
-    CensusAccumulator,
-    Cluster,
-    census,
-    classify,
-    cluster_of_vertex,
-    decompose,
-)
+from erlap.clusters import CensusAccumulator, census, decompose
 from erlap.ensemble import Graph, GraphSpec, sample_graph
 
-from oracles import bfs_components, union_find_labels
+from oracles import bfs_components, classify, union_find_labels
 
 
 def _graph(n, edges):
     return Graph(n, sorted(map(tuple, edges)))
-
-
-def _cluster(n, edges):
-    return Cluster(
-        vertices=np.arange(n, dtype=np.int64),
-        edges=np.asarray(sorted(map(tuple, edges)), dtype=np.int64).reshape(-1, 2),
-        is_isolated=n == 1,
-        is_tree=len(edges) == n - 1,
-        is_linear_chain=False,
-        is_cyclic=len(edges) >= n,
-    )
 
 
 def test_empty_graph_singletons():
@@ -136,26 +118,40 @@ def test_partition_properties_on_sample():
         assert np.array_equal(d.labels[g.edges[:, 0]], d.labels[g.edges[:, 1]])
 
 
+def _flags(n, edges):
+    # (isolated, tree, linear, cyclic) of a graph that is one cluster
+    return tuple(bool(a[0]) for a in decompose(_graph(n, edges)).class_flag_arrays())
+
+
 def test_classify_hand_cases():
-    path3 = _cluster(3, [(0, 1), (1, 2)])
-    flags = classify(path3)
-    assert flags.is_tree and flags.is_linear_chain and not flags.is_cyclic
+    isolated, tree, linear, cyclic = _flags(3, [(0, 1), (1, 2)])  # path
+    assert tree and linear and not cyclic
 
-    triangle = _cluster(3, [(0, 1), (0, 2), (1, 2)])
-    flags = classify(triangle)
-    assert flags.is_cyclic and not flags.is_tree and not flags.is_linear_chain
+    isolated, tree, linear, cyclic = _flags(3, [(0, 1), (0, 2), (1, 2)])  # triangle
+    assert cyclic and not tree and not linear
 
-    star4 = _cluster(4, [(0, 1), (0, 2), (0, 3)])
-    flags = classify(star4)
-    assert flags.is_tree and not flags.is_linear_chain
+    isolated, tree, linear, cyclic = _flags(4, [(0, 1), (0, 2), (0, 3)])  # star
+    assert tree and not linear
 
-    pair = _cluster(2, [(0, 1)])
-    flags = classify(pair)
-    assert flags.is_tree and flags.is_linear_chain
+    isolated, tree, linear, cyclic = _flags(2, [(0, 1)])  # pair
+    assert tree and linear
 
-    single = _cluster(1, [])
-    flags = classify(single)
-    assert flags.is_isolated and flags.is_tree and not flags.is_linear_chain
+    isolated, tree, linear, cyclic = _flags(1, [])  # single vertex
+    assert isolated and tree and not linear
+
+
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    p=st.floats(min_value=0.05, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_class_flag_arrays_match_per_cluster_oracle(n, p, seed):
+    # p up to 4 covers cyclic and supercritical clusters
+    d = decompose(sample_graph(GraphSpec(n, min(p, n - 0.5), seed), 0))
+    flags = np.stack(d.class_flag_arrays(), axis=1)
+    for k in range(d.n_clusters):
+        assert tuple(flags[k].tolist()) == classify(d.cluster(k)), k
 
 
 def test_exactly_one_class_per_cluster():
@@ -178,7 +174,7 @@ def test_linear_chain_degree_profile():
         _, _, linear, _ = d.class_flag_arrays()
         for k in np.nonzero(linear)[0]:
             c = d.cluster(int(k))
-            degs = sorted(c.local_degrees().tolist())
+            degs = sorted(np.bincount(c.edges.ravel(), minlength=c.size).tolist())
             n = c.size
             assert degs == [1, 1] + [2] * (n - 2)
             checked += 1
@@ -187,12 +183,12 @@ def test_linear_chain_degree_profile():
 
 def test_cluster_of_vertex():
     d = decompose(_graph(4, [(0, 1)]))
-    assert cluster_of_vertex(d, 0).vertices.tolist() == [0, 1]
-    assert cluster_of_vertex(d, 3).vertices.tolist() == [3]
+    assert d.cluster_of_vertex(0).vertices.tolist() == [0, 1]
+    assert d.cluster_of_vertex(3).vertices.tolist() == [3]
     with pytest.raises(ValueError):
-        cluster_of_vertex(d, 4)
+        d.cluster_of_vertex(4)
     with pytest.raises(ValueError):
-        cluster_of_vertex(d, -1)
+        d.cluster_of_vertex(-1)
 
 
 def test_census_hand_case():
@@ -288,7 +284,7 @@ def test_census_block_add_equals_single_adds(data):
     for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size",
                  "vertex0_by_size", "vertex0_linear_by_size"):
         assert np.array_equal(getattr(block, name), getattr(single, name)), name
-    for name in ("n_reps", "total_clusters", "sq_total_clusters", "vertices_on_trees"):
+    for name in ("n_reps", "total_clusters", "vertices_on_trees"):
         assert getattr(block, name) == getattr(single, name), name
 
 

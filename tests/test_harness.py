@@ -267,8 +267,8 @@ def test_census_blocks_count_like_single_realizations():
     for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size",
                  "vertex0_by_size", "vertex0_linear_by_size"):
         assert np.array_equal(getattr(got_report, name), getattr(want_report, name)), name
-    assert (acc.n_reps, acc.total_clusters, acc.sq_total_clusters, acc.vertices_on_trees) == (
-        want.n_reps, want.total_clusters, want.sq_total_clusters, want.vertices_on_trees
+    assert (acc.n_reps, acc.total_clusters, acc.vertices_on_trees) == (
+        want.n_reps, want.total_clusters, want.vertices_on_trees
     )
     top = max(v0_sizes) + 1
     assert got_report.n_reps == 200
@@ -509,9 +509,18 @@ def test_cli_rejects_bad_explicit_energies(tmp_path, capsys):
 
 
 def test_cli_arg_map_names_config_fields():
-    from erlap.cli import _ARG_TO_FIELD
+    # every flag stores under its config field's name, apart from the few that are not config
+    import argparse
 
-    assert set(_ARG_TO_FIELD.values()) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+    from erlap.cli import build_parser
+
+    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    allowed |= {"command", "config", "rep", "out", "energies"}
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in allowed, (name, action.dest)
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

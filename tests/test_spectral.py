@@ -27,7 +27,6 @@ from erlap.spectral import (
     moment_samples,
     path_emin_reference,
     quadratic_form,
-    spectral_moment,
 )
 
 from oracles import (
@@ -84,19 +83,23 @@ def test_laplacian_rows_sum_to_zero_exactly():
 )
 @settings(max_examples=80, deadline=None)
 def test_laplacian_stacks_match_dense_oracle(n, p, seed, data):
-    # the builder lays out only the sizes >= min_size, each row the dense
-    # Laplacian of its cluster; clusters themselves are cut from the labels
+    # the builder lays out only the clusters in the solve mask, each row the
+    # dense Laplacian of its cluster; clusters themselves are cut from the labels
     g = sample_graph(GraphSpec(n, min(p, n - 0.5), seed), 0)
     d = decompose(g)
-    min_size = data.draw(st.integers(min_value=2, max_value=int(d.sizes.max()) + 1))
+    m = d.n_clusters
+    solve = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
     yielded = []
-    for s, ids, stack in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP, min_size):
-        assert np.array_equal(ids, np.flatnonzero(d.sizes == s))
+    for s, ids, stack in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP, solve=solve):
+        assert np.array_equal(ids, np.flatnonzero(solve & (d.sizes == s)))
         for k, lap in zip(ids, stack):
             c = d.cluster(int(k))
             assert np.array_equal(lap, dense_laplacian(c.size, c.edges.tolist()))
         yielded.append(s)
-    assert yielded == sorted({int(s) for s in d.sizes if s >= min_size})
+    assert yielded == sorted({int(s) for s in d.sizes[solve]})
+    default = [(s, ids) for s, ids, _ in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP)]
+    assert [s for s, _ in default] == sorted({int(s) for s in d.sizes if s >= 2})
+    assert all(np.array_equal(ids, np.flatnonzero(d.sizes == s)) for s, ids in default)
     components = bfs_components(n, g.edges.tolist())
     for k in range(d.n_clusters):
         c = d.cluster(k)
@@ -222,7 +225,7 @@ def test_grid_rejects_non_finite_energies():
 
 def _pruned_and_full_counts(d, grid):
     min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
-    pruned = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP, min_size)
+    pruned = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP, solve=d.sizes >= min_size)
     full = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
     return (spectral._counting_function(d, pruned, grid),
             spectral._counting_function(d, full, grid))
@@ -366,12 +369,13 @@ def test_pruning_exact_when_top_energy_sits_on_a_path_floor(paths, extra, target
 
 def test_size_cap_checked_whatever_min_size():
     # a 12-vertex path beside small clusters: the cap applies to the largest
-    # cluster of the decomposition even when min_size skips or spans its size
+    # cluster of the decomposition even when the solve mask skips or spans its size
     g = _graph(20, [(i, i + 1) for i in range(11)] + [(12, 13), (14, 15), (15, 16)])
     d = decompose(g)
-    for min_size in (2, 5, 12, 13, 50):
+    masks = [d.sizes >= min_size for min_size in (2, 5, 12, 13, 50)]
+    for solve in masks + [np.zeros(d.n_clusters, dtype=bool)]:
         with pytest.raises(EigensolverError) as err:
-            spectral._grouped_eigenvalues(d, 8, min_size)
+            spectral._grouped_eigenvalues(d, 8, solve=solve)
         assert err.value.cluster.size == 12
     # end to end at p = 3: the giant cluster raises whether the top energy prunes
     # sizes below 5 or every size up to the cap
@@ -512,19 +516,6 @@ def test_ids_gap_sits_between_bounds():
     se = float(est.delta_sigma_se[0])
     assert lo - 3 * se <= gap <= hi + 3 * se
     assert gap > lo  # comfortably above at this scale
-
-
-def test_spectral_moment_basics():
-    g = sample_graph(GraphSpec(500, 0.5, 7), 0)
-    d = decompose(g)
-    s = graph_spectrum(g, d)
-    assert spectral_moment(s, 0) == 1.0
-    mean_degree = float(degree_sequence(g).mean())
-    assert abs(spectral_moment(s, 1) - mean_degree) < 1e-10
-    with pytest.raises(ValueError):
-        spectral_moment(s, 13)
-    with pytest.raises(ValueError):
-        spectral_moment(s, -1)
 
 
 def test_moment_matches_dense_trace_power():
