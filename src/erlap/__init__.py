@@ -35,7 +35,6 @@ from .clusters import (
     CensusReport,
     Cluster,
     ClusterDecomposition,
-    census,
     decompose,
 )
 from .ensemble import (
@@ -67,7 +66,6 @@ from .spectral import (
     eigenvalues_cluster,
     empirical_ids,
     graph_spectrum,
-    laplacian_of_cluster,
     moment_samples,
     path_emin_reference,
     quadratic_form,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .spectral import _mean_se
+
 __all__ = [
     "FORMULA_VERSION",
     "TruncationBudgetError",
@@ -390,7 +392,9 @@ def moment_inequality_check(moments, p: float, k: int) -> MomentInequalityReport
     slack_samples(k) (see :class:`erlap.spectral.MomentSamples`).  Trace
     convexity of x -> x^{2k} (Jensen's trace inequality) makes the inequality
     hold for every graph, so satisfied requires a nonnegative slack on every
-    realization and a mean slack above -4 standard errors.
+    realization and a mean slack above -4 standard errors.  The slack's mean and
+    standard error come from the rows by the same rule as ``mean_se``
+    (:func:`erlap.spectral._mean_se`: ddof=1, NaN for a single realization).
     """
     p = float(p)
     if moments.p != p:
@@ -402,12 +406,7 @@ def moment_inequality_check(moments, p: float, k: int) -> MomentInequalityReport
     deg_mean, deg_se = moments.mean_se("degree", two_k)
     adj_mean, adj_se = moments.mean_se("adjacency", two_k)
     slack = moments.slack_samples(k)
-    slack_mean = float(slack.mean())
-    slack_se = (
-        float(slack.std(ddof=1) / math.sqrt(moments.n_reps))
-        if moments.n_reps >= 2
-        else math.nan
-    )
+    slack_mean, slack_se = map(float, _mean_se(slack))
     rhs = (2.0 ** (two_k - 1)) * (deg_mean + adj_mean)
     ok = bool(slack_mean >= -4.0 * slack_se) if math.isfinite(slack_se) else bool(slack_mean >= 0)
     ok = ok and bool(np.all(slack >= 0))

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, harness
-from .clusters import decompose
 from .ensemble import sample_graph, write_edge_list
 from .spectral import EigensolverError, _each_realization, graph_spectrum
 
@@ -52,7 +51,7 @@ def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     overrides = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)
                  if getattr(args, f.name, None) is not None}
     energies = overrides.pop("energies", None)
-    if energies:  # an explicit grid
+    if energies is not None:  # an explicit grid, malformed when empty
         overrides["energies"] = tuple(float(x) for x in energies.split(","))
         overrides["grid_kind"] = "explicit"
     return replace(config, **overrides)
@@ -118,21 +117,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _spectrum_one(spec, r, size_cap):
-    g = sample_graph(spec, r)
-    return g, graph_spectrum(g, decompose(g), size_cap)
+def _spectrum_one(d, r, size_cap):
+    return graph_spectrum(d.graph, d, size_cap)
 
 
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
     # _each_realization names (master_seed, realization) in an eigensolver error
-    [(g, spectrum)] = _each_realization(
+    [spectrum] = _each_realization(
         (config.spec(), [args.rep], _spectrum_one, config.size_cap)
     )
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = harness.write_table(
-        outdir / "spectrum.csv",
+        Path(config.outdir) / "spectrum.csv",
         "spectrum-csv",
         config,
         [("eigenvalue", spectrum.eigenvalues)],
@@ -141,7 +137,7 @@ def _cmd_spectrum(args) -> int:
     print(
         harness.summary_line(
             "spectrum",
-            {"status": "ok", "n": g.n, "clusters": spectrum.kernel_dim, "file": path},
+            {"status": "ok", "n": spectrum.n, "clusters": spectrum.kernel_dim, "file": path},
         )
     )
     return 0
@@ -207,10 +203,8 @@ def _cmd_lifshitz(args) -> int:
 def _cmd_bounds(args) -> int:
     config = _build_config(args)
     curve = analytics.bound_curve(config.edge_prob, config.energy_grid())
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = harness.write_table(
-        outdir / "bound_curve.csv",
+        Path(config.outdir) / "bound_curve.csv",
         "bound-curve-csv",
         config,
         [
@@ -233,10 +227,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_tau(args) -> int:
     config = _build_config(args)
     table = analytics.tau_table(config.edge_prob, config.tau_n_max)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = harness.write_table(
-        outdir / "tau.csv",
+        Path(config.outdir) / "tau.csv",
         "tau-csv",
         config,
         [

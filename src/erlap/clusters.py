@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "CensusAccumulator",
     "CensusReport",
     "decompose",
-    "census",
 ]
 
 
@@ -114,11 +112,6 @@ class ClusterDecomposition:
         vertices.setflags(write=False)
         edges.setflags(write=False)
         return Cluster(vertices, edges)
-
-    def cluster_of_vertex(self, v: int) -> Cluster:
-        if not 0 <= v < self.graph.n:
-            raise ValueError(f"vertex {v} out of range for n={self.graph.n}")
-        return self.cluster(int(self.labels[v]))
 
     def __repr__(self) -> str:
         return f"ClusterDecomposition(n={self.graph.n}, clusters={self.n_clusters})"
@@ -302,15 +295,6 @@ class CensusReport:
         np.maximum(var, 0.0, out=var)
         return np.sqrt(var / r) / self.n_vertices
 
-    def vertex_size_prob_hat(self) -> np.ndarray:
-        """Empirical distribution of the size of a fixed vertex's cluster.
-
-        Enumeration invariance relates the two counting conventions:
-        P{size = n} equals n times the per-size cluster density tau_hat(n).
-        """
-        sizes = np.arange(self.clusters_by_size.shape[0], dtype=np.float64)
-        return sizes * self.tau_hat()
-
     def tree_fraction(self) -> float:
         """Fraction of all vertex slots lying on tree clusters."""
         return self.vertices_on_trees / (self.n_reps * self.n_vertices)
@@ -327,16 +311,3 @@ class CensusReport:
         q = count / r
         return q, (math.sqrt(q * (1.0 - q) / r) if r >= 2 else math.nan)
 
-
-def census(
-    decompositions: Iterable[ClusterDecomposition], edge_prob: float
-) -> CensusReport:
-    """Aggregate a stream of decompositions sharing one (N, p) ensemble."""
-    acc = None
-    for d in decompositions:
-        if acc is None:
-            acc = CensusAccumulator(d.graph.n, edge_prob)
-        acc.add(d)
-    if acc is None:
-        raise ValueError("census needs at least one decomposition")
-    return acc.report()

@@ -19,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from . import analytics, ensemble, spectral
-from .clusters import CensusAccumulator, CensusReport, decompose
+from .clusters import CensusAccumulator, CensusReport, ClusterDecomposition, decompose
 from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from .spectral import (
     DEFAULT_SIZE_CAP,
@@ -27,7 +27,7 @@ from .spectral import (
     MomentSamples,
     _each_realization,
     _run_chunked,
-    cluster_min_gaps,  # unused here; perfbench wraps it, graph_spectrum, quadratic_form
+    cluster_min_gaps,  # unused here; perfbench wraps it, graph_spectrum, quadratic_form, sample_graph
     empirical_ids,
     eigenvalues_cluster,
     fiedler_floor,
@@ -203,19 +203,22 @@ def write_table(
     columns: list[tuple[str, object]],
     extra_header: dict | None = None,
 ) -> Path:
-    """Write a CSV table with the standard comment header block."""
+    """Write a CSV table with the standard comment header block, creating its directory."""
     rows = len(columns[0][1])
     lines = _header_lines(name, config, extra_header)
     lines.append(",".join(col for col, _ in columns) + "\n")
     for i in range(rows):
         lines.append(",".join(_fmt(values[i]) for _, values in columns) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(lines), newline="\n")
     return path
 
 
 def write_summary(path: Path, name: str, config: ExperimentConfig, values: dict) -> Path:
-    """Write a versioned key=value summary record: a table's header lines, unprefixed."""
+    """Write a versioned key=value summary record, a table's header lines unprefixed,
+    creating its directory."""
     lines = [line[2:] for line in _header_lines(f"{name}-summary", config, values)]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(lines), newline="\n")
     return path
 
@@ -252,6 +255,18 @@ class BoundsReport:
     near_critical: bool
 
 
+def _gap_status(ids: IdsEstimate, noise_floor: float) -> list[str]:
+    """For each grid point, "used" when its gap estimate is positive, has a finite
+    standard error and exceeds ``noise_floor`` of them; otherwise the first of
+    those rules that it fails."""
+    delta, se = ids.delta_sigma, ids.delta_sigma_se
+    return np.select(  # np.select takes the first condition that holds
+        [~(delta > 0.0), ~np.isfinite(se), delta <= noise_floor * se],
+        ["nonpositive gap estimate", "no standard error (single realization)", "below noise floor"],
+        "used",
+    ).tolist()
+
+
 def build_bounds_report(
     ids: IdsEstimate, noise_floor: float
 ) -> BoundsReport:
@@ -266,9 +281,7 @@ def build_bounds_report(
         raise ValueError("bound curves require subcritical p in (0, 1)")
     e = ids.energies
     delta = ids.delta_sigma
-    se = ids.delta_sigma_se
-    finite_se = np.where(np.isfinite(se), se, np.inf)
-    usable = (delta > 0.0) & (delta > noise_floor * finite_se)
+    usable = np.array(_gap_status(ids, noise_floor)) == "used"
     rescaled = np.full(e.shape, np.nan)
     if usable.any():
         rescaled[usable] = -np.log(delta[usable]) * np.sqrt(e[usable])
@@ -278,7 +291,7 @@ def build_bounds_report(
         n_reps=ids.n_reps,
         energies=e,
         delta_sigma=delta,
-        delta_sigma_se=se,
+        delta_sigma_se=ids.delta_sigma_se,
         lower_staircase=analytics.lower_bound_L(e, p, "staircase"),
         lower_smooth=analytics.lower_bound_L(e, p, "smooth"),
         upper=analytics.upper_bound_U(e, p),
@@ -303,7 +316,6 @@ class IdsRunResult:
 def run_ids(config: ExperimentConfig) -> IdsRunResult:
     """Monte Carlo IDS estimate plus bound verification, persisted as CSV."""
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = config.energy_grid()
     ids = empirical_ids(
         config.spec(), config.n_reps, grid, workers=config.workers, size_cap=config.size_cap
@@ -394,7 +406,6 @@ class CensusRunResult:
 def run_census(config: ExperimentConfig) -> CensusRunResult:
     """Cluster census over the configured ensemble with analytic comparison."""
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     acc, *parts = _run_chunked(_census_chunk, config.spec(), config.n_reps, (), config.workers)
     for part in parts:
         acc.merge(part)
@@ -539,18 +550,10 @@ def fit_lifshitz_exponent(
     delta = ids.delta_sigma
     se = ids.delta_sigma_se
     e = ids.energies
+    status = _gap_status(ids, config.noise_floor)
+    excluded = [(float(x), s) for x, s in zip(e, status) if s != "used"]
     used_x, used_y, used_w, used_e = [], [], [], []
-    excluded = []
-    for i in range(e.shape[0]):
-        if not delta[i] > 0.0:
-            excluded.append((float(e[i]), "nonpositive gap estimate"))
-            continue
-        if not math.isfinite(se[i]):
-            excluded.append((float(e[i]), "no standard error (single realization)"))
-            continue
-        if delta[i] <= config.noise_floor * se[i]:
-            excluded.append((float(e[i]), "below noise floor"))
-            continue
+    for i in (i for i, s in enumerate(status) if s == "used"):
         y = math.log(abs(math.log(delta[i])))
         var_y = (se[i] / (delta[i] * math.log(delta[i]))) ** 2
         used_x.append(math.log(e[i]))
@@ -586,21 +589,18 @@ class LifshitzRunResult:
     summary_path: Path
 
 
-def run_lifshitz(config: ExperimentConfig, ids: IdsEstimate | None = None) -> LifshitzRunResult:
-    """Exponent regression over a fresh or supplied IDS estimate, persisted."""
+def run_lifshitz(config: ExperimentConfig) -> LifshitzRunResult:
+    """Exponent regression over a fresh IDS estimate, persisted."""
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if ids is None:
-        ids = empirical_ids(
-            config.spec(),
-            config.n_reps,
-            config.energy_grid(),
-            workers=config.workers,
-            size_cap=config.size_cap,
-        )
+    ids = empirical_ids(
+        config.spec(),
+        config.n_reps,
+        config.energy_grid(),
+        workers=config.workers,
+        size_cap=config.size_cap,
+    )
     fit = fit_lifshitz_exponent(ids, config)
-    reasons = dict(fit.excluded)
-    status = [reasons.get(float(e), "used") for e in ids.energies]
+    status = _gap_status(ids, config.noise_floor)
     fit_csv = write_table(
         outdir / "lifshitz.csv",
         "lifshitz-csv",
@@ -651,7 +651,6 @@ def run_moments(config: ExperimentConfig) -> MomentsRunResult:
     """Even spectral moments versus the Poisson degree moments and the
     moment inequality, persisted as a table."""
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     samples = moment_samples(
         config.spec(),
         config.n_reps,
@@ -714,19 +713,17 @@ class VerifyResult:
     clusters_checked: int
 
 
-def _verify_one(spec: GraphSpec, r: int, size_cap: int):
+def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
     """Property scan of realization ``r`` over every solved cluster: Fiedler's floor
     on the smallest nonzero eigenvalue, and the exact integer traces Tr L = sum d
     and Tr L^2 = sum d(d + 1) against the eigenvalue sums.  The floor less the
     eigensolver's error is at least 1/n^2 for every n <= 11,888, so this also checks
     the 1/n^2 floor there.  The kernel is checked by the solve itself.  Returns
     (violations, clusters, clusters checked)."""
-    g = sample_graph(spec, r)
-    d = decompose(g)
     violations = []
     groups = spectral._grouped_eigenvalues(d, size_cap)  # the one solve of this realization
     ids, sizes, gaps = spectral._min_gaps(d, groups)
-    deg = degree_sequence(g)
+    deg = degree_sequence(d.graph)
     d_max = d.max_degree[ids]
     tr1 = 2.0 * d.edge_counts[ids]  # handshake lemma: sum d = 2 |E|
     tr2 = np.bincount(d.labels, weights=deg * (deg + 1), minlength=d.n_clusters)[ids]

@@ -45,7 +45,6 @@ __all__ = [
     "GraphSpectrum",
     "IdsEstimate",
     "MomentSamples",
-    "laplacian_of_cluster",
     "quadratic_form",
     "eigenvalues_cluster",
     "fiedler_floor",
@@ -173,14 +172,6 @@ def _checked_eigvalsh(stack: np.ndarray, ids: np.ndarray, cluster_of) -> np.ndar
         )
     vals[:, 0] = 0.0
     return vals
-
-
-def laplacian_of_cluster(c: Cluster) -> np.ndarray:
-    """Dense integer Laplacian D - A of a cluster in local coordinates."""
-    lap = np.zeros((1, 1), dtype=np.int64)
-    for _, _, stack in _laplacian_stacks(_connected(c.size, c.edges), c.size):
-        lap = stack[0].astype(np.int64)
-    return lap
 
 
 def quadratic_form(c: Cluster, phi) -> float:
@@ -421,8 +412,7 @@ def _validate_grid(grid) -> np.ndarray:
     return e
 
 
-def _ids_one(spec: GraphSpec, r: int, grid: np.ndarray, size_cap: int, min_size: int):
-    d = decompose(sample_graph(spec, r))
+def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, size_cap: int, min_size: int):
     counted = d.sizes >= min_size
     tree = counted & d.is_tree
     counts = _counting_function(d, _grouped_eigenvalues(d, size_cap, solve=counted & ~d.is_tree), grid)
@@ -433,12 +423,14 @@ def _ids_one(spec: GraphSpec, r: int, grid: np.ndarray, size_cap: int, min_size:
 
 
 def _each_realization(args):
-    """Chunk worker applying ``one(spec, r, *extra)`` to each index ``r``."""
+    """Chunk worker, the one place a realization is drawn: for each index ``r`` it
+    decomposes realization ``r`` of ``spec`` and applies ``one(d, r, *extra)`` to the
+    decomposition ``d``, re-raising an :class:`EigensolverError` with ``(master_seed, r)``."""
     spec, rs, one, *extra = args
     out = []
     for r in rs:
         try:
-            out.append(one(spec, r, *extra))
+            out.append(one(decompose(sample_graph(spec, r)), r, *extra))
         except EigensolverError as exc:
             raise EigensolverError(str(exc), exc.cluster, spec.master_seed, r) from exc
     return out
@@ -451,6 +443,8 @@ def _run_chunked(worker, spec, n_reps: int, extra: tuple, workers: int):
     The per-realization function is pure, so a process pool changes only the
     wall time, never the collected values.
     """
+    if n_reps < 1:
+        raise ValueError("need at least one realization")
     step = n_reps if workers <= 1 else max(1, math.ceil(n_reps / (workers * 4)))
     args = [(spec, range(i, min(i + step, n_reps)), *extra) for i in range(0, n_reps, step)]
     if workers <= 1:
@@ -459,6 +453,16 @@ def _run_chunked(worker, spec, n_reps: int, extra: tuple, workers: int):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(worker, args))  # map keeps the order of args
     return [value for chunk in nested for value in chunk]
+
+
+def _mean_se(rows: np.ndarray, scale=1):
+    """Mean over realizations (axis 0) of ``rows / scale`` and its standard error,
+    from the ddof=1 standard deviation; the error is NaN for a single realization."""
+    r = rows.shape[0]
+    mean = rows.mean(axis=0) / scale
+    if r < 2:
+        return mean, np.full(np.shape(mean), np.nan)
+    return mean, rows.std(axis=0, ddof=1) / (scale * math.sqrt(r))
 
 
 def empirical_ids(
@@ -474,25 +478,14 @@ def empirical_ids(
     for a single one.
     """
     e = _validate_grid(grid)
-    if n_reps < 1:
-        raise ValueError("need at least one realization")
     extra = (_ids_one, e, size_cap, _min_solved_size(float(e[-1]), size_cap))
     results = _run_chunked(_each_realization, spec, n_reps, extra, workers)
     counts = np.stack([c for c, _ in results])
     ks = np.asarray([k for _, k in results], dtype=np.int64)
     n = spec.n_vertices
-    sigma = counts.mean(axis=0) / n
-    sigma0 = float(ks.mean()) / n
-    deltas = (counts - ks[:, None]) / n
-    delta = deltas.mean(axis=0)
-    if n_reps >= 2:
-        sigma_se = counts.std(axis=0, ddof=1) / (n * math.sqrt(n_reps))
-        sigma0_se = float(ks.std(ddof=1)) / (n * math.sqrt(n_reps))
-        delta_se = deltas.std(axis=0, ddof=1) / math.sqrt(n_reps)
-    else:
-        sigma_se = np.full(e.shape, np.nan)
-        sigma0_se = math.nan
-        delta_se = np.full(e.shape, np.nan)
+    sigma, sigma_se = _mean_se(counts, scale=n)
+    sigma0, sigma0_se = _mean_se(ks, scale=n)
+    delta, delta_se = _mean_se((counts - ks[:, None]) / n)
     return IdsEstimate(
         n=n,
         p=spec.edge_prob,
@@ -500,8 +493,8 @@ def empirical_ids(
         energies=e,
         sigma=sigma,
         sigma_se=sigma_se,
-        sigma0=sigma0,
-        sigma0_se=sigma0_se,
+        sigma0=float(sigma0),
+        sigma0_se=float(sigma0_se),
         delta_sigma=delta,
         delta_sigma_se=delta_se,
     )
@@ -533,11 +526,11 @@ class MomentSamples:
             raise ValueError(f"power {two_k} was not collected (have {self.two_ks})") from None
 
     def mean_se(self, kind: str, two_k: int) -> tuple[float, float]:
+        """Mean over realizations of the ``kind`` moment at power ``two_k`` and its
+        standard error (:func:`_mean_se`: ddof=1, NaN for a single realization)."""
         arr = {"laplacian": self.lap, "degree": self.deg, "adjacency": self.adj}[kind]
-        col = arr[:, self._col(two_k)]
-        mean = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(self.n_reps)) if self.n_reps >= 2 else math.nan
-        return mean, se
+        mean, se = _mean_se(arr[:, self._col(two_k)])
+        return float(mean), float(se)
 
     def slack_samples(self, k: int) -> np.ndarray:
         """Per-realization slack 2^{2k-1}(deg + adj) - lap for the 2k moment."""
@@ -565,9 +558,8 @@ def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
             traces[k] += int(np.vdot(panel, panel))
 
 
-def _moment_one(spec: GraphSpec, r: int, two_ks: tuple[int, ...], size_cap: int):
-    g = sample_graph(spec, r)
-    d = decompose(g)
+def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_cap: int):
+    g = d.graph
     lap = [0] * len(two_ks)
     adj = [0] * len(two_ks)
     for s, _, stack in _laplacian_stacks(d, size_cap):
@@ -591,8 +583,6 @@ def moment_samples(
     """Collect per-realization moments M^Delta, M^D, M^A at powers 2..2*k_max."""
     if not 1 <= k_max <= MAX_MOMENT_POWER // 2:
         raise ValueError(f"k_max must lie in [1, {MAX_MOMENT_POWER // 2}]")
-    if n_reps < 1:
-        raise ValueError("need at least one realization")
     two_ks = tuple(2 * k for k in range(1, k_max + 1))
     rows = _run_chunked(
         _each_realization, spec, n_reps, (_moment_one, two_ks, size_cap), workers

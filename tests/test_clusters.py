@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlap.analytics import tau_n
-from erlap.clusters import CensusAccumulator, census, decompose
+from erlap.clusters import CensusAccumulator, decompose
 from erlap.ensemble import Graph, GraphSpec, sample_graph
 
 from oracles import bfs_components, classify, union_find_labels
@@ -17,6 +17,15 @@ from oracles import bfs_components, classify, union_find_labels
 
 def _graph(n, edges):
     return Graph(n, sorted(map(tuple, edges)))
+
+
+def _census(decompositions, edge_prob):
+    """Report of one accumulator fed the decompositions of one (N, p) ensemble in turn."""
+    decompositions = list(decompositions)
+    acc = CensusAccumulator(decompositions[0].graph.n, edge_prob)
+    for d in decompositions:
+        acc.add(d)
+    return acc.report()
 
 
 def test_empty_graph_singletons():
@@ -181,18 +190,8 @@ def test_linear_chain_degree_profile():
     assert checked > 50
 
 
-def test_cluster_of_vertex():
-    d = decompose(_graph(4, [(0, 1)]))
-    assert d.cluster_of_vertex(0).vertices.tolist() == [0, 1]
-    assert d.cluster_of_vertex(3).vertices.tolist() == [3]
-    with pytest.raises(ValueError):
-        d.cluster_of_vertex(4)
-    with pytest.raises(ValueError):
-        d.cluster_of_vertex(-1)
-
-
 def test_census_hand_case():
-    report = census([decompose(_graph(3, [(0, 1)]))], edge_prob=0.5)
+    report = _census([decompose(_graph(3, [(0, 1)]))], edge_prob=0.5)
     assert report.clusters_by_size.tolist() == [0, 1, 1]
     assert report.total_clusters == 2
     assert report.trees_by_size.tolist() == [0, 1, 1]
@@ -206,14 +205,14 @@ def test_census_hand_case():
 
 def test_linear_chain_frequency_above_largest_cluster():
     spec = GraphSpec(200, 0.5, 4)
-    report = census((decompose(sample_graph(spec, r)) for r in range(20)), edge_prob=0.5)
+    report = _census((decompose(sample_graph(spec, r)) for r in range(20)), edge_prob=0.5)
     for size in (report.max_size + 1, 10**6):
         assert report.linear_chain_frequency(size) == (0.0, 0.0)
 
 
 def test_census_report_rejects_inconsistent_vertex0_counts():
     spec = GraphSpec(100, 0.7, 2)
-    report = census((decompose(sample_graph(spec, r)) for r in range(5)), edge_prob=0.7)
+    report = _census((decompose(sample_graph(spec, r)) for r in range(5)), edge_prob=0.7)
     extra = report.vertex0_by_size.copy()
     extra[1] += 1
     with pytest.raises(ValueError):
@@ -226,13 +225,15 @@ def test_census_counting_identity_exact():
     # R * N * tau_hat(n) * n is an exact integer identity with vertex totals
     spec = GraphSpec(500, 0.9, 10)
     decomps = [decompose(sample_graph(spec, r)) for r in range(20)]
-    report = census(decomps, edge_prob=0.9)
+    report = _census(decomps, edge_prob=0.9)
     per_size_vertices = np.zeros(report.max_size + 1, dtype=np.int64)
     for d in decomps:
         for k in range(d.n_clusters):
             per_size_vertices[int(d.sizes[k])] += int(d.sizes[k])
     sizes = np.arange(report.max_size + 1)
     assert np.array_equal(sizes * report.clusters_by_size, per_size_vertices)
+    # so sum_n n * tau_hat(n) = 1 exactly: the sizes partition all R * N vertex slots
+    assert int((sizes * report.clusters_by_size).sum()) == 20 * 500
 
 
 def test_census_merge_is_order_independent():
@@ -321,15 +322,9 @@ def test_cluster_density_matches_tau_sum():
 def test_tau_hat_matches_analytic_small_sizes():
     n, p, reps = 10_000, 0.5, 100
     spec = GraphSpec(n, p, 556)
-    report = census((decompose(sample_graph(spec, r)) for r in range(reps)), edge_prob=p)
+    report = _census((decompose(sample_graph(spec, r)) for r in range(reps)), edge_prob=p)
     tau_hat = report.tau_hat()
     se = report.tau_hat_se()
     for size, target in ((1, math.exp(-0.5)), (2, math.exp(-1.0) / 4.0)):
         assert abs(tau_hat[size] - target) < 3 * se[size], (size, tau_hat[size], target)
 
-
-def test_vertex_size_prob_identity():
-    spec = GraphSpec(300, 0.5, 9)
-    report = census((decompose(sample_graph(spec, r)) for r in range(30)), edge_prob=0.5)
-    probs = report.vertex_size_prob_hat()
-    assert abs(probs.sum() - 1.0) < 1e-12  # sizes partition all vertex slots

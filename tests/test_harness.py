@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from erlap import spectral
 from erlap.cli import cli_dispatch
-from erlap.clusters import CensusAccumulator, census, decompose
+from erlap.clusters import CensusAccumulator, decompose
 from erlap.ensemble import GraphSpec, read_edge_list, sample_graph
 from erlap.harness import (
     BUILD_TAG,
     ExperimentConfig,
     _census_chunk,
+    _gap_status,
+    build_bounds_report,
     fit_lifshitz_exponent,
     run_census,
     run_ids,
@@ -285,9 +287,10 @@ def test_census_function_counts_vertex0_like_run_census(tmp_path):
         n_vertices=120, edge_prob=0.8, n_reps=150, master_seed=31, outdir=str(tmp_path)
     )
     want = run_census(config).report
-    got = census(
-        (decompose(sample_graph(config.spec(), r)) for r in range(config.n_reps)), edge_prob=0.8
-    )
+    acc = CensusAccumulator(config.n_vertices, config.edge_prob)
+    for r in range(config.n_reps):
+        acc.add(decompose(sample_graph(config.spec(), r)))
+    got = acc.report()
     assert np.array_equal(got.vertex0_by_size, want.vertex0_by_size)
     assert np.array_equal(got.vertex0_linear_by_size, want.vertex0_linear_by_size)
     assert got.linear_chain_frequency(3) == want.linear_chain_frequency(3)
@@ -351,6 +354,40 @@ def test_lifshitz_requires_enough_points():
     with pytest.raises(ValueError) as err:
         fit_lifshitz_exponent(est, config)
     assert "usable" in str(err.value)
+
+
+def test_gap_status_hand_cases():
+    # one rule for the bounds report and the exponent fit: positive gap, finite
+    # standard error, gap above noise_floor standard errors; the first failure names a point
+    nan = math.nan
+    cases = [
+        (0.0, 0.125, "nonpositive gap estimate"),
+        (-0.1, 0.125, "nonpositive gap estimate"),
+        (nan, 0.125, "nonpositive gap estimate"),
+        (-0.1, nan, "nonpositive gap estimate"),  # fails two rules: the first wins
+        (0.75, nan, "no standard error (single realization)"),
+        (0.75, math.inf, "no standard error (single realization)"),
+        (0.625, 0.125, "below noise floor"),  # exactly 5 standard errors is not above
+        (0.3, 0.125, "below noise floor"),
+        (0.75, 0.125, "used"),
+        (0.7, 0.125, "used"),
+        (0.8, 0.125, "used"),
+        (0.9, 0.125, "used"),
+    ]
+    delta, se, want = (np.array(col) for col in zip(*cases))
+    ids = dataclasses.replace(
+        empirical_ids(GraphSpec(100, 0.5, 1), 2, np.geomspace(0.1, 1.0, len(cases))),
+        delta_sigma=delta,
+        delta_sigma_se=se,
+    )
+    config = ExperimentConfig(noise_floor=5.0)
+    assert _gap_status(ids, 5.0) == want.tolist()
+    assert build_bounds_report(ids, 5.0).usable.tolist() == (want == "used").tolist()
+    fit = fit_lifshitz_exponent(ids, config)
+    assert fit.used_energies == tuple(ids.energies[want == "used"].tolist())
+    assert fit.excluded == tuple(
+        (float(e), w) for e, w in zip(ids.energies, want) if w != "used"
+    )
 
 
 def test_run_lifshitz_persists(tmp_path):
@@ -497,7 +534,7 @@ def test_cli_ids_and_census(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_explicit_energies(tmp_path, capsys):
-    for energies in ("nan,1", "inf", "1,0.5"):
+    for energies in ("nan,1", "inf", "1,0.5", ""):  # "" is an empty grid, not a default one
         status = cli_dispatch(
             ["bounds", "--p", "0.5", "--energies", energies, "--outdir", str(tmp_path)]
         )

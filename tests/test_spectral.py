@@ -1,6 +1,7 @@
 """Laplacian assembly, eigensolves, kernel bookkeeping, IDS, and moments."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from erlap.spectral import (
     fiedler_floor,
     forest_counting_function,
     graph_spectrum,
-    laplacian_of_cluster,
     moment_samples,
     path_emin_reference,
     quadratic_form,
@@ -53,24 +53,32 @@ def _path_graph(n):
     return _graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def _stacked_laplacians(d, solve=None):
+    """{cluster id: dense Laplacian} as the one builder lays them out."""
+    stacks = spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP, solve=solve)
+    return {int(k): lap for _, ids, stack in stacks for k, lap in zip(ids, stack)}
+
+
 def test_laplacian_hand_matrices():
-    edge = _single_cluster(_graph(2, [(0, 1)]))
-    assert laplacian_of_cluster(edge).tolist() == [[1, -1], [-1, 1]]
-
-    path3 = _single_cluster(_path_graph(3))
-    assert laplacian_of_cluster(path3).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
-
-    tri = _single_cluster(_graph(3, [(0, 1), (0, 2), (1, 2)]))
-    assert laplacian_of_cluster(tri).tolist() == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    # an edge, a 3-vertex path, a triangle and an isolated vertex, clusters 0..3
+    d = decompose(_graph(9, [(0, 1), (2, 3), (3, 4), (5, 6), (5, 7), (6, 7)]))
+    laps = {k: lap.tolist() for k, lap in _stacked_laplacians(d).items()}
+    assert laps == {
+        0: [[1, -1], [-1, 1]],
+        1: [[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
+        2: [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    }
+    # a size-1 cluster is laid out only under an explicit mask
+    assert _stacked_laplacians(d, np.ones(4, dtype=bool))[3].tolist() == [[0]]
 
 
 def test_laplacian_rows_sum_to_zero_exactly():
     spec = GraphSpec(1000, 0.8, 71)
     d = decompose(sample_graph(spec, 0))
-    for k in range(d.n_clusters):
-        c = d.cluster(int(k))
-        lap = laplacian_of_cluster(c)
-        assert lap.dtype == np.int64
+    laps = _stacked_laplacians(d, np.ones(d.n_clusters, dtype=bool))
+    assert sorted(laps) == list(range(d.n_clusters))
+    for lap in laps.values():
+        assert np.array_equal(lap, np.round(lap))  # integer entries
         assert np.all(lap.sum(axis=1) == 0)
         assert np.array_equal(lap, lap.T)
 
@@ -126,7 +134,7 @@ def test_quadratic_form_matches_matrix():
         c = d.cluster(int(k))
         if c.size < 2:
             continue
-        lap = laplacian_of_cluster(c).astype(float)
+        lap = dense_laplacian(c.size, c.edges.tolist())
         for _ in range(100):
             phi = rng.standard_normal(c.size)
             direct = float(phi @ lap @ phi)
@@ -270,9 +278,9 @@ def test_pruned_ids_counts_match_dense_oracle(n, p, seed, grid):
     # p up to 4 covers cyclic and supercritical clusters
     spec = GraphSpec(n, min(p, n - 0.5), seed)
     min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
-    counts, k = spectral._ids_one(spec, 0, grid, DEFAULT_SIZE_CAP, min_size)
     g = sample_graph(spec, 0)
     d = decompose(g)
+    counts, k = spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, min_size)
     assert k == d.n_clusters
     pruned, full = _pruned_and_full_counts(d, grid)
     assert np.array_equal(pruned, full)
@@ -402,7 +410,7 @@ def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
     # the smallest eigenvalue must lie within n*eps*2(n - 1) of 0 before it is
     # pinned; a P3 Laplacian shifted either way by a tiny multiple of I is rejected
     c = _single_cluster(_path_graph(3))
-    lap = laplacian_of_cluster(c).astype(np.float64)
+    lap = dense_laplacian(c.size, c.edges.tolist())
     ids = np.array([0])
     assert spectral._checked_eigvalsh(lap[None].copy(), ids, lambda k: c)[0, 0] == 0.0
     for shift in (1e-9, -1e-12):
@@ -470,8 +478,9 @@ def test_cheeger_floor_on_ensemble():
 
 def test_empirical_ids_validation():
     spec = GraphSpec(50, 0.5, 1)
-    with pytest.raises(ValueError):
-        empirical_ids(spec, 0, [0.1])
+    for run in (lambda: empirical_ids(spec, 0, [0.1]), lambda: moment_samples(spec, 0, 2)):
+        with pytest.raises(ValueError, match="^need at least one realization$"):
+            run()
     with pytest.raises(ValueError):
         empirical_ids(spec, 2, [])
     with pytest.raises(ValueError):
@@ -525,7 +534,7 @@ def test_moment_matches_dense_trace_power():
     for k in np.nonzero((d.sizes >= 2) & (d.sizes <= 8))[0][:6]:
         c = d.cluster(int(k))
         s = eigenvalues_cluster(c)
-        lap = laplacian_of_cluster(c).astype(float)
+        lap = dense_laplacian(c.size, c.edges.tolist())
         for power in range(1, 7):
             via_eigs = float(np.sum(s.eigenvalues**power))
             via_trace = float(np.trace(np.linalg.matrix_power(lap, power)))
@@ -542,6 +551,45 @@ def test_moment_samples_small_scale():
     assert abs(lap2 - (p**2 + 2 * p)) < 4 * lap2_se + 2e-3
     assert abs(adj2 - p) < 4 * adj2_se + 1e-3
     assert abs(deg2 - (p + p**2)) < 4 * deg2_se + 2e-3
+
+
+@given(
+    reps=st.integers(min_value=1, max_value=300),
+    width=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    n=st.integers(min_value=1, max_value=10**5),
+    counts=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_mean_se_matches_the_expressions_it_replaced(reps, width, n, counts, seed):
+    # bit for bit: sigma (2-d, scale N), sigma0 (1-d, scale N) and delta_sigma
+    # (2-d, scale 1) in empirical_ids, MomentSamples.mean_se and the moment
+    # check's slack (1-d, scale 1); NaN errors, shaped like the mean, at R = 1
+    rng = np.random.default_rng(seed)
+    shape = (reps,) if width is None else (reps, width)
+    if counts:
+        rows = rng.integers(0, n + 1, shape)
+    else:
+        rows = rng.standard_normal(shape) * rng.uniform(1e-9, 1e3)
+    for scale in (1, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no degrees-of-freedom warning at R = 1
+            mean, se = spectral._mean_se(rows, scale=scale)
+        if rows.ndim == 2:
+            want = rows.mean(axis=0) / n if scale == n else rows.mean(axis=0)
+        else:
+            want = float(rows.mean()) / n if scale == n else float(rows.mean())
+        assert np.asarray(mean).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+        if reps == 1:
+            assert np.shape(se) == np.shape(mean) and np.all(np.isnan(se))
+            continue
+        if rows.ndim == 2:
+            sd = rows.std(axis=0, ddof=1)
+            want = sd / (n * math.sqrt(reps)) if scale == n else sd / math.sqrt(reps)
+        else:
+            sd = rows.std(ddof=1)
+            want = float(sd) / (n * math.sqrt(reps)) if scale == n else float(sd / math.sqrt(reps))
+        assert np.asarray(se).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
 def test_adjacency_trace_identities_exact():
