@@ -23,9 +23,9 @@ L - E*I (Sylvester's law of inertia), and a forest eliminates leaf to root with 
 fill-in.  A Laplacian eigenvalue is an algebraic integer, so it equals a float E only
 at an integer E, where exact integer pivots count the ties; others take float64 ones.
 
-Moments need no eigensolve: Tr M^{2k} = ||M^k||_F^2 is an exact integer for
-M = L and for M = A, computed from the same stacks by integer-valued float64
-matrix products.
+Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
+Tr L^2 = sum d(d + 1) as Python integers; for k >= 2, the exact integer Tr M^{2k} =
+||M^k||_F^2 (M = L, A) comes from the stacks by integer-valued float64 products.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ MAX_MOMENT_POWER = 12
 # largest row panel of M^k held at once by the trace moments; without panels
 # the full stacked product raised the peak memory of a moments run
 _PANEL_BYTES = 64 * 1024
+_INT64_PIVOT_BOUND = 1 << 31  # int64 forest pivots f/g below it keep every product below 2^63
 
 
 class EigensolverError(RuntimeError):
@@ -91,7 +92,8 @@ def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, *, solve=None):
     dense float64 Laplacian of cluster ``cluster_ids[j]`` with its vertices
     numbered in ascending order.
 
-    Only the clusters yielded are laid out in local coordinates.  A largest
+    Only the clusters yielded are laid out in local coordinates, each entry's flat
+    position computed once for all sizes and each diagonal by one bincount.  A largest
     cluster beyond ``size_cap`` raises :class:`EigensolverError` carrying that
     cluster, whatever ``solve`` leaves out.
     """
@@ -122,20 +124,22 @@ def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, *, solve=None):
     erank = rank[d.edge_labels]
     edges = np.flatnonzero(erank < m)
     edges = edges[_stable_order(erank[edges], m)]
-    slot, (li, lj) = erank[edges], local[d.graph.edges[edges]].T
+    slot, ends = erank[edges], local[d.graph.edges[edges]]
     estart = np.concatenate(([0], np.cumsum(d.edge_counts[order])))
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [m])).tolist()
-    for a, b in zip(runs[:-1], runs[1:]):
-        s = int(counts[a])
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [m]))
+    # an end's place among its size class's vertices, then the flat positions of
+    # L[i, j] and L[j, i] in its class's stack; offsets come from the sizes, as a
+    # class of size-1 clusters has no edges
+    place = ends + ((np.arange(m) - np.repeat(runs[:-1], np.diff(runs))) * counts)[slot][:, None]
+    flat_ij = place * counts[slot][:, None] + ends[:, ::-1]
+    for a, b in zip(runs[:-1].tolist(), runs[1:].tolist()):
+        s, c = int(counts[a]), b - a
         lo, hi = estart[a], estart[b]
-        base = (slot[lo:hi] - a) * (s * s)
-        i, j = li[lo:hi], lj[lo:hi]
-        flat = np.zeros((b - a) * s * s, dtype=np.float64)
-        flat[base + i * s + j] = -1.0
-        flat[base + j * s + i] = -1.0
-        np.add.at(flat, base + i * s + i, 1.0)
-        np.add.at(flat, base + j * s + j, 1.0)
-        yield s, order[a:b], flat.reshape(b - a, s, s)
+        flat = np.zeros(c * s * s, dtype=np.float64)
+        flat[flat_ij[lo:hi]] = -1.0
+        degree = np.bincount(place[lo:hi].ravel(), minlength=c * s)  # 1 at both ends of an edge
+        flat.reshape(c, s * s)[:, :: s + 1] = degree.reshape(c, s)
+        yield s, order[a:b], flat.reshape(c, s, s)
 
 
 def _connected(n: int, edges) -> ClusterDecomposition:
@@ -327,14 +331,21 @@ def forest_counting_function(n: int, edges, energies) -> np.ndarray:
     for leaves, parents in rounds:
         f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
     counts[~whole] = np.count_nonzero((f <= 0) & (f > -np.inf), axis=0)
-    if whole.any():  # pivots f/g in Python integers, g = 0 leaving a vertex out
-        f = deg.astype(object)[:, None] - np.array([int(x) for x in e[whole]], dtype=object)
+    if whole.any():  # exact pivots f/g, g = 0 leaving a vertex out
+        ints = [int(x) for x in e[whole]]
+        wide = int(deg.max(initial=0)) + max(map(abs, ints)) >= _INT64_PIVOT_BOUND
+        f = deg[:, None] - np.array(ints, dtype=object if wide else np.int64)
         g = np.ones_like(f)
         for leaves, parents in rounds:
-            fl, gl, fp, gp = f[leaves], g[leaves], f[parents], g[parents]
-            sent = gl != 0  # f/g - gl/fl; a zero pivot leaves g = 0 at its parent
-            f[parents] = np.where(sent, fp * fl - gp * gl, fp)
-            g[parents] = np.where(sent, gp * fl, gp)
+            fl, gl = f.take(leaves, axis=0), g.take(leaves, axis=0)
+            # f/g - gl/fl, a zero pivot leaving g = 0 at its parent; a leaf with g = 0
+            # sends nothing: an odd fl scales its parent's f and g by one nonzero factor
+            fl |= gl == 0
+            fp, gp = f.take(parents, axis=0), g.take(parents, axis=0)
+            f[parents] = fp = fp * fl - gp * gl
+            g[parents] = gp = gp * fl
+            if not wide and max(np.abs(fp).max(), np.abs(gp).max()) >= _INT64_PIVOT_BOUND:
+                wide, f, g = True, f.astype(object), g.astype(object)
         counts[whole] = np.count_nonzero((g != 0) & ((f == 0) | ((f < 0) != (g < 0))), axis=0)
     return counts
 
@@ -505,9 +516,10 @@ class MomentSamples:
     """Per-realization spectral moments for the Laplacian, degrees, adjacency.
 
     Row r of each array holds N^{-1} Tr[M^{2k}] for realization r and the
-    powers listed in ``two_ks``.  The traces are exact integers, computed as
-    ||M^k||_F^2 and not as eigenvalue power sums, so each row is correctly
-    rounded.  Means and standard errors derive from the rows, so parallel
+    powers listed in ``two_ks``, the correctly rounded quotient of an exact integer
+    trace, never an eigenvalue power sum: from the degrees for M = D and at k = 1,
+    else ||M^k||_F^2 in float64 panels, exact while each size class's trace is below
+    2^53.  Means and standard errors derive from the rows, so parallel
     collection order cannot change them.
     """
 
@@ -540,7 +552,7 @@ class MomentSamples:
 
 def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
     """Add Tr M^{2k} = ||M^k||_F^2, summed over the stacked matrices M, to
-    ``traces[k - 1]`` for k = 1..len(traces).
+    ``traces[k - 2]`` for k = 2..len(traces) + 1 (k = 1 comes from the degrees).
 
     The rows of M^k are built panel by panel as M[:, R, :] @ M @ ... @ M, so
     the extra memory is a panel of ``_PANEL_BYTES`` or one row per matrix.
@@ -553,24 +565,26 @@ def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
     for lo in range(0, s, rows):
         panel = stack[:, lo : lo + rows]
         for k in range(len(traces)):
-            if k:
-                panel = panel @ stack
+            panel = panel @ stack
             traces[k] += int(np.vdot(panel, panel))
 
 
 def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_cap: int):
     g = d.graph
-    lap = [0] * len(two_ks)
-    adj = [0] * len(two_ks)
-    for s, _, stack in _laplacian_stacks(d, size_cap):
+    lap, adj = [0] * (len(two_ks) - 1), [0] * (len(two_ks) - 1)
+    # k = 1 lays out no stack, but the size cap holds at every k_max
+    solve = None if lap else np.zeros(d.sizes.shape, dtype=bool)
+    for s, _, stack in _laplacian_stacks(d, size_cap, solve=solve):
         _add_trace_powers(stack, lap)
         # A = D - L: the off-diagonal part of -L
         np.negative(stack, out=stack)
         stack[:, np.arange(s), np.arange(s)] = 0.0
         _add_trace_powers(stack, adj)
-    deg = degree_sequence(g).astype(np.float64)
-    deg_row = [float(np.sum(deg**two_k)) / g.n for two_k in two_ks]
-    return np.array([t / g.n for t in lap]), np.array(deg_row), np.array([t / g.n for t in adj])
+    hist = np.bincount(degree_sequence(g)).tolist()
+    deg = [sum(count * v**two_k for v, count in enumerate(hist)) for two_k in two_ks]
+    # Tr A^2 = sum d = 2m and Tr L^2 = sum d(d + 1)
+    lap, adj = [deg[0] + 2 * g.n_edges, *lap], [2 * g.n_edges, *adj]
+    return tuple(np.array([t / g.n for t in row]) for row in (lap, deg, adj))
 
 
 def moment_samples(

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -318,6 +319,9 @@ def test_forest_counts_match_exact_oracle(data, energies):
     n, edges = _random_forest(data, 60)
     counts = forest_counting_function(n, edges, energies)
     assert np.array_equal(counts, exact_tree_counts(n, edges, energies))
+    # a zero bound runs the integer energies on Python integers from the start
+    with mock.patch.object(spectral, "_INT64_PIVOT_BOUND", 0):
+        assert np.array_equal(forest_counting_function(n, edges, energies), counts)
 
 
 def test_forest_counts_closed_forms():
@@ -338,6 +342,17 @@ def test_forest_counts_closed_forms():
     forest = [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]
     assert forest_counting_function(8, forest, [1.0, 3.0]).tolist() == [2 + 3 + 1, 3 + 3 + 1]
     assert forest_counting_function(4, [], [0.25, 2.0]).tolist() == [4, 4]
+    # K_{1,m} peels one leaf a round, so at E = 3 the centre's g is (-2)^m: the
+    # int64 pivots must move to Python integers past 2^31 (2^64 wraps to 0); an
+    # energy of 2^40 starts on Python integers
+    for m in (100, 150):
+        star = [(0, i) for i in range(1, m + 1)]
+        grid = [1.0, 3.0, float(m), float(m + 1)]
+        want = [m, m, m, m + 1]
+        assert forest_counting_function(m + 1, star, grid).tolist() == want
+        with mock.patch.object(spectral, "_INT64_PIVOT_BOUND", 0):
+            assert forest_counting_function(m + 1, star, grid).tolist() == want
+        assert forest_counting_function(m + 1, star, [2.0**40]).tolist() == [m + 1]
 
 
 def test_forest_counts_reject_a_cycle():
@@ -600,6 +615,11 @@ def test_adjacency_trace_identities_exact():
     # with ==: Tr A^2 = 2m counts closed 2-walks, Tr L^2 = sum d(d + 1)
     assert samples_one.adj[0, 0] == 2 * g.n_edges / g.n
     assert samples_one.lap[0, 0] == int(np.sum(deg * (deg + 1))) / g.n
+    # k_max = 1 takes them from the degrees, with no trace products
+    with mock.patch.object(spectral, "_add_trace_powers", side_effect=AssertionError):
+        first = moment_samples(GraphSpec(300, 1.0, 23), 1, k_max=1)
+    for kind in ("lap", "deg", "adj"):
+        assert getattr(first, kind).tolist() == getattr(samples_one, kind)[:, :1].tolist()
     # Tr A^4 against a dense matrix power
     dense_adj = np.zeros((g.n, g.n))
     for i, j in g.edges.tolist():
@@ -631,10 +651,22 @@ def test_moment_rows_match_eigenvalue_power_sums(n, p, k_max, seed):
 
 
 def test_moments_giant_cluster_fails_cleanly():
-    with pytest.raises(EigensolverError) as err:
-        moment_samples(GraphSpec(3000, 3.0, 1), 1, 2, size_cap=100)
-    assert err.value.realization == 0
-    assert err.value.cluster.size > 100
+    # k_max = 1 lays out no stack, but the size cap still holds
+    for k_max in (1, 2):
+        with pytest.raises(EigensolverError) as err:
+            moment_samples(GraphSpec(3000, 3.0, 1), 1, k_max, size_cap=100)
+        assert err.value.realization == 0
+        assert err.value.cluster.size > 100
+
+
+def test_degree_moments_correctly_rounded():
+    # the star K_{1,23} at 2k = 12: sum d^12 = 23^12 + 23 exceeds 2^53, where a
+    # float64 sum of the powers is inexact; the row is the correctly rounded quotient
+    m = 23
+    g = _graph(m + 1, [(0, i) for i in range(1, m + 1)])
+    two_ks = tuple(range(2, MAX_MOMENT_POWER + 1, 2))
+    _, deg, _ = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
+    assert deg.tolist() == [float(Fraction(m**t + m, m + 1)) for t in two_ks]
 
 
 def test_graph_spectrum_type_invariants():
