@@ -20,7 +20,6 @@ from .analytics import (
     lower_bound_L,
     m_of_E,
     M_of_E,
-    moment_inequality_check,
     poisson_moment,
     replica_g,
     tau_n,
@@ -57,10 +56,9 @@ from .harness import (
     run_verify,
 )
 from .spectral import (
-    ClusterSpectrum,
     EigensolverError,
-    GraphSpectrum,
     IdsEstimate,
+    MomentInequalityReport,
     MomentSamples,
     cluster_min_gaps,
     eigenvalues_cluster,

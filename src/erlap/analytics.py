@@ -2,7 +2,9 @@
 bounds, cluster-size distribution, finite-N probabilities, Poisson moments,
 and the heuristic replica rate.
 
-Everything here is a pure function of its arguments.  Combinatorial
+Everything here is a pure function of its arguments, and no sampling module is
+imported: the Monte Carlo moment check sits beside its samples, in
+:meth:`erlap.spectral.MomentSamples.inequality`.  Combinatorial
 probabilities are evaluated in log-space with lgamma so that moderate sizes
 do not underflow, and series are truncated adaptively against certified
 tail majorants.
@@ -16,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .spectral import _mean_se
-
 __all__ = [
     "FORMULA_VERSION",
     "TruncationBudgetError",
     "BoundCurve",
     "TauTable",
-    "MomentInequalityReport",
     "decay_f",
     "decay_F",
     "m_of_E",
@@ -40,7 +39,6 @@ __all__ = [
     "poisson_moment",
     "replica_q",
     "replica_g",
-    "moment_inequality_check",
     "bound_curve",
     "tau_table",
 ]
@@ -363,69 +361,6 @@ def replica_g(p: float) -> float:
     q = replica_q(p)
     x = p * (1.0 - q)
     return -math.sqrt(1.0 - x) * math.log(x)
-
-
-@dataclass(frozen=True)
-class MomentInequalityReport:
-    """Empirical check of M^Delta_{2k} <= 2^{2k-1} (M^D_{2k} + M^A_{2k})."""
-
-    k: int
-    n: int
-    p: float
-    n_reps: int
-    lap_mean: float
-    lap_se: float
-    deg_mean: float
-    deg_se: float
-    adj_mean: float
-    adj_se: float
-    rhs_mean: float
-    slack_mean: float
-    slack_se: float
-    satisfied: bool
-
-
-def moment_inequality_check(moments, p: float, k: int) -> MomentInequalityReport:
-    """Check the even-moment inequality on collected samples at power 2k.
-
-    ``moments`` must expose n, p, n_reps, mean_se(kind, two_k) and
-    slack_samples(k) (see :class:`erlap.spectral.MomentSamples`).  Trace
-    convexity of x -> x^{2k} (Jensen's trace inequality) makes the inequality
-    hold for every graph, so satisfied requires a nonnegative slack on every
-    realization and a mean slack above -4 standard errors.  The slack's mean and
-    standard error come from the rows by the same rule as ``mean_se``
-    (:func:`erlap.spectral._mean_se`: ddof=1, NaN for a single realization).
-    """
-    p = float(p)
-    if moments.p != p:
-        raise ValueError(f"moment samples were collected at p={moments.p!r}, not {p!r}")
-    if not 1 <= k <= 4:
-        raise ValueError("k must lie in [1, 4]")
-    two_k = 2 * k
-    lap_mean, lap_se = moments.mean_se("laplacian", two_k)
-    deg_mean, deg_se = moments.mean_se("degree", two_k)
-    adj_mean, adj_se = moments.mean_se("adjacency", two_k)
-    slack = moments.slack_samples(k)
-    slack_mean, slack_se = map(float, _mean_se(slack))
-    rhs = (2.0 ** (two_k - 1)) * (deg_mean + adj_mean)
-    ok = bool(slack_mean >= -4.0 * slack_se) if math.isfinite(slack_se) else bool(slack_mean >= 0)
-    ok = ok and bool(np.all(slack >= 0))
-    return MomentInequalityReport(
-        k=k,
-        n=moments.n,
-        p=p,
-        n_reps=moments.n_reps,
-        lap_mean=lap_mean,
-        lap_se=lap_se,
-        deg_mean=deg_mean,
-        deg_se=deg_se,
-        adj_mean=adj_mean,
-        adj_se=adj_se,
-        rhs_mean=rhs,
-        slack_mean=slack_mean,
-        slack_se=slack_se,
-        satisfied=ok,
-    )
 
 
 @dataclass(frozen=True)

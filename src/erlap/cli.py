@@ -118,26 +118,26 @@ def _cmd_sample(args) -> int:
 
 
 def _spectrum_one(d, r, size_cap):
-    return graph_spectrum(d.graph, d, size_cap)
+    return graph_spectrum(d, size_cap), d.n_clusters
 
 
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
     # _each_realization names (master_seed, realization) in an eigensolver error
-    [spectrum] = _each_realization(
+    [(eigenvalues, clusters)] = _each_realization(
         (config.spec(), [args.rep], _spectrum_one, config.size_cap)
     )
     path = harness.write_table(
         Path(config.outdir) / "spectrum.csv",
         "spectrum-csv",
         config,
-        [("eigenvalue", spectrum.eigenvalues)],
-        {"kernel_dim": spectrum.kernel_dim, "rep": args.rep},
+        [("eigenvalue", eigenvalues)],
+        {"kernel_dim": clusters, "rep": args.rep},
     )
     print(
         harness.summary_line(
             "spectrum",
-            {"status": "ok", "n": spectrum.n, "clusters": spectrum.kernel_dim, "file": path},
+            {"status": "ok", "n": eigenvalues.size, "clusters": clusters, "file": path},
         )
     )
     return 0

@@ -175,8 +175,6 @@ class CensusAccumulator:
         self.n_reps = 0
         for name in _SIZE_COUNTERS:
             setattr(self, name, np.zeros(64, dtype=np.int64))
-        self.total_clusters = 0
-        self.vertices_on_trees = 0
 
     def add(self, d: ClusterDecomposition, n_reps: int = 1) -> None:
         """Count ``n_reps`` realizations from the decomposition of their
@@ -201,8 +199,6 @@ class CensusAccumulator:
         self.linear_by_size[:top] += np.bincount(sizes[linear], minlength=top)
         self.vertex0_by_size[:top] += np.bincount(sizes[k0], minlength=top)
         self.vertex0_linear_by_size[:top] += np.bincount(sizes[k0[linear[k0]]], minlength=top)
-        self.total_clusters += int(d.n_clusters)
-        self.vertices_on_trees += int(sizes[tree].sum())
         self.n_reps += n_reps
 
     def _ensure(self, length: int) -> None:
@@ -218,18 +214,14 @@ class CensusAccumulator:
         self._ensure(n)
         for name in _SIZE_COUNTERS:
             getattr(self, name)[:n] += getattr(other, name)
-        self.total_clusters += other.total_clusters
-        self.vertices_on_trees += other.vertices_on_trees
         self.n_reps += other.n_reps
 
     def report(self) -> "CensusReport":
-        top = int(np.max(np.nonzero(self.clusters_by_size)[0])) + 1 if self.total_clusters else 1
+        top = int(np.flatnonzero(self.clusters_by_size).max(initial=0)) + 1
         return CensusReport(
             n_vertices=self.n_vertices,
             edge_prob=self.edge_prob,
             n_reps=self.n_reps,
-            total_clusters=self.total_clusters,
-            vertices_on_trees=self.vertices_on_trees,
             **{name: getattr(self, name)[:top].copy() for name in _SIZE_COUNTERS},
         )
 
@@ -245,7 +237,8 @@ class CensusReport:
     ``vertex0_by_size`` holds one indicator per realization, the size of the
     cluster covering vertex 0 (so it sums to ``n_reps``);
     ``vertex0_linear_by_size`` counts the realizations where that cluster
-    is a linear chain, which gives :meth:`linear_chain_frequency`.
+    is a linear chain, which gives :meth:`linear_chain_frequency`.  The cluster
+    total and the vertices on trees follow exactly from the size counts.
     """
 
     n_vertices: int
@@ -257,8 +250,6 @@ class CensusReport:
     sq_clusters_by_size: np.ndarray
     vertex0_by_size: np.ndarray
     vertex0_linear_by_size: np.ndarray
-    total_clusters: int
-    vertices_on_trees: int
 
     def __post_init__(self):
         if self.n_reps < 1:
@@ -279,6 +270,10 @@ class CensusReport:
     def max_size(self) -> int:
         return self.clusters_by_size.shape[0] - 1
 
+    @property
+    def total_clusters(self) -> int:
+        return int(self.clusters_by_size.sum())
+
     def tau_hat(self) -> np.ndarray:
         """Empirical mean number density of clusters per size (index = size)."""
         return self.clusters_by_size / (self.n_reps * self.n_vertices)
@@ -297,7 +292,8 @@ class CensusReport:
 
     def tree_fraction(self) -> float:
         """Fraction of all vertex slots lying on tree clusters."""
-        return self.vertices_on_trees / (self.n_reps * self.n_vertices)
+        sizes = np.arange(self.trees_by_size.shape[0], dtype=np.int64)
+        return int((sizes * self.trees_by_size).sum()) / (self.n_reps * self.n_vertices)
 
     def mean_cluster_density(self) -> float:
         """Mean K/N over the accumulated realizations."""

@@ -19,11 +19,13 @@ from typing import IO
 import numpy as np
 
 from . import analytics, ensemble, spectral
-from .clusters import CensusAccumulator, CensusReport, ClusterDecomposition, decompose
+from .clusters import CensusAccumulator, CensusReport, Cluster, ClusterDecomposition, decompose
 from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from .spectral import (
     DEFAULT_SIZE_CAP,
+    MAX_MOMENT_POWER,
     IdsEstimate,
+    MomentInequalityReport,
     MomentSamples,
     _each_realization,
     _run_chunked,
@@ -108,8 +110,8 @@ class ExperimentConfig:
             raise ValueError("size_cap must be at least 2")
         if self.chain_size < 2:
             raise ValueError("chain_size must be at least 2")
-        if not 1 <= self.k_max <= 4:
-            raise ValueError("k_max must lie in [1, 4]")
+        if not 1 <= self.k_max <= MAX_MOMENT_POWER // 2:
+            raise ValueError(f"k_max must lie in [1, {MAX_MOMENT_POWER // 2}]")
         if not (0.0 < self.anchor_e_min < self.anchor_e_max < math.inf):
             raise ValueError("need 0 < anchor_e_min < anchor_e_max < inf")
         if self.anchor_points < 4:
@@ -642,7 +644,7 @@ def run_lifshitz(config: ExperimentConfig) -> LifshitzRunResult:
 @dataclass(frozen=True)
 class MomentsRunResult:
     samples: MomentSamples
-    reports: tuple[analytics.MomentInequalityReport, ...]
+    reports: tuple[MomentInequalityReport, ...]
     moments_csv: Path
     summary_path: Path
 
@@ -658,10 +660,7 @@ def run_moments(config: ExperimentConfig) -> MomentsRunResult:
         workers=config.workers,
         size_cap=config.size_cap,
     )
-    reports = tuple(
-        analytics.moment_inequality_check(samples, config.edge_prob, k)
-        for k in range(1, config.k_max + 1)
-    )
+    reports = tuple(samples.inequality(k) for k in range(1, config.k_max + 1))
     poisson = [analytics.poisson_moment(config.edge_prob, 2 * r.k) for r in reports]
     z_deg = [
         (r.deg_mean - poi) / r.deg_se if math.isfinite(r.deg_se) and r.deg_se > 0 else math.nan
@@ -764,10 +763,10 @@ def run_verify(config: ExperimentConfig) -> VerifyResult:
 
     bad_paths = []
     for n in range(2, 201):
-        c = _path_cluster(n)
-        spectrum = eigenvalues_cluster(c, size_cap=max(config.size_cap, 200))
-        ref = path_emin_reference(n)
-        if abs(spectrum.e_min - ref) >= 1e-9 or spectrum.e_min > 12.0 / n**2:
+        # |e_min - ref| < 1e-9 also puts e_min below 12/n^2 for n <= 200
+        path = Cluster(np.arange(n), np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+        e_min = eigenvalues_cluster(path, size_cap=max(config.size_cap, 200))[1]
+        if abs(e_min - path_emin_reference(n)) >= 1e-9:
             bad_paths.append(n)
     checks.append(("path_oracle", not bad_paths, f"n=2..200 bad={bad_paths}"))
 
@@ -823,8 +822,3 @@ def run_verify(config: ExperimentConfig) -> VerifyResult:
         clusters_total=clusters_total,
         clusters_checked=clusters_checked,
     )
-
-
-def _path_cluster(n: int):
-    edges = np.stack([np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)], axis=1)
-    return spectral._connected(n, edges).cluster(0)

@@ -12,7 +12,8 @@ n*eps*||L||_2 <= n*eps*2(n - 1).  Each connected cluster has a one-dimensional
 kernel: the solve requires its smallest computed eigenvalue to lie within that
 margin of 0 and then replaces it by an exact 0.0, so that zero counts (and
 hence the spectral value at the lower edge) never depend on a floating point
-threshold.
+threshold.  Spectra are returned as plain ascending arrays; the whole-graph one
+is checked to hold exactly one 0.0 per cluster.
 
 IDS counts skip the sizes that Fiedler's theorem settles: a connected n-vertex
 graph has smallest nonzero eigenvalue >= 2(1 - cos(pi/n)), and the margin also
@@ -26,6 +27,7 @@ at an integer E, where exact integer pivots count the ties; others take float64 
 Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
 Tr L^2 = sum d(d + 1) as Python integers; for k >= 2, the exact integer Tr M^{2k} =
 ||M^k||_F^2 (M = L, A) comes from the stacks by integer-valued float64 products.
+The moment inequality is checked beside the rows, by :meth:`MomentSamples.inequality`.
 """
 
 from __future__ import annotations
@@ -36,15 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import Cluster, ClusterDecomposition, decompose
+from .clusters import Cluster, ClusterDecomposition, _component_labels, decompose
 from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 
 __all__ = [
     "EigensolverError",
-    "ClusterSpectrum",
-    "GraphSpectrum",
     "IdsEstimate",
     "MomentSamples",
+    "MomentInequalityReport",
     "quadratic_form",
     "eigenvalues_cluster",
     "fiedler_floor",
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 2000
-MAX_MOMENT_POWER = 12
+MAX_MOMENT_POWER = 8
 # largest row panel of M^k held at once by the trace moments; without panels
 # the full stacked product raised the peak memory of a moments run
 _PANEL_BYTES = 64 * 1024
@@ -142,12 +143,6 @@ def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, *, solve=None):
         yield s, order[a:b], flat.reshape(c, s, s)
 
 
-def _connected(n: int, edges) -> ClusterDecomposition:
-    """Decomposition of a connected graph on ``n`` vertices, such as a cluster in
-    its local coordinates: every vertex carries label 0, so no labelling pass runs."""
-    return ClusterDecomposition(Graph(n, edges, validate=False), np.zeros(n, dtype=np.int64))
-
-
 def _eig_margin(n):
     """n*eps*2(n - 1), the eigensolver's error bound on any eigenvalue of an
     n-vertex Laplacian (module docstring)."""
@@ -189,47 +184,24 @@ def quadratic_form(c: Cluster, phi) -> float:
     return float(np.sum(np.abs(diff) ** 2))
 
 
-@dataclass(frozen=True)
-class ClusterSpectrum:
-    """Sorted Laplacian eigenvalues of one connected cluster.
+def eigenvalues_cluster(c: Cluster, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+    """The ``c.size`` Laplacian eigenvalues of the connected cluster ``c``, ascending,
+    the kernel pinned to 0.0 (module docstring).
 
-    The leading entry is exactly 0.0 (kernel bookkeeping, not thresholding);
-    ``e_min`` is the smallest nonzero eigenvalue, defined for size >= 2.
+    A ``c`` that is not one connected cluster raises ValueError; one beyond
+    ``size_cap``, or a failed solve, raises :class:`EigensolverError` naming ``c``.
     """
-
-    size: int
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        ev = self.eigenvalues
-        if ev.shape != (self.size,):
-            raise ValueError("spectrum length must equal cluster size")
-        if ev[0] != 0.0:
-            raise ValueError("leading eigenvalue must be exactly zero")
-        if self.size >= 2 and not ev[1] > 0.0:
-            raise ValueError("connected cluster must have a one-dimensional kernel")
-        if np.any(np.diff(ev) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-
-    @property
-    def e_min(self) -> float | None:
-        return float(self.eigenvalues[1]) if self.size >= 2 else None
-
-
-def eigenvalues_cluster(c: Cluster, size_cap: int = DEFAULT_SIZE_CAP) -> ClusterSpectrum:
-    """Dense symmetric eigensolve of one connected cluster.
-
-    Raises :class:`EigensolverError` (with the cluster attached) when the
-    cluster exceeds ``size_cap`` or LAPACK fails to converge.
-    """
+    g = Graph(c.size, c.edges, validate=False)
+    # decompose(g) by hand: perfbench counts each decompose() call as a realization's
+    d = ClusterDecomposition(g, _component_labels(g.n, g.edges))
+    if d.n_clusters != 1:
+        raise ValueError(f"cluster has {d.n_clusters} components, not 1")
     try:
-        stacks = list(_laplacian_stacks(_connected(c.size, c.edges), size_cap))
-    except EigensolverError as exc:  # the size cap names the local copy of c
+        for _, ids, stack in _laplacian_stacks(d, size_cap):
+            return _checked_eigvalsh(stack, ids, d.cluster)[0]
+    except EigensolverError as exc:  # name c, not its local copy
         raise EigensolverError(str(exc), cluster=c) from exc
-    vals = np.zeros((1, 1))
-    for _, ids, stack in stacks:
-        vals = _checked_eigvalsh(stack, ids, lambda k: c)
-    return ClusterSpectrum(c.size, vals[0])
+    return np.zeros(1)
 
 
 def fiedler_floor(sizes) -> np.ndarray:
@@ -254,24 +226,6 @@ def _min_solved_size(e_max: float, size_cap: int) -> int:
     n = np.arange(2, min(size_cap, 1 << 14) + 1)
     reach = fiedler_floor(n) - _eig_margin(n) <= e_max
     return int(n[np.argmax(reach)]) if reach.any() else size_cap + 1
-
-
-@dataclass(frozen=True)
-class GraphSpectrum:
-    """All N Laplacian eigenvalues of a graph, pooled over its clusters."""
-
-    eigenvalues: np.ndarray
-    kernel_dim: int
-
-    def __post_init__(self):
-        if int(np.count_nonzero(self.eigenvalues == 0.0)) != self.kernel_dim:
-            raise ValueError("number of exact zeros must equal the cluster count")
-        if np.any(np.diff(self.eigenvalues) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, *, solve=None):
@@ -350,19 +304,16 @@ def forest_counting_function(n: int, edges, energies) -> np.ndarray:
     return counts
 
 
-def graph_spectrum(
-    g: Graph, d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP
-) -> GraphSpectrum:
-    """Multiset union of per-cluster spectra; kernel dimension equals K."""
-    if d.graph is not g:
-        if d.graph.n != g.n or not (d.graph == g):
-            raise ValueError("decomposition does not belong to this graph")
+def graph_spectrum(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+    """All N Laplacian eigenvalues of ``d.graph`` ascending, the multiset union of
+    its clusters' spectra; a count of exact zeros other than ``d.n_clusters`` (the
+    kernel identity) raises ValueError."""
     parts = [np.zeros(int(np.count_nonzero(d.sizes == 1)))]
-    for _, _, vals in _grouped_eigenvalues(d, size_cap):
-        parts.append(vals.ravel())
-    eigs = np.concatenate(parts)
-    eigs.sort()
-    return GraphSpectrum(eigs, d.n_clusters)
+    parts += [vals.ravel() for _, _, vals in _grouped_eigenvalues(d, size_cap)]
+    eigs = np.sort(np.concatenate(parts))
+    if int(np.count_nonzero(eigs == 0.0)) != d.n_clusters:
+        raise ValueError("number of exact zeros must equal the cluster count")
+    return eigs
 
 
 def _min_gaps(d: ClusterDecomposition, groups):
@@ -531,23 +482,58 @@ class MomentSamples:
     deg: np.ndarray
     adj: np.ndarray
 
-    def _col(self, two_k: int) -> int:
-        try:
-            return self.two_ks.index(two_k)
-        except ValueError:
-            raise ValueError(f"power {two_k} was not collected (have {self.two_ks})") from None
+    def inequality(self, k: int) -> MomentInequalityReport:
+        """Check M^Delta_{2k} <= 2^{2k-1} (M^D_{2k} + M^A_{2k}) on the rows.
 
-    def mean_se(self, kind: str, two_k: int) -> tuple[float, float]:
-        """Mean over realizations of the ``kind`` moment at power ``two_k`` and its
-        standard error (:func:`_mean_se`: ddof=1, NaN for a single realization)."""
-        arr = {"laplacian": self.lap, "degree": self.deg, "adjacency": self.adj}[kind]
-        mean, se = _mean_se(arr[:, self._col(two_k)])
-        return float(mean), float(se)
+        Trace convexity of x -> x^{2k} (Jensen's trace inequality) makes it hold for
+        every graph, so it is satisfied iff the slack 2^{2k-1}(deg + adj) - lap is
+        nonnegative on every realization.  Each mean and standard error is
+        :func:`_mean_se` of one column (ddof=1, NaN for a single realization).
+        """
+        if 2 * k not in self.two_ks:
+            raise ValueError(f"power {2 * k} was not collected (have {self.two_ks})")
+        j = self.two_ks.index(2 * k)
+        lap, deg, adj = self.lap[:, j], self.deg[:, j], self.adj[:, j]
+        slack = (2.0 ** (2 * k - 1)) * (deg + adj) - lap
+        (lap_mean, lap_se), (deg_mean, deg_se), (adj_mean, adj_se), (slack_mean, slack_se) = (
+            map(float, _mean_se(col)) for col in (lap, deg, adj, slack)
+        )
+        return MomentInequalityReport(
+            k=k,
+            n=self.n,
+            p=self.p,
+            n_reps=self.n_reps,
+            lap_mean=lap_mean,
+            lap_se=lap_se,
+            deg_mean=deg_mean,
+            deg_se=deg_se,
+            adj_mean=adj_mean,
+            adj_se=adj_se,
+            rhs_mean=(2.0 ** (2 * k - 1)) * (deg_mean + adj_mean),
+            slack_mean=slack_mean,
+            slack_se=slack_se,
+            satisfied=bool(np.all(slack >= 0)),
+        )
 
-    def slack_samples(self, k: int) -> np.ndarray:
-        """Per-realization slack 2^{2k-1}(deg + adj) - lap for the 2k moment."""
-        col = self._col(2 * k)
-        return (2.0 ** (2 * k - 1)) * (self.deg[:, col] + self.adj[:, col]) - self.lap[:, col]
+
+@dataclass(frozen=True)
+class MomentInequalityReport:
+    """The moment inequality at power 2k, as :meth:`MomentSamples.inequality` reduces it."""
+
+    k: int
+    n: int
+    p: float
+    n_reps: int
+    lap_mean: float
+    lap_se: float
+    deg_mean: float
+    deg_se: float
+    adj_mean: float
+    adj_se: float
+    rhs_mean: float
+    slack_mean: float
+    slack_se: float
+    satisfied: bool
 
 
 def _add_trace_powers(stack: np.ndarray, traces: list) -> None:

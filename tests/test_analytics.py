@@ -31,6 +31,7 @@ from erlap.analytics import (
     upper_bound_U,
     zeta_three_halves_minus_one,
 )
+from erlap.spectral import MomentSamples
 
 from oracles import poisson_moment_exact
 
@@ -394,29 +395,22 @@ def test_bound_curve_container():
 
 
 def test_moment_inequality_check_synthetic():
-    class FakeSamples:
-        n = 100
-        p = 0.5
-        n_reps = 4
-        two_ks = (2,)
+    # the check lives beside its samples, MomentSamples.inequality; rows are
+    # (realization, power) arrays at 2k = 2
+    def samples(lap, deg, adj):
+        cols = [np.array(x, dtype=np.float64)[:, None] for x in (lap, deg, adj)]
+        return MomentSamples(100, 0.5, 4, (2,), *cols)
 
-        def mean_se(self, kind, two_k):
-            return {"laplacian": (1.2, 0.01), "degree": (0.75, 0.01), "adjacency": (0.5, 0.01)}[kind]
-
-        def slack_samples(self, k):
-            return np.array([1.3, 1.28, 1.32, 1.30])
-
-    report = analytics.moment_inequality_check(FakeSamples(), 0.5, 1)
+    report = samples([1.2, 1.22, 1.18, 1.2], [0.75] * 4, [0.5, 0.49, 0.51, 0.5]).inequality(1)
     assert report.satisfied
+    assert (report.k, report.n, report.p, report.n_reps) == (1, 100, 0.5, 4)
     assert abs(report.rhs_mean - 2.0 * (0.75 + 0.5)) < 1e-12
     assert abs(report.slack_mean - 1.3) < 1e-12
-    with pytest.raises(ValueError):
-        analytics.moment_inequality_check(FakeSamples(), 0.7, 1)
+    with pytest.raises(ValueError, match="power 4 was not collected"):
+        samples([1.2] * 4, [0.75] * 4, [0.5] * 4).inequality(2)
 
     # the inequality holds for every graph: one negative row fails the check
     # even though the mean slack is far above -4 standard errors
-    class OneNegativeRow(FakeSamples):
-        def slack_samples(self, k):
-            return np.array([1.3, 1.28, -1e-9, 1.30])
-
-    assert not analytics.moment_inequality_check(OneNegativeRow(), 0.5, 1).satisfied
+    report = samples([1.2, 1.22, 2.5 + 1e-9, 1.2], [0.75] * 4, [0.5, 0.49, 0.5, 0.5]).inequality(1)
+    assert report.slack_mean > -4.0 * report.slack_se
+    assert not report.satisfied

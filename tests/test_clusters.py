@@ -234,6 +234,10 @@ def test_census_counting_identity_exact():
     assert np.array_equal(sizes * report.clusters_by_size, per_size_vertices)
     # so sum_n n * tau_hat(n) = 1 exactly: the sizes partition all R * N vertex slots
     assert int((sizes * report.clusters_by_size).sum()) == 20 * 500
+    # the cluster total and the vertices on trees follow exactly from the size counts
+    assert report.total_clusters == sum(d.n_clusters for d in decomps)
+    on_trees = sum(int(d.sizes[d.is_tree].sum()) for d in decomps)
+    assert report.tree_fraction() == on_trees / (20 * 500)
 
 
 def test_census_merge_is_order_independent():
@@ -260,7 +264,7 @@ def test_census_merge_is_order_independent():
     assert np.array_equal(a.vertex0_by_size, b.vertex0_by_size)
     assert np.array_equal(a.vertex0_linear_by_size, b.vertex0_linear_by_size)
     assert a.total_clusters == b.total_clusters
-    assert a.vertices_on_trees == b.vertices_on_trees
+    assert a.tree_fraction() == b.tree_fraction()
 
 
 @given(data=st.data())
@@ -285,8 +289,7 @@ def test_census_block_add_equals_single_adds(data):
     for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size",
                  "vertex0_by_size", "vertex0_linear_by_size"):
         assert np.array_equal(getattr(block, name), getattr(single, name)), name
-    for name in ("n_reps", "total_clusters", "vertices_on_trees"):
-        assert getattr(block, name) == getattr(single, name), name
+    assert block.n_reps == single.n_reps
 
 
 def test_census_rejects_mixed_ensembles():

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from erlap import spectral
 from erlap.analytics import lower_bound_L, upper_bound_U
-from erlap.clusters import decompose
+from erlap.clusters import Cluster, decompose
 from erlap.ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from erlap.spectral import (
     DEFAULT_SIZE_CAP,
     MAX_MOMENT_POWER,
     EigensolverError,
-    GraphSpectrum,
     cluster_min_gaps,
     eigenvalues_cluster,
     empirical_ids,
@@ -148,13 +147,13 @@ def test_quadratic_form_matches_matrix():
 
 def test_eigenvalues_hand_spectra():
     edge = _single_cluster(_graph(2, [(0, 1)]))
-    assert np.allclose(eigenvalues_cluster(edge).eigenvalues, [0.0, 2.0], atol=1e-12)
+    assert np.allclose(eigenvalues_cluster(edge), [0.0, 2.0], atol=1e-12)
 
     path3 = _single_cluster(_path_graph(3))
-    assert np.allclose(eigenvalues_cluster(path3).eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
+    assert np.allclose(eigenvalues_cluster(path3), [0.0, 1.0, 3.0], atol=1e-12)
 
     tri = _single_cluster(_graph(3, [(0, 1), (0, 2), (1, 2)]))
-    assert np.allclose(eigenvalues_cluster(tri).eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
+    assert np.allclose(eigenvalues_cluster(tri), [0.0, 3.0, 3.0], atol=1e-12)
 
 
 def test_spectrum_invariants():
@@ -163,21 +162,30 @@ def test_spectrum_invariants():
     for k in range(min(d.n_clusters, 200)):
         c = d.cluster(int(k))
         s = eigenvalues_cluster(c)
-        assert s.eigenvalues[0] == 0.0
+        assert s.shape == (c.size,) and s[0] == 0.0
+        assert np.all(np.diff(s) >= 0.0)
         if c.size >= 2:
-            assert s.e_min > 0.0
-        else:
-            assert s.e_min is None
-        assert np.all(s.eigenvalues >= -1e-9)
+            assert s[1] > 0.0
+
+
+def test_eigenvalues_cluster_rejects_a_disconnected_cluster():
+    # P3 u P2 rounds its second zero to 3.9e-17 > 0 and P2 u P2 to <= 0; the
+    # labels reject both before any solve
+    for edges in ([[0, 1], [1, 2], [3, 4]], [[0, 1], [2, 3]]):
+        c = Cluster(np.arange(np.max(edges) + 1), np.array(edges))
+        with pytest.raises(ValueError, match="2 components"):
+            eigenvalues_cluster(c)
+    with pytest.raises(ValueError, match="0 components"):
+        eigenvalues_cluster(Cluster(np.arange(0), np.empty((0, 2), dtype=np.int64)))
 
 
 def test_path_oracle_closed_form():
     for n in range(2, 201):
         c = _single_cluster(_path_graph(n))
-        s = eigenvalues_cluster(c)
+        e_min = eigenvalues_cluster(c)[1]
         ref = path_emin_reference(n)
-        assert abs(s.e_min - ref) < 1e-9
-        assert s.e_min <= 12.0 / n**2
+        assert abs(e_min - ref) < 1e-9
+        assert e_min <= 12.0 / n**2
     with pytest.raises(ValueError):
         path_emin_reference(1)
 
@@ -185,7 +193,7 @@ def test_path_oracle_closed_form():
 def test_path_full_spectrum_closed_form():
     for n in (2, 3, 7, 24):
         c = _single_cluster(_path_graph(n))
-        got = eigenvalues_cluster(c).eigenvalues
+        got = eigenvalues_cluster(c)
         want = np.sort(path_spectrum_closed_form(n))
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -417,7 +425,7 @@ def test_size_cap_raises_diagnostic():
 
     g = _path_graph(12)
     with pytest.raises(EigensolverError) as err:
-        graph_spectrum(g, decompose(g), size_cap=8)
+        graph_spectrum(decompose(g), size_cap=8)
     assert err.value.cluster.size == 12
 
 
@@ -443,32 +451,40 @@ def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
 
 def test_graph_spectrum_union_and_kernel():
     g = _graph(3, [(0, 1)])
-    s = graph_spectrum(g, decompose(g))
-    assert np.allclose(s.eigenvalues, [0.0, 0.0, 2.0], atol=1e-12)
-    assert s.kernel_dim == 2
+    s = graph_spectrum(decompose(g))
+    assert np.allclose(s, [0.0, 0.0, 2.0], atol=1e-12)
+    assert int(np.count_nonzero(s == 0.0)) == 2
 
     empty = _graph(5, [])
-    s = graph_spectrum(empty, decompose(empty))
-    assert np.array_equal(s.eigenvalues, np.zeros(5))
-    assert s.kernel_dim == 5
+    assert np.array_equal(graph_spectrum(decompose(empty)), np.zeros(5))
+
+
+def test_graph_spectrum_rejects_a_second_zero(monkeypatch):
+    # a solved cluster whose nonzero eigenvalue came out as an exact 0.0
+    # breaks the kernel identity: zeros != clusters
+    real = spectral._checked_eigvalsh
+
+    def second_zero(stack, ids, cluster_of):
+        vals = real(stack, ids, cluster_of)
+        vals[:, 1] = 0.0
+        return vals
+
+    d = decompose(_graph(4, [(0, 1), (1, 2)]))
+    assert np.count_nonzero(graph_spectrum(d) == 0.0) == 2
+    monkeypatch.setattr(spectral, "_checked_eigvalsh", second_zero)
+    with pytest.raises(ValueError, match="cluster count"):
+        graph_spectrum(d)
 
 
 def test_graph_spectrum_matches_dense_solve():
     spec = GraphSpec(400, 1.2, 2)
     g = sample_graph(spec, 0)
     d = decompose(g)
-    s = graph_spectrum(g, d)
+    s = graph_spectrum(d)
     dense = np.sort(np.linalg.eigvalsh(dense_laplacian(g.n, g.edges.tolist())))
-    assert s.eigenvalues.shape == (g.n,)
-    assert np.max(np.abs(s.eigenvalues - dense)) < 1e-10
-    assert int(np.count_nonzero(s.eigenvalues == 0.0)) == d.n_clusters
-
-
-def test_graph_spectrum_rejects_foreign_decomposition():
-    g1 = _graph(4, [(0, 1)])
-    g2 = _graph(4, [(2, 3)])
-    with pytest.raises(ValueError):
-        graph_spectrum(g1, decompose(g2))
+    assert s.shape == (g.n,)
+    assert np.max(np.abs(s - dense)) < 1e-10
+    assert int(np.count_nonzero(s == 0.0)) == d.n_clusters
 
 
 def test_kernel_identity_on_ensemble():
@@ -476,8 +492,8 @@ def test_kernel_identity_on_ensemble():
     for r in range(5):
         g = sample_graph(spec, r)
         d = decompose(g)
-        s = graph_spectrum(g, d)
-        assert int(np.count_nonzero(s.eigenvalues == 0.0)) == d.n_clusters
+        s = graph_spectrum(d)
+        assert int(np.count_nonzero(s == 0.0)) == d.n_clusters
 
 
 def test_cheeger_floor_on_ensemble():
@@ -551,7 +567,7 @@ def test_moment_matches_dense_trace_power():
         s = eigenvalues_cluster(c)
         lap = dense_laplacian(c.size, c.edges.tolist())
         for power in range(1, 7):
-            via_eigs = float(np.sum(s.eigenvalues**power))
+            via_eigs = float(np.sum(s**power))
             via_trace = float(np.trace(np.linalg.matrix_power(lap, power)))
             assert abs(via_eigs - via_trace) <= 1e-8 * max(1.0, abs(via_trace))
 
@@ -559,9 +575,10 @@ def test_moment_matches_dense_trace_power():
 def test_moment_samples_small_scale():
     n, p, reps = 2000, 0.5, 30
     samples = moment_samples(GraphSpec(n, p, 88), reps, k_max=2)
-    lap2, lap2_se = samples.mean_se("laplacian", 2)
-    deg2, deg2_se = samples.mean_se("degree", 2)
-    adj2, adj2_se = samples.mean_se("adjacency", 2)
+    r = samples.inequality(1)
+    lap2, lap2_se = r.lap_mean, r.lap_se
+    deg2, deg2_se = r.deg_mean, r.deg_se
+    adj2, adj2_se = r.adj_mean, r.adj_se
     # Tr L^2 = sum d_i^2 + sum d_i and Tr A^2 = sum d_i exactly per graph
     assert abs(lap2 - (p**2 + 2 * p)) < 4 * lap2_se + 2e-3
     assert abs(adj2 - p) < 4 * adj2_se + 1e-3
@@ -578,8 +595,8 @@ def test_moment_samples_small_scale():
 @settings(max_examples=200, deadline=None)
 def test_mean_se_matches_the_expressions_it_replaced(reps, width, n, counts, seed):
     # bit for bit: sigma (2-d, scale N), sigma0 (1-d, scale N) and delta_sigma
-    # (2-d, scale 1) in empirical_ids, MomentSamples.mean_se and the moment
-    # check's slack (1-d, scale 1); NaN errors, shaped like the mean, at R = 1
+    # (2-d, scale 1) in empirical_ids, and each column and the slack in
+    # MomentSamples.inequality (1-d, scale 1); NaN errors, shaped like the mean, at R = 1
     rng = np.random.default_rng(seed)
     shape = (reps,) if width is None else (reps, width)
     if counts:
@@ -662,15 +679,32 @@ def test_moments_giant_cluster_fails_cleanly():
 def test_degree_moments_correctly_rounded():
     # the star K_{1,23} at 2k = 12: sum d^12 = 23^12 + 23 exceeds 2^53, where a
     # float64 sum of the powers is inexact; the row is the correctly rounded quotient
+    # (2k = 12 lies beyond MAX_MOMENT_POWER, so it is reached through _moment_one)
     m = 23
     g = _graph(m + 1, [(0, i) for i in range(1, m + 1)])
-    two_ks = tuple(range(2, MAX_MOMENT_POWER + 1, 2))
+    two_ks = (2, 4, 6, 8, 10, 12)
     _, deg, _ = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
     assert deg.tolist() == [float(Fraction(m**t + m, m + 1)) for t in two_ks]
 
 
-def test_graph_spectrum_type_invariants():
-    with pytest.raises(ValueError):
-        GraphSpectrum(np.array([0.0, 1.0]), kernel_dim=2)
-    with pytest.raises(ValueError):
-        GraphSpectrum(np.array([1.0, 0.0]), kernel_dim=1)
+
+@given(
+    reps=st.integers(min_value=1, max_value=40),
+    k_max=st.integers(min_value=1, max_value=MAX_MOMENT_POWER // 2),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_moment_inequality_fields_are_column_reductions(reps, k_max, seed):
+    rng = np.random.default_rng(seed)
+    two_ks = tuple(range(2, 2 * k_max + 1, 2))
+    lap, deg, adj = (rng.uniform(0.0, 50.0, (reps, k_max)) for _ in range(3))
+    samples = spectral.MomentSamples(100, 0.5, reps, two_ks, lap, deg, adj)
+    for j, two_k in enumerate(two_ks):
+        r = samples.inequality(two_k // 2)
+        slack = (2.0 ** (two_k - 1)) * (deg[:, j] + adj[:, j]) - lap[:, j]
+        for name, col in (("lap", lap[:, j]), ("deg", deg[:, j]), ("adj", adj[:, j]), ("slack", slack)):
+            want = tuple(float(x) for x in spectral._mean_se(col))
+            got = (getattr(r, f"{name}_mean"), getattr(r, f"{name}_se"))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), name
+        assert r.rhs_mean == (2.0 ** (two_k - 1)) * (r.deg_mean + r.adj_mean)
+        assert r.satisfied == bool(np.all(slack >= 0))
