@@ -9,10 +9,7 @@ regime.
 """
 
 from .analytics import (
-    BoundCurve,
-    TauTable,
     TruncationBudgetError,
-    bound_curve,
     decay_F,
     decay_f,
     linear_prob_finite,
@@ -24,7 +21,6 @@ from .analytics import (
     replica_g,
     tau_n,
     tau_normalization,
-    tau_table,
     tau_tail_bound,
     tree_prob_finite,
     upper_bound_U,
@@ -46,9 +42,7 @@ from .ensemble import (
 )
 from .harness import (
     BUILD_TAG,
-    BoundsReport,
     ExperimentConfig,
-    LifshitzFit,
     run_census,
     run_ids,
     run_lifshitz,

@@ -13,7 +13,6 @@ tail majorants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -21,8 +20,6 @@ from scipy.special import gammaln
 __all__ = [
     "FORMULA_VERSION",
     "TruncationBudgetError",
-    "BoundCurve",
-    "TauTable",
     "decay_f",
     "decay_F",
     "m_of_E",
@@ -39,8 +36,6 @@ __all__ = [
     "poisson_moment",
     "replica_q",
     "replica_g",
-    "bound_curve",
-    "tau_table",
 ]
 
 FORMULA_VERSION = "1"
@@ -361,70 +356,3 @@ def replica_g(p: float) -> float:
     q = replica_q(p)
     x = p * (1.0 - q)
     return -math.sqrt(1.0 - x) * math.log(x)
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """Spectral-edge bound curves on an energy grid for one subcritical p."""
-
-    p: float
-    energies: np.ndarray
-    lower: np.ndarray
-    lower_smooth: np.ndarray
-    upper: np.ndarray
-    f: float
-    F: float
-
-    def __post_init__(self):
-        if abs(self.F - self.f - 1.0) > 1e-12:
-            raise ValueError("decay parameters must satisfy F = f + 1")
-        if np.any(self.lower <= 0.0) or np.any(self.upper <= 0.0):
-            raise ValueError("bound values must be positive")
-
-
-def bound_curve(p: float, energies) -> BoundCurve:
-    """Evaluate both lower forms and the upper bound on a grid."""
-    e = np.asarray(energies, dtype=np.float64)
-    return BoundCurve(
-        p=float(p),
-        energies=e,
-        lower=lower_bound_L(e, p, "staircase"),
-        lower_smooth=lower_bound_L(e, p, "smooth"),
-        upper=upper_bound_U(e, p),
-        f=decay_f(p),
-        F=decay_F(p),
-    )
-
-
-@dataclass(frozen=True)
-class TauTable:
-    """Cluster-size densities tau_n, their tail bounds, and partial sums."""
-
-    p: float
-    n_max: int
-    tau: np.ndarray
-    tail_bound: np.ndarray
-    partial_sums: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.tau <= 0.0):
-            raise ValueError("tau values must be positive")
-        if np.any(self.tau > self.tail_bound):
-            raise ValueError("tail bound must dominate tau everywhere")
-        if self.partial_sums[-1] > 1.0 + 1e-9:
-            raise ValueError("partial sums of n tau_n cannot exceed 1")
-
-
-def tau_table(p: float, n_max: int) -> TauTable:
-    """Tabulate tau_n, the tail majorant, and cumulative sums of n tau_n."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    tau = tau_n(p, ns)
-    return TauTable(
-        p=float(p),
-        n_max=int(n_max),
-        tau=tau,
-        tail_bound=tau_tail_bound(p, ns),
-        partial_sums=np.cumsum(ns * tau),
-    )

@@ -174,8 +174,8 @@ def _cmd_ids(args) -> int:
         "sigma0": result.ids.sigma0,
         "file": result.ids_csv,
     }
-    if result.bounds is not None:
-        values["usable_points"] = int(result.bounds.usable.sum())
+    if result.usable is not None:
+        values["usable_points"] = int(result.usable.sum())
     print(harness.summary_line("ids", values))
     return 0
 
@@ -188,11 +188,11 @@ def _cmd_lifshitz(args) -> int:
             "lifshitz",
             {
                 "status": "ok",
-                "slope": result.fit.slope,
-                "slope_se": result.fit.slope_se,
-                "points_used": result.fit.n_used,
-                "anchor_upper_slope": result.fit.anchor_upper_slope,
-                "anchor_smooth_slope": result.fit.anchor_smooth_slope,
+                "slope": result.fit["slope"],
+                "slope_se": result.fit["slope_se"],
+                "points_used": result.fit["points_used"],
+                "anchor_upper_slope": result.fit["anchor_upper_slope"],
+                "anchor_smooth_slope": result.fit["anchor_smooth_slope"],
                 "file": result.fit_csv,
             },
         )
@@ -202,23 +202,22 @@ def _cmd_lifshitz(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = _build_config(args)
-    curve = analytics.bound_curve(config.edge_prob, config.energy_grid())
+    p, energies = config.edge_prob, config.energy_grid()
     path = harness.write_table(
         Path(config.outdir) / "bound_curve.csv",
         "bound-curve-csv",
         config,
-        [
-            ("E", curve.energies),
-            ("lower_staircase", curve.lower),
-            ("lower_smooth", curve.lower_smooth),
-            ("upper", curve.upper),
-        ],
-        {"formula_version": analytics.FORMULA_VERSION, "decay_f": curve.f, "decay_F": curve.F},
+        [("E", energies)] + harness.envelope_columns(energies, p),
+        {
+            "formula_version": analytics.FORMULA_VERSION,
+            "decay_f": analytics.decay_f(p),
+            "decay_F": analytics.decay_F(p),
+        },
     )
     print(
         harness.summary_line(
             "bounds",
-            {"status": "ok", "p": config.edge_prob, "points": curve.energies.shape[0], "file": path},
+            {"status": "ok", "p": p, "points": energies.shape[0], "file": path},
         )
     )
     return 0
@@ -226,16 +225,19 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_tau(args) -> int:
     config = _build_config(args)
-    table = analytics.tau_table(config.edge_prob, config.tau_n_max)
+    p = config.edge_prob
+    ns = np.arange(1, config.tau_n_max + 1, dtype=np.int64)
+    tau = analytics.tau_n(p, ns)
+    partial_sums = np.cumsum(ns * tau)
     path = harness.write_table(
         Path(config.outdir) / "tau.csv",
         "tau-csv",
         config,
         [
-            ("n", np.arange(1, table.n_max + 1)),
-            ("tau", table.tau),
-            ("tail_bound", table.tail_bound),
-            ("partial_sum_n_tau", table.partial_sums),
+            ("n", ns),
+            ("tau", tau),
+            ("tail_bound", analytics.tau_tail_bound(p, ns)),
+            ("partial_sum_n_tau", partial_sums),
         ],
         {"formula_version": analytics.FORMULA_VERSION},
     )
@@ -244,9 +246,9 @@ def _cmd_tau(args) -> int:
             "tau",
             {
                 "status": "ok",
-                "p": config.edge_prob,
-                "nmax": table.n_max,
-                "partial_sum": float(table.partial_sums[-1]),
+                "p": p,
+                "nmax": config.tau_n_max,
+                "partial_sum": float(partial_sums[-1]),
                 "file": path,
             },
         )

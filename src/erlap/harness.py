@@ -42,8 +42,6 @@ from .spectral import (
 __all__ = [
     "BUILD_TAG",
     "ExperimentConfig",
-    "BoundsReport",
-    "LifshitzFit",
     "IdsRunResult",
     "CensusRunResult",
     "MomentsRunResult",
@@ -116,8 +114,8 @@ class ExperimentConfig:
             raise ValueError("need 0 < anchor_e_min < anchor_e_max < inf")
         if self.anchor_points < 4:
             raise ValueError("anchor fit needs at least 4 points")
-        if self.noise_floor <= 0.0:
-            raise ValueError("noise_floor must be positive")
+        if not 0.0 < self.noise_floor < math.inf:
+            raise ValueError("noise_floor must be positive and finite")
         if self.tau_n_max < 1:
             raise ValueError("tau_n_max must be at least 1")
 
@@ -235,32 +233,21 @@ def summary_line(name: str, values: dict) -> str:
 # ids + bounds
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Per-energy comparison of the empirical spectral-edge gap against the
-    analytic lower/upper envelopes and the rescaled-statistic window."""
-
-    p: float
-    n: int
-    n_reps: int
-    energies: np.ndarray
-    delta_sigma: np.ndarray
-    delta_sigma_se: np.ndarray
-    lower_staircase: np.ndarray
-    lower_smooth: np.ndarray
-    upper: np.ndarray
-    rescaled: np.ndarray
-    usable: np.ndarray
-    window_low: float
-    window_high: float
-    replica: float
-    near_critical: bool
+def envelope_columns(energies: np.ndarray, p: float) -> list[tuple[str, np.ndarray]]:
+    """The paper's envelopes of sigma(E) - sigma(0) on an energy grid, as table
+    columns: the staircase and smooth lower bounds and the upper bound."""
+    return [
+        ("lower_staircase", analytics.lower_bound_L(energies, p, "staircase")),
+        ("lower_smooth", analytics.lower_bound_L(energies, p, "smooth")),
+        ("upper", analytics.upper_bound_U(energies, p)),
+    ]
 
 
 def _gap_status(ids: IdsEstimate, noise_floor: float) -> list[str]:
     """For each grid point, "used" when its gap estimate is positive, has a finite
     standard error and exceeds ``noise_floor`` of them; otherwise the first of
-    those rules that it fails."""
+    those rules that it fails.  The log transform amplifies noise without mercy
+    near zero, so a point that fails is excluded rather than zero-imputed."""
     delta, se = ids.delta_sigma, ids.delta_sigma_se
     return np.select(  # np.select takes the first condition that holds
         [~(delta > 0.0), ~np.isfinite(se), delta <= noise_floor * se],
@@ -269,47 +256,10 @@ def _gap_status(ids: IdsEstimate, noise_floor: float) -> list[str]:
     ).tolist()
 
 
-def build_bounds_report(
-    ids: IdsEstimate, noise_floor: float
-) -> BoundsReport:
-    """Assemble the bound comparison for a subcritical IDS estimate.
-
-    Grid points whose gap estimate does not clear ``noise_floor`` standard
-    errors are marked unusable rather than zero-imputed; the log transform
-    amplifies noise without mercy near zero.
-    """
-    p = ids.p
-    if not 0.0 < p < 1.0:
-        raise ValueError("bound curves require subcritical p in (0, 1)")
-    e = ids.energies
-    delta = ids.delta_sigma
-    usable = np.array(_gap_status(ids, noise_floor)) == "used"
-    rescaled = np.full(e.shape, np.nan)
-    if usable.any():
-        rescaled[usable] = -np.log(delta[usable]) * np.sqrt(e[usable])
-    return BoundsReport(
-        p=p,
-        n=ids.n,
-        n_reps=ids.n_reps,
-        energies=e,
-        delta_sigma=delta,
-        delta_sigma_se=ids.delta_sigma_se,
-        lower_staircase=analytics.lower_bound_L(e, p, "staircase"),
-        lower_smooth=analytics.lower_bound_L(e, p, "smooth"),
-        upper=analytics.upper_bound_U(e, p),
-        rescaled=rescaled,
-        usable=usable,
-        window_low=analytics.decay_f(p),
-        window_high=analytics.TWO_SQRT3 * analytics.decay_F(p),
-        replica=analytics.replica_g(p),
-        near_critical=p > 0.95,
-    )
-
-
 @dataclass(frozen=True)
 class IdsRunResult:
     ids: IdsEstimate
-    bounds: BoundsReport | None
+    usable: np.ndarray | None
     ids_csv: Path
     bounds_csv: Path | None
     summary_path: Path
@@ -322,8 +272,6 @@ def run_ids(config: ExperimentConfig) -> IdsRunResult:
     ids = empirical_ids(
         config.spec(), config.n_reps, grid, workers=config.workers, size_cap=config.size_cap
     )
-    subcritical = 0.0 < config.edge_prob < 1.0
-    bounds = build_bounds_report(ids, config.noise_floor) if subcritical else None
     ids_csv = write_table(
         outdir / "ids.csv",
         "ids-csv",
@@ -331,6 +279,7 @@ def run_ids(config: ExperimentConfig) -> IdsRunResult:
         [("E", ids.energies), ("sigma_hat", ids.sigma), ("stderr", ids.sigma_se)],
         {"sigma0_hat": ids.sigma0, "sigma0_stderr": ids.sigma0_se},
     )
+    usable = None
     bounds_csv = None
     summary = {
         "status": "ok",
@@ -338,40 +287,42 @@ def run_ids(config: ExperimentConfig) -> IdsRunResult:
         "sigma0_stderr": ids.sigma0_se,
         "grid_points": ids.energies.shape[0],
     }
-    if bounds is not None:
-        status = ["ok" if u else "below_noise_floor" for u in bounds.usable]
+    p, e, delta = ids.p, ids.energies, ids.delta_sigma
+    if 0.0 < p < 1.0:
+        usable = np.array(_gap_status(ids, config.noise_floor)) == "used"
+        rescaled = np.full(e.shape, np.nan)
+        rescaled[usable] = -np.log(delta[usable]) * np.sqrt(e[usable])
+        window_low = analytics.decay_f(p)
+        window_high = analytics.TWO_SQRT3 * analytics.decay_F(p)
+        near_critical = p > 0.95
         bounds_csv = write_table(
             outdir / "bounds.csv",
             "bounds-csv",
             config,
-            [
-                ("E", bounds.energies),
-                ("delta_sigma", bounds.delta_sigma),
-                ("stderr", bounds.delta_sigma_se),
-                ("lower_staircase", bounds.lower_staircase),
-                ("lower_smooth", bounds.lower_smooth),
-                ("upper", bounds.upper),
-                ("rescaled_stat", bounds.rescaled),
-                ("window_low", np.full(grid.shape, bounds.window_low)),
-                ("window_high", np.full(grid.shape, bounds.window_high)),
-                ("replica_g", np.full(grid.shape, bounds.replica)),
-                ("status", status),
+            [("E", e), ("delta_sigma", delta), ("stderr", ids.delta_sigma_se)]
+            + envelope_columns(e, p)
+            + [
+                ("rescaled_stat", rescaled),
+                ("window_low", np.full(e.shape, window_low)),
+                ("window_high", np.full(e.shape, window_high)),
+                ("replica_g", np.full(e.shape, analytics.replica_g(p))),
+                ("status", ["ok" if u else "below_noise_floor" for u in usable]),
             ],
             {
                 "replica_note": "replica value is heuristic, not a proven bound",
                 "noise_floor": config.noise_floor,
-                "near_critical": bounds.near_critical,
+                "near_critical": near_critical,
             },
         )
-        summary["usable_points"] = int(bounds.usable.sum())
-        summary["window_low"] = bounds.window_low
-        summary["window_high"] = bounds.window_high
-        if bounds.near_critical:
+        summary["usable_points"] = int(usable.sum())
+        summary["window_low"] = window_low
+        summary["window_high"] = window_high
+        if near_critical:
             summary["warning"] = "near-critical: slow convergence expected"
     else:
         summary["warning"] = "bounds omitted: p outside (0, 1)"
     summary_path = write_summary(outdir / "ids_summary.txt", "ids", config, summary)
-    return IdsRunResult(ids, bounds, ids_csv, bounds_csv, summary_path)
+    return IdsRunResult(ids, usable, ids_csv, bounds_csv, summary_path)
 
 
 # ---------------------------------------------------------------------------
@@ -505,87 +456,58 @@ def weighted_line_fit(x, y, weights=None) -> tuple[float, float, float]:
     return slope, intercept, slope_se
 
 
-@dataclass(frozen=True)
-class LifshitzFit:
-    """Weighted regression of ln|ln(sigma(E) - sigma(0))| against ln E.
-
-    The limiting slope is -1/2; at accessible energies the empirical fit is
-    reported against a wide soft gate while the analytic envelopes act as
-    sanity anchors with the exact limiting slope.
-    """
-
-    slope: float
-    slope_se: float
-    intercept: float
-    n_used: int
-    used_energies: tuple[float, ...]
-    excluded: tuple[tuple[float, str], ...]
-    anchor_upper_slope: float
-    anchor_upper_se: float
-    anchor_smooth_slope: float
-    anchor_smooth_se: float
-
-    def __post_init__(self):
-        if self.n_used < 4:
-            raise ValueError("fit must use at least 4 points")
-
-
-def _anchor_fit(p: float, e_lo: float, e_hi: float, points: int, curve: str):
-    e = np.geomspace(e_lo, e_hi, points)
-    vals = (
-        analytics.upper_bound_U(e, p)
-        if curve == "upper"
-        else analytics.lower_bound_L(e, p, "smooth")
-    )
-    y = np.log(np.abs(np.log(vals)))
-    slope, _, se = weighted_line_fit(np.log(e), y)
+def _anchor_fit(energies: np.ndarray, envelope: np.ndarray) -> tuple[float, float]:
+    """Slope and its standard error of ln|ln envelope| against ln E."""
+    slope, _, se = weighted_line_fit(np.log(energies), np.log(np.abs(np.log(envelope))))
     return slope, se
 
 
-def fit_lifshitz_exponent(
-    ids: IdsEstimate, config: ExperimentConfig
-) -> LifshitzFit:
-    """Build the exponent fit from an IDS estimate (grid points need positive
-    gap estimates clearing the configured noise floor)."""
+def fit_lifshitz_exponent(ids: IdsEstimate, status: list[str], config: ExperimentConfig) -> dict:
+    """Weighted regression of ln|ln(sigma(E) - sigma(0))| against ln E over the
+    grid points whose ``status`` (:func:`_gap_status`) is "used".
+
+    The limiting slope is -1/2; at accessible energies the empirical fit is
+    reported against a wide soft gate while the analytic envelopes act as
+    sanity anchors with the exact limiting slope.  Returns the lifshitz
+    summary's values in summary order.
+    """
     if not 0.0 < ids.p < 1.0:
         raise ValueError("exponent fit requires subcritical p in (0, 1)")
     delta = ids.delta_sigma
     se = ids.delta_sigma_se
     e = ids.energies
-    status = _gap_status(ids, config.noise_floor)
     excluded = [(float(x), s) for x, s in zip(e, status) if s != "used"]
-    used_x, used_y, used_w, used_e = [], [], [], []
+    used_x, used_y, used_w = [], [], []
     for i in (i for i, s in enumerate(status) if s == "used"):
         y = math.log(abs(math.log(delta[i])))
         var_y = (se[i] / (delta[i] * math.log(delta[i]))) ** 2
         used_x.append(math.log(e[i]))
         used_y.append(y)
         used_w.append(1.0 / var_y if var_y > 0 else 1.0)
-        used_e.append(float(e[i]))
     if len(used_x) < 4:
         raise ValueError(
             f"only {len(used_x)} usable grid points (need >= 4); excluded: {excluded}"
         )
-    slope, intercept, slope_se = weighted_line_fit(used_x, used_y, used_w)
-    up = _anchor_fit(ids.p, config.anchor_e_min, config.anchor_e_max, config.anchor_points, "upper")
-    lo = _anchor_fit(ids.p, config.anchor_e_min, config.anchor_e_max, config.anchor_points, "smooth")
-    return LifshitzFit(
-        slope=slope,
-        slope_se=slope_se,
-        intercept=intercept,
-        n_used=len(used_x),
-        used_energies=tuple(used_e),
-        excluded=tuple(excluded),
-        anchor_upper_slope=up[0],
-        anchor_upper_se=up[1],
-        anchor_smooth_slope=lo[0],
-        anchor_smooth_se=lo[1],
-    )
+    slope, _, slope_se = weighted_line_fit(used_x, used_y, used_w)
+    anchors = np.geomspace(config.anchor_e_min, config.anchor_e_max, config.anchor_points)
+    envelopes = dict(envelope_columns(anchors, ids.p))
+    upper_slope, upper_se = _anchor_fit(anchors, envelopes["upper"])
+    smooth_slope, smooth_se = _anchor_fit(anchors, envelopes["lower_smooth"])
+    return {
+        "slope": slope,
+        "slope_se": slope_se,
+        "points_used": len(used_x),
+        "points_excluded": len(excluded),
+        "anchor_upper_slope": upper_slope,
+        "anchor_upper_se": upper_se,
+        "anchor_smooth_slope": smooth_slope,
+        "anchor_smooth_se": smooth_se,
+    }
 
 
 @dataclass(frozen=True)
 class LifshitzRunResult:
-    fit: LifshitzFit
+    fit: dict
     ids: IdsEstimate
     fit_csv: Path
     summary_path: Path
@@ -601,8 +523,8 @@ def run_lifshitz(config: ExperimentConfig) -> LifshitzRunResult:
         workers=config.workers,
         size_cap=config.size_cap,
     )
-    fit = fit_lifshitz_exponent(ids, config)
     status = _gap_status(ids, config.noise_floor)
+    fit = fit_lifshitz_exponent(ids, status, config)
     fit_csv = write_table(
         outdir / "lifshitz.csv",
         "lifshitz-csv",
@@ -621,17 +543,10 @@ def run_lifshitz(config: ExperimentConfig) -> LifshitzRunResult:
         config,
         {
             "status": "ok",
-            "slope": fit.slope,
-            "slope_se": fit.slope_se,
-            "points_used": fit.n_used,
-            "points_excluded": len(fit.excluded),
-            "anchor_upper_slope": fit.anchor_upper_slope,
-            "anchor_upper_se": fit.anchor_upper_se,
-            "anchor_smooth_slope": fit.anchor_smooth_slope,
-            "anchor_smooth_se": fit.anchor_smooth_se,
+            **fit,
             "soft_gate_low": -0.75,
             "soft_gate_high": -0.25,
-            "soft_gate_hit": -0.75 <= fit.slope <= -0.25,
+            "soft_gate_hit": -0.75 <= fit["slope"] <= -0.25,
         },
     )
     return LifshitzRunResult(fit, ids, fit_csv, summary_path)
@@ -789,9 +704,7 @@ def run_verify(config: ExperimentConfig) -> VerifyResult:
     energies = np.geomspace(1e-4, 1.0, 40)
     for p in np.arange(0.05, 0.96, 0.05):
         p = round(float(p), 2)
-        lo = analytics.lower_bound_L(energies, p, "staircase")
-        lo_s = analytics.lower_bound_L(energies, p, "smooth")
-        up = analytics.upper_bound_U(energies, p)
+        lo, lo_s, up = (values for _, values in envelope_columns(energies, p))
         mask = (lo < 1.0) & (up < 1.0)
         if np.any(lo[mask] > up[mask]) or np.any(lo_s[mask] > lo[mask]):
             sandwich_bad.append(p)

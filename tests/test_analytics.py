@@ -13,7 +13,6 @@ from erlap import analytics
 from erlap.analytics import (
     M_of_E,
     TruncationBudgetError,
-    bound_curve,
     decay_F,
     decay_f,
     linear_prob_finite,
@@ -25,7 +24,6 @@ from erlap.analytics import (
     replica_q,
     tau_n,
     tau_normalization,
-    tau_table,
     tau_tail_bound,
     tree_prob_finite,
     upper_bound_U,
@@ -264,13 +262,15 @@ def test_tau_normalization():
 
 def test_tau_table_partial_sums_increase():
     # strictly increasing while the terms stay above double precision ...
-    short = tau_table(0.5, 60)
-    assert np.all(np.diff(short.partial_sums) > 0)
+    # (the partial_sum_n_tau column of erlap tau)
+    ns = np.arange(1, 201, dtype=np.int64)
+    tau = tau_n(0.5, ns)
+    partial_sums = np.cumsum(ns * tau)
+    assert np.all(np.diff(partial_sums[:60]) > 0)
     # ... nondecreasing (and capped by 1) once the sum saturates
-    table = tau_table(0.5, 200)
-    assert np.all(np.diff(table.partial_sums) >= 0)
-    assert table.partial_sums[-1] < 1.0 + 1e-12
-    assert np.all(table.tau <= table.tail_bound)
+    assert np.all(np.diff(partial_sums) >= 0)
+    assert partial_sums[-1] < 1.0 + 1e-12
+    assert np.all(tau <= tau_tail_bound(0.5, ns))
 
 
 # --- finite-N probabilities --------------------------------------------------
@@ -384,14 +384,16 @@ def test_replica_sits_inside_window():
         assert decay_f(p) <= g <= 2.0 * math.sqrt(3.0) * decay_F(p), p
 
 
-# --- table and curve containers ----------------------------------------------
+# --- bound curves --------------------------------------------------------------
 
 
 def test_bound_curve_container():
-    curve = bound_curve(0.5, np.geomspace(0.01, 1.0, 12))
-    assert np.all(curve.lower <= curve.upper)
-    assert abs(curve.F - curve.f - 1.0) < 1e-14
-    assert curve.energies.shape == curve.lower.shape == curve.upper.shape
+    # the staircase and upper columns of erlap bounds
+    e = np.geomspace(0.01, 1.0, 12)
+    lower, upper = lower_bound_L(e, 0.5, "staircase"), upper_bound_U(e, 0.5)
+    assert np.all(lower <= upper)
+    assert abs(decay_F(0.5) - decay_f(0.5) - 1.0) < 1e-14
+    assert e.shape == lower.shape == upper.shape
 
 
 def test_moment_inequality_check_synthetic():

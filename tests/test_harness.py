@@ -18,7 +18,6 @@ from erlap.harness import (
     ExperimentConfig,
     _census_chunk,
     _gap_status,
-    build_bounds_report,
     fit_lifshitz_exponent,
     run_census,
     run_ids,
@@ -104,6 +103,10 @@ def test_config_validation():
         ExperimentConfig(k_max=5)
     with pytest.raises(ValueError):
         ExperimentConfig(workers=0)
+    # a NaN floor would let every point through the noise-floor rule
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_floor"):
+            ExperimentConfig(noise_floor=bad)
     # explicit energies pass the grid validation of empirical_ids
     for bad in ((math.nan, 1.0), (math.inf,), (1.0, 0.5), None):
         with pytest.raises(ValueError):
@@ -202,15 +205,15 @@ def test_run_ids_bounds_presence():
         sup = run_ids(
             ExperimentConfig(n_vertices=300, edge_prob=1.5, n_reps=3, master_seed=1, outdir=td)
         )
-        assert sup.bounds is None
+        assert sup.usable is None
         assert sup.bounds_csv is None
         assert "bounds omitted" in sup.summary_path.read_text()
     with tempfile.TemporaryDirectory() as td:
         near = run_ids(
             ExperimentConfig(n_vertices=300, edge_prob=0.99, n_reps=3, master_seed=1, outdir=td)
         )
-        assert near.bounds is not None
-        assert near.bounds.near_critical
+        assert near.usable is not None
+        assert "# near_critical=true\n" in near.bounds_csv.read_text()
         assert "near-critical" in near.summary_path.read_text()
 
 
@@ -341,21 +344,21 @@ def test_lifshitz_anchor_slopes_near_half():
     # anchors are analytic; the empirical part just has to clear the
     # 4-point gate, so use a generous high-energy grid
     est = empirical_ids(config.spec(), 30, np.geomspace(0.8, 4.0, 8))
-    fit = fit_lifshitz_exponent(est, config)
-    assert abs(fit.anchor_upper_slope + 0.5) <= 0.03
-    assert abs(fit.anchor_smooth_slope + 0.5) <= 0.03
+    fit = fit_lifshitz_exponent(est, _gap_status(est, config.noise_floor), config)
+    assert abs(fit["anchor_upper_slope"] + 0.5) <= 0.03
+    assert abs(fit["anchor_smooth_slope"] + 0.5) <= 0.03
 
 
 def test_lifshitz_requires_enough_points():
     config = ExperimentConfig(n_vertices=120, edge_prob=0.5, n_reps=6, master_seed=9)
     est = empirical_ids(config.spec(), 6, np.geomspace(1e-6, 2e-6, 5))
     with pytest.raises(ValueError) as err:
-        fit_lifshitz_exponent(est, config)
+        fit_lifshitz_exponent(est, _gap_status(est, config.noise_floor), config)
     assert "usable" in str(err.value)
 
 
 def test_gap_status_hand_cases():
-    # one rule for the bounds report and the exponent fit: positive gap, finite
+    # one rule for bounds.csv and the exponent fit: positive gap, finite
     # standard error, gap above noise_floor standard errors; the first failure names a point
     nan = math.nan
     cases = [
@@ -379,13 +382,11 @@ def test_gap_status_hand_cases():
         delta_sigma_se=se,
     )
     config = ExperimentConfig(noise_floor=5.0)
-    assert _gap_status(ids, 5.0) == want.tolist()
-    assert build_bounds_report(ids, 5.0).usable.tolist() == (want == "used").tolist()
-    fit = fit_lifshitz_exponent(ids, config)
-    assert fit.used_energies == tuple(ids.energies[want == "used"].tolist())
-    assert fit.excluded == tuple(
-        (float(e), w) for e, w in zip(ids.energies, want) if w != "used"
-    )
+    status = _gap_status(ids, 5.0)
+    assert status == want.tolist()
+    fit = fit_lifshitz_exponent(ids, status, config)
+    assert fit["points_used"] == int(np.count_nonzero(want == "used")) == 4
+    assert fit["points_excluded"] == int(np.count_nonzero(want != "used")) == 8
 
 
 def test_run_lifshitz_persists(tmp_path):
@@ -400,7 +401,7 @@ def test_run_lifshitz_persists(tmp_path):
         outdir=str(tmp_path),
     )
     res = run_lifshitz(config)
-    assert res.fit.n_used >= 4
+    assert res.fit["points_used"] >= 4
     text = res.fit_csv.read_text()
     assert text.startswith("# format=erlap-lifshitz-csv-1\n")
     summary = res.summary_path.read_text()
@@ -475,6 +476,45 @@ def test_cli_tau_and_bounds(tmp_path, capsys):
         == 0
     )
     assert (tmp_path / "bound_curve.csv").exists()
+
+
+def _csv_columns(path) -> dict[str, list[str]]:
+    rows = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+    return dict(zip(rows[0], map(list, zip(*rows[1:]))))
+
+
+_ENVELOPES = ("E", "lower_staircase", "lower_smooth", "upper")
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_bounds_csv_envelopes_equal_bound_curve_csv(tmp_path, capsys, p):
+    # both tables take their envelopes from harness.envelope_columns
+    ids = ["ids", "--n", "300", "--reps", "2", "--p", str(p), "--outdir", str(tmp_path / "ids")]
+    assert cli_dispatch(ids) == 0
+    assert cli_dispatch(["bounds", "--p", str(p), "--outdir", str(tmp_path / "bounds")]) == 0
+    from_ids = _csv_columns(tmp_path / "ids" / "bounds.csv")
+    from_bounds = _csv_columns(tmp_path / "bounds" / "bound_curve.csv")
+    assert list(from_bounds) == list(_ENVELOPES)
+    for name in _ENVELOPES:
+        assert from_ids[name] == from_bounds[name], name
+
+
+def test_cli_bounds_and_tau_write_underflowed_values(tmp_path, capsys):
+    # closed forms that underflow to 0.0 are written as 0.0, as erlap ids does
+    grid = ["--p", "0.5", "--emin", "1e-6", "--emax", "1e-3"]
+    assert cli_dispatch(["bounds", *grid, "--outdir", str(tmp_path / "bounds")]) == 0
+    ids = ["ids", "--n", "300", "--reps", "2", *grid, "--outdir", str(tmp_path / "ids")]
+    assert cli_dispatch(ids) == 0
+    curve = _csv_columns(tmp_path / "bounds" / "bound_curve.csv")
+    assert curve["lower_staircase"][0] == curve["lower_smooth"][0] == "0.0"
+    from_ids = _csv_columns(tmp_path / "ids" / "bounds.csv")
+    for name in _ENVELOPES:
+        assert from_ids[name] == curve[name], name
+
+    assert cli_dispatch(["tau", "--p", "0.1", "--nmax", "600", "--outdir", str(tmp_path)]) == 0
+    table = _csv_columns(tmp_path / "tau.csv")
+    assert table["tau"][-1] == table["tail_bound"][-1] == "0.0"
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_sample_round_trip(tmp_path, capsys):
