@@ -357,16 +357,22 @@ class CensusRunResult:
 
 
 def run_census(config: ExperimentConfig) -> CensusRunResult:
-    """Cluster census over the configured ensemble with analytic comparison."""
+    """Cluster census over the configured ensemble with analytic comparison.
+
+    At subcritical p the chain's exact probability is evaluated before any
+    realization is drawn, so a chain size it rejects writes nothing.
+    """
     outdir = Path(config.outdir)
+    n = config.n_vertices
+    p = config.edge_prob
+    chain = config.chain_size
+    subcritical = 0.0 < p < 1.0
+    chain_exact = analytics.linear_prob_finite(n, p, chain) if subcritical else None
     acc, *parts = _run_chunked(_census_chunk, config.spec(), config.n_reps, (), config.workers)
     for part in parts:
         acc.merge(part)
     report = acc.report()
 
-    n = config.n_vertices
-    p = config.edge_prob
-    subcritical = 0.0 < p < 1.0
     top = report.max_size
     sizes = np.arange(1, top + 1, dtype=np.int64)
     tau_hat = report.tau_hat()[1:]
@@ -401,7 +407,6 @@ def run_census(config: ExperimentConfig) -> CensusRunResult:
         ],
         {"se_note": "nan standard errors mean R < 2" if config.n_reps < 2 else "ok"},
     )
-    chain = config.chain_size
     freq, freq_se = report.linear_chain_frequency(chain)
     summary = {
         "status": "ok",
@@ -413,9 +418,8 @@ def run_census(config: ExperimentConfig) -> CensusRunResult:
         "chain_frequency_se": freq_se,
     }
     if subcritical:
-        exact = analytics.linear_prob_finite(n, p, chain)
-        summary["chain_exact"] = exact
-        summary["chain_z"] = (freq - exact) / freq_se if freq_se and math.isfinite(freq_se) and freq_se > 0 else math.nan
+        summary["chain_exact"] = chain_exact
+        summary["chain_z"] = (freq - chain_exact) / freq_se if freq_se and math.isfinite(freq_se) and freq_se > 0 else math.nan
     else:
         summary["note"] = "p >= 1: cluster-density limit unverified, reporting raw mean K/N only"
     summary_path = write_summary(outdir / "census_summary.txt", "census", config, summary)
@@ -468,11 +472,10 @@ def fit_lifshitz_exponent(ids: IdsEstimate, status: list[str], config: Experimen
 
     The limiting slope is -1/2; at accessible energies the empirical fit is
     reported against a wide soft gate while the analytic envelopes act as
-    sanity anchors with the exact limiting slope.  Returns the lifshitz
-    summary's values in summary order.
+    sanity anchors with the exact limiting slope.  ``ids.p`` lies in (0, 1), as
+    :func:`run_lifshitz` checks before sampling.  Returns the lifshitz summary's
+    values in summary order.
     """
-    if not 0.0 < ids.p < 1.0:
-        raise ValueError("exponent fit requires subcritical p in (0, 1)")
     delta = ids.delta_sigma
     se = ids.delta_sigma_se
     e = ids.energies
@@ -514,7 +517,10 @@ class LifshitzRunResult:
 
 
 def run_lifshitz(config: ExperimentConfig) -> LifshitzRunResult:
-    """Exponent regression over a fresh IDS estimate, persisted."""
+    """Exponent regression over a fresh IDS estimate, persisted; a p outside (0, 1)
+    is rejected before any realization is drawn."""
+    if not 0.0 < config.edge_prob < 1.0:
+        raise ValueError("exponent fit requires subcritical p in (0, 1)")
     outdir = Path(config.outdir)
     ids = empirical_ids(
         config.spec(),

@@ -5,7 +5,9 @@ spectrum is the multiset union of small per-cluster eigenproblems.  One
 builder assembles the clusters of each size as a stack of dense Laplacians,
 and one checked eigensolve handles every stack, which keeps the LAPACK loop
 in C even when a realization holds thousands of tiny clusters.  The builder
-lays out in local coordinates only the clusters it is asked to solve.
+lays out in local coordinates only the clusters it is asked to solve.  Equal
+matrices have equal spectra, and a size class with more clusters than possible
+edge sets must repeat one, so such a class solves only its distinct matrices.
 
 LAPACK computes every eigenvalue of an n-vertex Laplacian within the margin
 n*eps*||L||_2 <= n*eps*2(n - 1).  Each connected cluster has a one-dimensional
@@ -233,9 +235,23 @@ def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, *, solve=None):
 
     Returns a list of (size, cluster_ids, values) with ``values`` of shape
     (count, size), each row sorted ascending with its first entry exactly 0.
+
+    A Laplacian is fixed by its s(s - 1)/2 upper off-diagonal entries, so a class
+    of more than 2^{s(s - 1)/2} size-s clusters must repeat a matrix (pigeonhole).
+    Such a class solves each distinct matrix once, its first cluster named in a
+    kernel error, and copies the rows back to every cluster; a smaller class is
+    solved whole.
     """
-    stacks = _laplacian_stacks(d, size_cap, solve=solve)
-    return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster)) for s, ids, stack in stacks]
+    groups = []
+    for s, ids, stack in _laplacian_stacks(d, size_cap, solve=solve):
+        first = inverse = slice(None)
+        bits = s * (s - 1) // 2
+        if ids.size > 1 << bits:
+            upper = np.triu_indices(s, 1)
+            keys = (stack[:, upper[0], upper[1]] != 0) @ (1 << np.arange(bits))
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        groups.append((s, ids, _checked_eigvalsh(stack[first], ids[first], d.cluster)[inverse]))
+    return groups
 
 
 def _counting_function(d: ClusterDecomposition, groups, energies: np.ndarray) -> np.ndarray:

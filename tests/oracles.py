@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library code paths it is used to
 check: components come from BFS or a sequential union-find instead of the
 vectorized hook-and-compress labelling, Laplacians are built entry by entry
-from the definition, and small ensembles are enumerated exhaustively with
-exact per-graph probabilities.
+from the definition, small ensembles are enumerated exhaustively with
+exact per-graph probabilities, and a stack of Laplacians is solved whole,
+every copy of a repeated matrix included.
 """
 
 from __future__ import annotations
@@ -102,6 +103,21 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
         lap[i, j] -= 1.0
         lap[j, i] -= 1.0
     return lap
+
+
+def stackwise_eigenvalues(stacks) -> list:
+    """One eigensolve per size class over its whole stack, kernel pinned to 0.0.
+
+    ``stacks`` yields ``(size, cluster_ids, stack)`` as the library's stack
+    builder lays them out; every stacked matrix is solved, repeated or not.
+    Returns ``(size, cluster_ids, values)`` per class.
+    """
+    out = []
+    for s, ids, stack in stacks:
+        vals = np.linalg.eigvalsh(stack)
+        vals[:, 0] = 0.0
+        out.append((s, ids, vals))
+    return out
 
 
 def dense_counting_function(n: int, edges, energies) -> np.ndarray:

@@ -788,6 +788,44 @@ def test_cli_moments_giant_cluster_fails_cleanly(tmp_path, capsys):
     assert lines[0].endswith("realization=0)")
 
 
+def _never_sample(*args, **kwargs):
+    raise AssertionError("a rejected configuration drew a realization")
+
+
+def test_cli_lifshitz_rejects_p_before_sampling(tmp_path, capsys, monkeypatch):
+    # p = 2 would also grow a giant cluster beyond the size cap: the p error comes first
+    from erlap import harness
+
+    monkeypatch.setattr(harness, "empirical_ids", _never_sample)
+    for p in ("1.0", "2.0"):
+        argv = ["lifshitz", "--n", "5000", "--p", p, "--reps", "200",
+                "--outdir", str(tmp_path / p)]
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: exponent fit requires subcritical p in (0, 1)"]
+        assert not (tmp_path / p).exists()
+
+
+def test_cli_census_rejects_chain_before_sampling(tmp_path, capsys, monkeypatch):
+    from erlap import harness
+
+    monkeypatch.setattr(harness, "_run_chunked", _never_sample)
+    argv = ["census", "--n", "100", "--reps", "20000", "--chain-size", "500",
+            "--outdir", str(tmp_path / "sub")]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: chain length m must lie in [2, N], got 500"]
+    assert not (tmp_path / "sub").exists()
+    # at p >= 1 the chain has no exact value to compare, and the census runs
+    monkeypatch.undo()
+    argv = ["census", "--n", "100", "--p", "1.5", "--reps", "20", "--chain-size", "500",
+            "--outdir", str(tmp_path / "super")]
+    assert cli_dispatch(argv) == 0
+    assert (tmp_path / "super" / "census.csv").exists()
+
+
 def test_benchmark_hooks_exist():
     # perfbench/bench.py wraps these module attributes by name in its traced
     # run; renaming one away would crash the benchmark with AttributeError

@@ -36,6 +36,7 @@ from oracles import (
     eigen_moment_rows,
     exact_tree_counts,
     path_spectrum_closed_form,
+    stackwise_eigenvalues,
 )
 
 
@@ -485,6 +486,78 @@ def test_graph_spectrum_matches_dense_solve():
     assert s.shape == (g.n,)
     assert np.max(np.abs(s - dense)) < 1e-10
     assert int(np.count_nonzero(s == 0.0)) == d.n_clusters
+
+
+def _assert_grouped_equals_stackwise(d):
+    got = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
+    want = stackwise_eigenvalues(spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP))
+    assert [(s, ids.tolist()) for s, ids, _ in got] == [(s, ids.tolist()) for s, ids, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _repeated_small_clusters(draw):
+    # copies of a few graphs on 1..5 vertices, all relabelled by one permutation, so
+    # that each graph recurs in several vertex orders; size classes reach past
+    # 2^{s(s-1)/2} clusters for s <= 4
+    edges, start = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.integers(1, 5))
+        pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
+        template = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        for _ in range(draw(st.integers(1, 120))):
+            edges += [(start + i, start + j) for i, j in template]
+            start += s
+    perm = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(start)
+    return _graph(start, [sorted((int(perm[i]), int(perm[j]))) for i, j in edges])
+
+
+@given(_repeated_small_clusters())
+@settings(max_examples=60, deadline=None)
+def test_grouped_eigenvalues_equal_stackwise_solve_on_repeated_clusters(g):
+    _assert_grouped_equals_stackwise(decompose(g))
+
+
+def test_grouped_eigenvalues_equal_stackwise_solve_on_acceptance_seeds():
+    # at N = 1e4, p = 0.5 the size 2, 3 and 4 classes all exceed 2^{s(s-1)/2} clusters
+    for seed in (20260809, 4242):
+        for p in (0.5, 0.9):
+            spec = GraphSpec(10_000, p, seed)
+            for r in range(3):
+                _assert_grouped_equals_stackwise(decompose(sample_graph(spec, r)))
+
+
+def test_repeated_laplacians_reach_eigvalsh_once(monkeypatch):
+    # 40 single edges (2 possible edge sets on 2 vertices); eleven 3-vertex clusters
+    # (8 possible edge sets) in three matrices: paths with the middle vertex
+    # numbered second or first, and triangles; three stars, below the 64 of size 4
+    edges, start = [], 0
+    for shape, copies in (([(0, 1)], 40), ([(0, 1), (1, 2)], 5), ([(0, 1), (0, 2)], 4),
+                          ([(0, 1), (0, 2), (1, 2)], 2), ([(0, 1), (0, 2), (0, 3)], 3)):
+        size = max(j for _, j in shape) + 1
+        for _ in range(copies):
+            edges += [(start + i, start + j) for i, j in shape]
+            start += size
+    d = decompose(_graph(start, edges))
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(a.copy())
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    groups = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
+    monkeypatch.undo()
+    assert [stack.shape for stack in seen] == [(1, 2, 2), (3, 3, 3), (3, 4, 4)]
+    assert len(np.unique(seen[1].reshape(3, -1), axis=0)) == 3
+    assert [ids.size for _, ids, _ in groups] == [40, 11, 3]
+    _assert_grouped_equals_stackwise(d)
+    # every cluster gets its own row: editing one copy leaves the others
+    vals = groups[0][2]
+    vals[0, 1] = -1.0
+    assert vals[1, 1] == 2.0
 
 
 def test_kernel_identity_on_ensemble():
