@@ -359,13 +359,15 @@ class CensusRunResult:
 def run_census(config: ExperimentConfig) -> CensusRunResult:
     """Cluster census over the configured ensemble with analytic comparison.
 
-    At subcritical p the chain's exact probability is evaluated before any
-    realization is drawn, so a chain size it rejects writes nothing.
+    A chain longer than N, which no cluster can hold at any p, is rejected
+    before any realization is drawn, so it writes nothing.
     """
     outdir = Path(config.outdir)
     n = config.n_vertices
     p = config.edge_prob
     chain = config.chain_size
+    if chain > n:
+        raise ValueError(f"chain length m must lie in [2, N], got {chain}")
     subcritical = 0.0 < p < 1.0
     chain_exact = analytics.linear_prob_finite(n, p, chain) if subcritical else None
     acc, *parts = _run_chunked(_census_chunk, config.spec(), config.n_reps, (), config.workers)

@@ -27,9 +27,12 @@ fill-in.  A Laplacian eigenvalue is an algebraic integer, so it equals a float E
 at an integer E, where exact integer pivots count the ties; others take float64 ones.
 
 Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
-Tr L^2 = sum d(d + 1) as Python integers; for k >= 2, the exact integer Tr M^{2k} =
-||M^k||_F^2 (M = L, A) comes from the stacks by integer-valued float64 products.
-The moment inequality is checked beside the rows, by :meth:`MomentSamples.inequality`.
+Tr L^2 = sum d(d + 1) as Python integers.  Tr A^4 and Tr L^4 count closed 4-walks:
+degrees, edge degree sums, and the triangles and 4-cycles of the 2-core of the
+cyclic clusters, read off one small dense A^2.  So at k <= 2 no stack is laid out;
+for k >= 3, the exact integer Tr M^{2k} = ||M^k||_F^2 (M = L, A) comes from the
+stacks by integer-valued float64 products.  The moment inequality is checked
+beside the rows, by :meth:`MomentSamples.inequality`.
 """
 
 from __future__ import annotations
@@ -485,9 +488,10 @@ class MomentSamples:
     Row r of each array holds N^{-1} Tr[M^{2k}] for realization r and the
     powers listed in ``two_ks``, the correctly rounded quotient of an exact integer
     trace, never an eigenvalue power sum: from the degrees for M = D and at k = 1,
-    else ||M^k||_F^2 in float64 panels, exact while each size class's trace is below
-    2^53.  Means and standard errors derive from the rows, so parallel
-    collection order cannot change them.
+    from closed-walk counts at k = 2, and at k >= 3 from ||M^k||_F^2 in float64
+    panels, exact while each size class's trace is below 2^53.  Means and
+    standard errors derive from the rows, so parallel collection order cannot
+    change them.
     """
 
     n: int
@@ -554,27 +558,72 @@ class MomentInequalityReport:
 
 def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
     """Add Tr M^{2k} = ||M^k||_F^2, summed over the stacked matrices M, to
-    ``traces[k - 2]`` for k = 2..len(traces) + 1 (k = 1 comes from the degrees).
+    ``traces[k - 3]`` for k = 3..len(traces) + 2 (k <= 2 come from walk counts).
 
     The rows of M^k are built panel by panel as M[:, R, :] @ M @ ... @ M, so
     the extra memory is a panel of ``_PANEL_BYTES`` or one row per matrix.
     Entries of M^k are integers bounded by (2 d_max)^k, so the float64
-    products and panel sums are exact below 2^53; the totals are Python
-    integers and never wrap.
+    products and panel sums are exact below 2^53, a bound that only k >= 3
+    must meet; the totals are Python integers and never wrap.
     """
     c, s, _ = stack.shape
     rows = max(1, _PANEL_BYTES // (8 * c * s))
     for lo in range(0, s, rows):
-        panel = stack[:, lo : lo + rows]
+        panel = stack[:, lo : lo + rows] @ stack
         for k in range(len(traces)):
             panel = panel @ stack
             traces[k] += int(np.vdot(panel, panel))
 
 
+def _two_core(edges: np.ndarray) -> np.ndarray:
+    """The rows of ``edges`` that form its 2-core: edges with an end of degree 1
+    are dropped until none is left."""
+    local = np.unique(edges, return_inverse=True)[1].reshape(-1, 2)
+    while local.size:
+        keep = (np.bincount(local.ravel())[local] > 1).all(axis=1)
+        if keep.all():
+            break
+        edges, local = edges[keep], local[keep]
+    return edges
+
+
+def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> tuple[int, int]:
+    """Tr L^4 and Tr A^4 of ``d.graph`` from closed-walk counts, as Python integers;
+    ``degrees`` are its vertex degrees and ``hist`` their histogram.
+
+    With c_ij the common neighbours of i != j, t_e the triangles on edge e = ij
+    and C4 the 4-cycles (Cvetkovic, Doob and Sachs, *Spectra of Graphs*):
+    sum_{i != j} c_ij^2 = sum d(d - 1) + 8 C4, Tr A^4 = sum d^2 + sum c_ij^2, and
+    Tr L^4 = sum (d^2 + d)^2 + 2 sum_e (d_i + d_j)^2 - 4 sum_e (d_i + d_j) t_e
+    + sum c_ij^2.  Triangles and 4-cycles lie in the 2-core of the cyclic
+    clusters, whose dense A^2 gives t_e = A^2[i, j] and 8 C4 = ||A^2||_F^2
+    - sum d_core^2 - sum d_core(d_core - 1).  The entries of A^2 are integers
+    <= d_max and ||A^2||_F^2 <= 2m d_max^2, far below 2^53, so its float64
+    product is exact; sum_e (d_i + d_j) t_e <= 2m d_max^2 also fits int64.
+    """
+    g = d.graph
+    d2, d3, d4 = (sum(count * v**t for v, count in enumerate(hist)) for t in (2, 3, 4))
+    pairs = np.bincount(degrees[g.edges[:, 0]] + degrees[g.edges[:, 1]]).tolist()
+    lap = d4 + 2 * d3 + d2 + 2 * sum(count * v * v for v, count in enumerate(pairs))
+    walks = d2 - 2 * g.n_edges  # sum d(d - 1); the core adds 8 C4
+    if not d.is_tree.all():
+        core = _two_core(g.edges[~d.is_tree[d.edge_labels]])
+        vertices, local = np.unique(core, return_inverse=True)
+        i, j = local.reshape(-1, 2).T
+        a = np.zeros((vertices.size, vertices.size))
+        a[i, j] = a[j, i] = 1.0
+        a2 = a @ a
+        core_deg = a2.diagonal()
+        walks += int(np.vdot(a2, a2)) - 2 * int(np.vdot(core_deg, core_deg)) + 2 * i.size
+        tri = a2[i, j].astype(np.int64)
+        lap -= 4 * int(np.dot(degrees[core[:, 0]] + degrees[core[:, 1]], tri))
+    return lap + walks, d2 + walks
+
+
 def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_cap: int):
     g = d.graph
-    lap, adj = [0] * (len(two_ks) - 1), [0] * (len(two_ks) - 1)
-    # k = 1 lays out no stack, but the size cap holds at every k_max
+    lap, adj = [0] * (len(two_ks) - 2), [0] * (len(two_ks) - 2)
+    # k <= 2 lay out no stack, but the size cap holds at every k_max
     solve = None if lap else np.zeros(d.sizes.shape, dtype=bool)
     for s, _, stack in _laplacian_stacks(d, size_cap, solve=solve):
         _add_trace_powers(stack, lap)
@@ -582,8 +631,12 @@ def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_c
         np.negative(stack, out=stack)
         stack[:, np.arange(s), np.arange(s)] = 0.0
         _add_trace_powers(stack, adj)
-    hist = np.bincount(degree_sequence(g)).tolist()
+    degrees = degree_sequence(g)
+    hist = np.bincount(degrees).tolist()
     deg = [sum(count * v**two_k for v, count in enumerate(hist)) for two_k in two_ks]
+    if len(two_ks) > 1:
+        lap4, adj4 = _fourth_traces(d, degrees, hist)
+        lap, adj = [lap4, *lap], [adj4, *adj]
     # Tr A^2 = sum d = 2m and Tr L^2 = sum d(d + 1)
     lap, adj = [deg[0] + 2 * g.n_edges, *lap], [2 * g.n_edges, *adj]
     return tuple(np.array([t / g.n for t in row]) for row in (lap, deg, adj))

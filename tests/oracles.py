@@ -194,6 +194,42 @@ def eigen_moment_rows(n: int, edges, two_ks) -> tuple[np.ndarray, np.ndarray, np
     return tuple(rows)
 
 
+def stack_trace_powers(stacks, k_max: int) -> tuple[list[int], list[int]]:
+    """Tr L^{2k} and Tr A^{2k} for k = 2..k_max as ||M^k||_F^2 summed over stacks.
+
+    ``stacks`` yields ``(size, cluster_ids, stack)`` as the library's stack
+    builder lays them out; A is the off-diagonal part of -L.  Each M^k is formed
+    whole by float64 matrix powers, exact while every trace is below 2^53: the
+    route the library took for every k >= 2 before walk counts replaced k = 2.
+    """
+    lap, adj = [0] * (k_max - 1), [0] * (k_max - 1)
+    for s, _, stack in stacks:
+        a = -stack
+        a[:, np.arange(s), np.arange(s)] = 0.0
+        for k in range(2, k_max + 1):
+            for traces, m in ((lap, stack), (adj, a)):
+                power = np.linalg.matrix_power(m, k)
+                traces[k - 2] += int(np.vdot(power, power))
+    return lap, adj
+
+
+def two_core_edges(edges) -> set:
+    """Edges of the 2-core as a set of sorted pairs: vertices of degree <= 1 are
+    removed one at a time from a queue."""
+    adj = {}
+    for i, j in edges:
+        adj.setdefault(int(i), set()).add(int(j))
+        adj.setdefault(int(j), set()).add(int(i))
+    queue = [v for v, nbrs in adj.items() if len(nbrs) <= 1]
+    while queue:
+        v = queue.pop()
+        for w in adj.pop(v, ()):
+            adj[w].discard(v)
+            if len(adj[w]) == 1:
+                queue.append(w)
+    return {(min(v, w), max(v, w)) for v, nbrs in adj.items() for w in nbrs}
+
+
 def all_graphs(n: int):
     """Yield (edge tuple, edge count) for every labeled graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

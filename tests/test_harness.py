@@ -808,22 +808,21 @@ def test_cli_lifshitz_rejects_p_before_sampling(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_census_rejects_chain_before_sampling(tmp_path, capsys, monkeypatch):
+    # no cluster of N vertices holds a longer chain, at any p: the census fails
+    # before drawing a realization rather than report a chain frequency of 0.0
     from erlap import harness
 
     monkeypatch.setattr(harness, "_run_chunked", _never_sample)
-    argv = ["census", "--n", "100", "--reps", "20000", "--chain-size", "500",
-            "--outdir", str(tmp_path / "sub")]
-    assert cli_dispatch(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: chain length m must lie in [2, N], got 500"]
-    assert not (tmp_path / "sub").exists()
-    # at p >= 1 the chain has no exact value to compare, and the census runs
-    monkeypatch.undo()
-    argv = ["census", "--n", "100", "--p", "1.5", "--reps", "20", "--chain-size", "500",
-            "--outdir", str(tmp_path / "super")]
-    assert cli_dispatch(argv) == 0
-    assert (tmp_path / "super" / "census.csv").exists()
+    for p in ("0.5", "1.0", "1.5"):
+        argv = ["census", "--n", "100", "--p", p, "--reps", "200", "--chain-size", "500",
+                "--outdir", str(tmp_path / p)]
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: chain length m must lie in [2, N], got 500"]
+        assert not (tmp_path / p).exists()
+    # the config, shared by every command, leaves the census-only chain alone
+    assert ExperimentConfig(n_vertices=2).chain_size == 3
 
 
 def test_benchmark_hooks_exist():

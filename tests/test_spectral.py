@@ -1,5 +1,6 @@
 """Laplacian assembly, eigensolves, kernel bookkeeping, IDS, and moments."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -36,7 +37,9 @@ from oracles import (
     eigen_moment_rows,
     exact_tree_counts,
     path_spectrum_closed_form,
+    stack_trace_powers,
     stackwise_eigenvalues,
+    two_core_edges,
 )
 
 
@@ -741,9 +744,10 @@ def test_moment_rows_match_eigenvalue_power_sums(n, p, k_max, seed):
 
 
 def test_moments_giant_cluster_fails_cleanly():
-    # k_max = 1 lays out no stack, but the size cap still holds
+    # k_max <= 2 form no trace power, but the size cap still holds
     for k_max in (1, 2):
-        with pytest.raises(EigensolverError) as err:
+        with pytest.raises(EigensolverError) as err, \
+                mock.patch.object(spectral, "_add_trace_powers", side_effect=AssertionError):
             moment_samples(GraphSpec(3000, 3.0, 1), 1, k_max, size_cap=100)
         assert err.value.realization == 0
         assert err.value.cluster.size > 100
@@ -781,3 +785,125 @@ def test_moment_inequality_fields_are_column_reductions(reps, k_max, seed):
             assert np.array(got).tobytes() == np.array(want).tobytes(), name
         assert r.rhs_mean == (2.0 ** (two_k - 1)) * (r.deg_mean + r.adj_mean)
         assert r.satisfied == bool(np.all(slack >= 0))
+
+
+# small graphs rich in triangles and 4-cycles, with Tr A^4 and Tr L^4 from their
+# spectra: K4 has A spectrum {3, -1^3}, C4 {2, 0^2, -2}, K_{2,3} {+-sqrt 6, 0^3}
+# and Petersen {3, 1^5, -2^4}; L = D - A, and K_{2,3} has L spectrum {0, 2^2, 3, 5}
+_PIECES = {
+    "K4": (4, list(itertools.combinations(range(4), 2)), 768, 84),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 288, 32),
+    "K23": (5, [(i, j) for i in (0, 1) for j in (2, 3, 4)], 738, 72),
+    "Petersen": (10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 2580, 150),
+}
+
+
+def _fourth_traces_of(g):
+    degrees = degree_sequence(g)
+    return spectral._fourth_traces(decompose(g), degrees, np.bincount(degrees).tolist())
+
+
+def _stack_traces(g, k_max=2):
+    return stack_trace_powers(spectral._laplacian_stacks(decompose(g), DEFAULT_SIZE_CAP), k_max)
+
+
+def _union_graph(kinds, bridges, tails, seed):
+    """Disjoint copies of ``kinds`` in a random labeling, joined by up to ``bridges``
+    random edges between copies and grown by ``tails`` pendant vertices."""
+    rng = np.random.default_rng(seed)
+    edges, owner, n = set(), [], 0
+    for copy, kind in enumerate(kinds):
+        size, piece, _, _ = _PIECES[kind]
+        edges |= {(n + i, n + j) for i, j in piece}
+        owner += [copy] * size
+        n += size
+    owner = np.asarray(owner)
+    for _ in range(bridges):
+        i, j = (int(v) for v in rng.integers(n, size=2))
+        if owner[i] != owner[j]:
+            edges.add((min(i, j), max(i, j)))
+    for _ in range(tails):
+        edges.add((int(rng.integers(n)), n))
+        n += 1
+    perm = rng.permutation(n)
+    return _graph(n, [(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in edges])
+
+
+_cycle_rich_graphs = st.one_of(
+    st.builds(lambda n, c, seed: sample_graph(GraphSpec(n, min(c, n - 0.5), seed), 0),
+              st.integers(min_value=2, max_value=40), st.floats(min_value=0.5, max_value=8.0),
+              st.integers(min_value=0, max_value=2**32)),
+    st.builds(_union_graph, st.lists(st.sampled_from(sorted(_PIECES)), min_size=1, max_size=5),
+              st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=12),
+              st.integers(min_value=0, max_value=2**32)),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_PIECES))
+def test_fourth_traces_closed_forms(kind):
+    size, edges, lap4, adj4 = _PIECES[kind]
+    g = _graph(size, [sorted(e) for e in edges])
+    assert _fourth_traces_of(g) == (lap4, adj4)
+    assert _stack_traces(g) == ([lap4], [adj4])
+
+
+@given(g=_cycle_rich_graphs)
+@settings(max_examples=150, deadline=None)
+def test_fourth_traces_match_stack_oracle(g):
+    # exact integers, and the k = 2 column is their correctly rounded quotient
+    (lap4,), (adj4,) = _stack_traces(g)
+    assert _fourth_traces_of(g) == (lap4, adj4)
+    lap, _, adj = spectral._moment_one(decompose(g), 0, (2, 4), DEFAULT_SIZE_CAP)
+    assert (lap[1], adj[1]) == (lap4 / g.n, adj4 / g.n)
+
+
+@given(g=_cycle_rich_graphs)
+@settings(max_examples=150, deadline=None)
+def test_two_core_matches_queue_peeling(g):
+    core = spectral._two_core(g.edges)
+    assert set(map(tuple, core.tolist())) == two_core_edges(g.edges.tolist())
+    assert core.tolist() == sorted(core.tolist())  # the rows keep their order
+
+
+@pytest.mark.parametrize("n, p, seed, reps", [
+    (10_000, 0.5, 20260809, 3), (10_000, 0.9, 20260809, 3), (10_000, 0.99, 20260809, 3),
+    (2000, 1.5, 4242, 1),
+])
+def test_fourth_traces_match_stack_oracle_on_acceptance_seeds(n, p, seed, reps):
+    for r in range(reps):
+        g = sample_graph(GraphSpec(n, p, seed), r)
+        (lap4,), (adj4,) = _stack_traces(g)
+        assert _fourth_traces_of(g) == (lap4, adj4)
+
+
+@given(g=_cycle_rich_graphs, k_max=st.integers(min_value=3, max_value=MAX_MOMENT_POWER // 2))
+@settings(max_examples=60, deadline=None)
+def test_stacked_powers_match_oracle_from_k3(g, k_max):
+    # _add_trace_powers starts at k = 3, at the panel budget and at one row per panel
+    two_ks = tuple(range(2, 2 * k_max + 1, 2))
+    lap_k, adj_k = _stack_traces(g, k_max)
+    for panel_bytes in (spectral._PANEL_BYTES, 8):
+        with mock.patch.object(spectral, "_PANEL_BYTES", panel_bytes):
+            lap, _, adj = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
+        assert lap[1:].tolist() == [t / g.n for t in lap_k]
+        assert adj[1:].tolist() == [t / g.n for t in adj_k]
+
+
+def test_no_laplacian_stack_at_kmax_two():
+    # k <= 2 come from degrees and walk counts: the builder is still called, as it
+    # holds the size cap, but lays out no stack, and no trace power is formed
+    calls, laid_out = [], []
+    build = spectral._laplacian_stacks
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        for item in build(*args, **kwargs):
+            laid_out.append(item[0])
+            yield item
+
+    with mock.patch.object(spectral, "_add_trace_powers", side_effect=AssertionError), \
+            mock.patch.object(spectral, "_laplacian_stacks", spy):
+        for k_max in (1, 2):
+            moment_samples(GraphSpec(10_000, 0.99, 20260809), 3, k_max)
+    assert len(calls) == 2 * 3 and laid_out == []
