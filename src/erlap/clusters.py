@@ -2,9 +2,13 @@
 
 A cluster is a maximal connected subgraph; isolated vertices count as
 one-vertex clusters.  Decomposition labels vertices by vectorized
-hook-and-compress rounds (Shiloach-Vishkin style) that leave every cluster
-rooted at its smallest vertex, so the canonical numbering falls out of a
-cumulative sum and no per-edge Python loop remains.
+hook-and-compress rounds (Shiloach-Vishkin style) with no per-edge Python
+loop.  Between rounds every vertex points at its root, the smallest vertex of
+its part so far.  A round hooks roots under smaller roots, which leaves only
+the hooked roots pointing at a non-root; so pointer jumping runs over those
+alone, and one full gather then re-roots every vertex.  Every cluster ends
+rooted at its smallest vertex, and the roots in ascending order number the
+clusters canonically.
 
 A decomposition keeps only the labels and per-cluster counts that every
 consumer reads.  Classification needs nothing more: a cluster is a tree iff
@@ -79,9 +83,9 @@ class ClusterDecomposition:
         self.graph = graph
         self.labels = labels
         self.n_clusters = k
-        self.sizes = np.bincount(labels, minlength=k).astype(np.int64)
+        self.sizes = np.bincount(labels, minlength=k).astype(np.int64, copy=False)
         self.edge_labels = labels[graph.edges[:, 0]]
-        self.edge_counts = np.bincount(self.edge_labels, minlength=k).astype(np.int64)
+        self.edge_counts = np.bincount(self.edge_labels, minlength=k).astype(np.int64, copy=False)
 
     @cached_property
     def is_tree(self) -> np.ndarray:
@@ -120,27 +124,38 @@ class ClusterDecomposition:
 def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """Cluster label of every vertex, clusters numbered by smallest member.
 
-    Each round keeps the edges whose endpoints still have different roots,
-    hooks every larger root under the smallest root it touches, and
-    pointer-jumps to a fixed point.  Vertices only ever point to smaller
-    ones, so the forest stays acyclic and ends rooted at cluster minima.
+    Invariant: between rounds every vertex points at its root.  A round keeps
+    the edges whose ends have different roots and hooks every larger root
+    under the smallest root it touches.  Only a hooked root can then point at
+    a non-root, and only when its new parent was hooked too; so the jumps run
+    over one entry per hooked root (an edge that won its hook), and each jump
+    keeps only the entries that still moved.  One gather then re-roots every
+    vertex.  Vertices only ever point to smaller ones, so the forest stays
+    acyclic and ends rooted at cluster minima.  Round 1 hooks straight from
+    the canonical i < j rows, since every vertex is its own root then.
     """
     lab = np.arange(n, dtype=np.int64)
     a, b = edges[:, 0], edges[:, 1]
-    while a.shape[0]:
+    lo, hi = a, b
+    while hi.shape[0]:
+        np.minimum.at(lab, hi, lo)
+        up = lab[lo]
+        jump = (lab[hi] == lo) & (up != lo)
+        hooked, up = hi[jump], up[jump]
+        while hooked.shape[0]:
+            lab[hooked] = up
+            nxt = lab[up]
+            jump = nxt != up
+            hooked, up = hooked[jump], nxt[jump]
+        lab = lab[lab]
         la, lb = lab[a], lab[b]
         live = la != lb
-        if not live.any():
-            break
         a, b, la, lb = a[live], b[live], la[live], lb[live]
-        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
-    is_root = lab == np.arange(n, dtype=np.int64)
-    return (np.cumsum(is_root) - 1)[lab]
+        lo, hi = np.minimum(la, lb), np.maximum(la, lb)
+    roots = np.flatnonzero(lab == np.arange(n, dtype=np.int64))
+    rank = np.empty(n, dtype=np.int64)
+    rank[roots] = np.arange(roots.shape[0], dtype=np.int64)
+    return rank[lab]
 
 
 def decompose(g: Graph) -> ClusterDecomposition:

@@ -576,15 +576,23 @@ def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
 
 
 def _two_core(edges: np.ndarray) -> np.ndarray:
-    """The rows of ``edges`` that form its 2-core: edges with an end of degree 1
-    are dropped until none is left."""
+    """The rows of ``edges`` that form its 2-core, in their order.
+
+    Each round peels the vertices whose live degree has fallen to 1, and
+    updates the degrees of their neighbours only: no round recounts the
+    edges.  Each vertex keeps the sum of its live neighbours, which names a
+    leaf's one neighbour; an edge is in the core iff both its ends survive.
+    """
     local = np.unique(edges, return_inverse=True)[1].reshape(-1, 2)
-    while local.size:
-        keep = (np.bincount(local.ravel())[local] > 1).all(axis=1)
-        if keep.all():
-            break
-        edges, local = edges[keep], local[keep]
-    return edges
+    i, j = local[:, 0], local[:, 1]
+    deg = np.bincount(local.ravel())
+    nbr = np.bincount(local.ravel(), local[:, ::-1].ravel()).astype(np.int64)
+    while (leaves := np.flatnonzero(deg == 1)).size:
+        w = nbr[leaves]
+        deg[leaves] = 0  # the two leaves of a lone edge then fall to -1: dead alike
+        np.subtract.at(deg, w, 1)
+        np.subtract.at(nbr, w, leaves)
+    return edges[(deg[i] > 0) & (deg[j] > 0)]
 
 
 def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> tuple[int, int]:

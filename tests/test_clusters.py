@@ -69,6 +69,8 @@ def test_decompose_matches_bfs(n, data):
 
 def _assert_labels_match_oracles(g):
     labels = decompose(g).labels
+    assert labels.dtype == np.int64
+    assert np.array_equal(np.unique(labels), np.arange(int(labels.max()) + 1))
     assert np.array_equal(labels, union_find_labels(g.n, g.edges))
     groups = [np.nonzero(labels == k)[0].tolist() for k in range(int(labels.max()) + 1)]
     assert groups == bfs_components(g.n, g.edges.tolist())
@@ -103,6 +105,34 @@ def test_decompose_labels_match_oracles_on_shuffled_paths(n, seed, pieces):
         for u, v in zip(seg[:-1], seg[1:])
     ]
     _assert_labels_match_oracles(_graph(n, edges))
+
+
+def _path(vertices):
+    return [sorted((int(u), int(v))) for u, v in zip(vertices[:-1], vertices[1:])]
+
+
+def _census_block(n, p, seed, reps):
+    # realization b on vertices b*n .. (b+1)*n - 1, as census decomposes its blocks
+    return _graph(n * reps, [
+        (i + b * n, j + b * n)
+        for b in range(reps)
+        for i, j in sample_graph(GraphSpec(n, p, seed), b).edges.tolist()
+    ])
+
+
+@pytest.mark.parametrize("g", [
+    # round 1 hooks every vertex under its predecessor: one chain of n - 1 hooked roots
+    _graph(5000, _path(range(5000))),
+    # every edge hooks the centre; round 2 hooks each leaf under vertex 0
+    _graph(300, [(v, 299) for v in range(299)]),
+    # round 1 roots the second path at 2500 but its last vertex at 0, so root 2500
+    # is hooked in round 2, the last one, and one gather re-roots its whole path
+    _graph(5000, _path(range(2500)) + _path(range(2500, 5000)) + [(2499, 4999)]),
+    _graph(1, []),
+    _census_block(200, 0.5, 20260809, 20),
+], ids=["ascending_path", "star_max_centre", "paths_joined_late", "single_vertex", "census_block"])
+def test_decompose_labels_match_oracles_on_hook_shapes(g):
+    _assert_labels_match_oracles(g)
 
 
 def divmod_pair(k, n):
