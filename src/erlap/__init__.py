@@ -13,9 +13,7 @@ from .analytics import (
     decay_F,
     decay_f,
     linear_prob_finite,
-    linear_prob_limit,
     lower_bound_L,
-    m_of_E,
     M_of_E,
     poisson_moment,
     replica_g,

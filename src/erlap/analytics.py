@@ -22,7 +22,6 @@ __all__ = [
     "TruncationBudgetError",
     "decay_f",
     "decay_F",
-    "m_of_E",
     "M_of_E",
     "zeta_three_halves_minus_one",
     "upper_bound_U",
@@ -31,7 +30,6 @@ __all__ = [
     "tau_tail_bound",
     "tau_normalization",
     "linear_prob_finite",
-    "linear_prob_limit",
     "tree_prob_finite",
     "poisson_moment",
     "replica_q",
@@ -74,18 +72,6 @@ def decay_F(p: float) -> float:
     """Chain decay rate p - ln p, subcritical only; equals decay_f(p) + 1."""
     p = _check_p_subcritical(p)
     return p - math.log(p)
-
-
-def m_of_E(E: float) -> int:
-    """Smallest cluster size that can carry a nonzero eigenvalue <= E.
-
-    Defined as max(2, floor(E^{-1/2})); any connected cluster on n vertices
-    keeps its smallest nonzero eigenvalue at or above 1/n^2.
-    """
-    E = float(E)
-    if not E > 0.0:
-        raise ValueError(f"energy must be positive, got {E!r}")
-    return max(2, math.floor(1.0 / math.sqrt(E)))
 
 
 def M_of_E(E):
@@ -250,15 +236,6 @@ def linear_prob_finite(N: int, p: float, m: int) -> float:
         + ((N - 3.0) * (m - 2.0) + 2.0 * (N - 2.0)) * math.log1p(-p / N)
     )
     return float(math.exp(logv))
-
-
-def linear_prob_limit(p: float, m: int) -> float:
-    """Large-N limit of :func:`linear_prob_finite`: (m/2) p^{m-1} e^{-pm}."""
-    p = _check_p_subcritical(p)
-    m = int(m)
-    if m < 2:
-        raise ValueError("chain length m must be at least 2")
-    return 0.5 * m * math.exp((m - 1.0) * math.log(p) - p * m)
 
 
 def tree_prob_finite(N: int, p: float, n: int) -> float:

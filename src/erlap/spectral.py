@@ -4,8 +4,7 @@ The graph Laplacian L = D - A is block diagonal over clusters, so the graph
 spectrum is the multiset union of small per-cluster eigenproblems.  One
 builder assembles the clusters of each size as a stack of dense Laplacians,
 and one checked eigensolve handles every stack, which keeps the LAPACK loop
-in C even when a realization holds thousands of tiny clusters.  The builder
-lays out in local coordinates only the clusters it is asked to solve.  Equal
+in C even when a realization holds thousands of tiny clusters.  Equal
 matrices have equal spectra, and a size class with more clusters than possible
 edge sets must repeat one, so such a class solves only its distinct matrices.
 
@@ -20,11 +19,11 @@ is checked to hold exactly one 0.0 per cluster.
 IDS counts skip the sizes that Fiedler's theorem settles: a connected n-vertex
 graph has smallest nonzero eigenvalue >= 2(1 - cos(pi/n)), and the margin also
 covers the floor's rounding.  A size whose floor minus margin exceeds the top
-grid energy adds exactly its kernel to each count #{lambda <= E}, so it is
-never solved.  Nor are trees: #{lambda <= E} is the number of pivots <= 0 of
-L - E*I (Sylvester's law of inertia), and a forest eliminates leaf to root with no
-fill-in.  A Laplacian eigenvalue is an algebraic integer, so it equals a float E only
-at an integer E, where exact integer pivots count the ties; others take float64 ones.
+grid energy adds exactly its kernel to each count #{lambda <= E}.  The others
+need no eigensolve: #{lambda <= E} is the number of pivots <= 0 of L - E*I
+(Sylvester's law of inertia), eliminated leaf to root with no fill-in down to the
+2-core, then sparsest row first.  A Laplacian eigenvalue is an algebraic integer,
+so it equals a float E only at an integer E, where exact pivots count the ties.
 
 Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
 Tr L^2 = sum d(d + 1) as Python integers.  Tr A^4 and Tr L^4 count closed 4-walks:
@@ -37,9 +36,11 @@ beside the rows, by :meth:`MomentSamples.inequality`.
 
 from __future__ import annotations
 
+import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,7 +56,7 @@ __all__ = [
     "eigenvalues_cluster",
     "fiedler_floor",
     "path_emin_reference",
-    "forest_counting_function",
+    "counting_function",
     "graph_spectrum",
     "cluster_min_gaps",
     "empirical_ids",
@@ -67,7 +68,7 @@ MAX_MOMENT_POWER = 8
 # largest row panel of M^k held at once by the trace moments; without panels
 # the full stacked product raised the peak memory of a moments run
 _PANEL_BYTES = 64 * 1024
-_INT64_PIVOT_BOUND = 1 << 31  # int64 forest pivots f/g below it keep every product below 2^63
+_INT64_PIVOT_BOUND = 1 << 31  # int64 peel pivots f/g below it keep every product below 2^63
 
 
 class EigensolverError(RuntimeError):
@@ -92,26 +93,25 @@ def _stable_order(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _laplacian_stacks(d: ClusterDecomposition, size_cap: int, *, solve=None):
-    """Yield ``(size, cluster_ids, stack)`` per size class of the clusters in the
-    boolean mask ``solve`` (default: every cluster of size >= 2), ``stack[j]`` the
-    dense float64 Laplacian of cluster ``cluster_ids[j]`` with its vertices
-    numbered in ascending order.
+def _check_size_cap(d: ClusterDecomposition, size_cap: int) -> None:
+    """Raise :class:`EigensolverError`, naming the largest cluster of ``d``, if it exceeds ``size_cap``."""
+    if d.sizes.size and (top := int(d.sizes.max())) > size_cap:
+        raise EigensolverError(f"cluster of size {top} exceeds the eigensolver size cap {size_cap}",
+                               cluster=d.cluster(int(np.argmax(d.sizes))))
 
-    Only the clusters yielded are laid out in local coordinates, each entry's flat
-    position computed once for all sizes and each diagonal by one bincount.  A largest
-    cluster beyond ``size_cap`` raises :class:`EigensolverError` carrying that
-    cluster, whatever ``solve`` leaves out.
+
+def _laplacian_stacks(d: ClusterDecomposition, size_cap: int):
+    """Yield ``(size, cluster_ids, stack)`` per size class of the clusters of size >= 2,
+    ``stack[j]`` the dense float64 Laplacian of cluster ``cluster_ids[j]`` with its
+    vertices numbered in ascending order, after :func:`_check_size_cap`.
+
+    The clusters are laid out in local coordinates, each entry's flat position
+    computed once for all sizes and each diagonal by one bincount.
     """
+    _check_size_cap(d, size_cap)
     sizes = d.sizes
-    top = int(sizes.max()) if sizes.size else 0
-    if top > size_cap:
-        raise EigensolverError(
-            f"cluster of size {top} exceeds the eigensolver size cap {size_cap}",
-            cluster=d.cluster(int(np.argmax(sizes))),
-        )
     # the solved clusters in (size, id) order, so that each size class is one run
-    order = np.flatnonzero(sizes >= 2 if solve is None else solve)
+    order = np.flatnonzero(sizes >= 2)
     order = order[np.argsort(sizes[order], kind="stable")]
     m = order.size
     if not m:
@@ -233,7 +233,7 @@ def _min_solved_size(e_max: float, size_cap: int) -> int:
     return int(n[np.argmax(reach)]) if reach.any() else size_cap + 1
 
 
-def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, *, solve=None):
+def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int):
     """Laplacian eigenvalues of the clusters :func:`_laplacian_stacks` yields, by size.
 
     Returns a list of (size, cluster_ids, values) with ``values`` of shape
@@ -246,7 +246,7 @@ def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, *, solve=None):
     solved whole.
     """
     groups = []
-    for s, ids, stack in _laplacian_stacks(d, size_cap, solve=solve):
+    for s, ids, stack in _laplacian_stacks(d, size_cap):
         first = inverse = slice(None)
         bits = s * (s - 1) // 2
         if ids.size > 1 << bits:
@@ -257,24 +257,62 @@ def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int, *, solve=None):
     return groups
 
 
-def _counting_function(d: ClusterDecomposition, groups, energies: np.ndarray) -> np.ndarray:
-    """#{eigenvalues <= E} at each energy E > 0: one kernel per cluster plus
-    the nonzero eigenvalues <= E of the solved ``groups``."""
-    counts = np.full(energies.shape, d.n_clusters, dtype=np.int64)
-    for _, _, vals in groups:
-        counts += np.searchsorted(np.sort(vals[:, 1:], axis=None), energies, side="right")
-    return counts
+def _inertia(edges: np.ndarray, diag: list, off):
+    """Eigenvalues <= 0 of the symmetric matrix with diagonal ``diag`` and entry
+    ``off(i, j)`` at each edge (i, j), less the vertices whose diagonal is None, by
+    elimination of the sparsest live row first.
+
+    Entries are ``Fraction``s, or float64 arrays that carry one matrix per energy through
+    one order fixed by the pattern.  A -inf diagonal (a vertex the peel left out) sends 0
+    and is not counted.  An exact zero diagonal beside b = rows[v][w] != 0 is first made
+    2sb + rows[w][w] != 0 by the congruence v <- v + s*w, s = +-1; an exact zero row is a
+    zero eigenvalue.  Returns the count and, for arrays, where a pivot rounded to 0.
+    """
+    rows = {v: {v: x} for v, x in enumerate(diag) if x is not None}  # row v: {column: entry}
+    for i, j in edges.tolist():
+        if i in rows and j in rows:
+            rows[i][j] = rows[j][i] = off(i, j)
+    heap = [(len(row), v) for v, row in rows.items()]
+    heapq.heapify(heap)
+    count, zero = 0, False
+    while heap:
+        k, v = heapq.heappop(heap)
+        if len(rows.get(v, ())) != k:
+            continue
+        row = rows.pop(v)
+        d = row.pop(v)
+        exact = isinstance(d, Fraction)
+        if exact and not d and (w := next((w for w, b in row.items() if b), None)) is not None:
+            s = 1 if 2 * row[w] + rows[w][w] else -1
+            d = 2 * s * row[w] + rows[w][w]
+            for x, a in rows[w].items():
+                if x != v:
+                    row[x] = rows[x][v] = row.get(x, 0) + s * a
+        count, zero = count + ((d <= 0) & (d > -np.inf)), zero | (d == 0)
+        inv = 1 / d if not exact or d else 0  # an exact zero row sends nothing
+        for x, a in row.items():
+            rx, a = rows[x], a * inv
+            del rx[v]
+            for y, b in row.items():
+                rx[y] = rx.get(y, 0) - a * b
+            heapq.heappush(heap, (len(rx), x))
+    return count, zero
 
 
-@np.errstate(divide="ignore")
-def forest_counting_function(n: int, edges, energies) -> np.ndarray:
+@np.errstate(divide="ignore", invalid="ignore")
+def counting_function(n: int, edges, energies) -> np.ndarray:
     """#{eigenvalues <= E}, kernel included, at each energy E of the Laplacian of the
-    forest on vertices 0..n-1 with ``edges``: the pivots <= 0 of L - E*I (module docstring).
+    simple graph on vertices 0..n-1 with ``edges``: the pivots <= 0 of L - E*I (module
+    docstring).  A repeated pair or a loop raises ValueError.
 
-    Each round peels the current leaves, one per parent, into their parents; a tree's root
-    is the larger end of its last edge.  Zero pivots follow Jacobs and Trevisan (Linear
-    Algebra Appl. 2011): the parent's pivot becomes -1/2, one zero child's 2, and the
-    parent sends nothing on, which leaves the parent out of the count.
+    Each round peels the current leaves, one per parent, into their parents, until only
+    the 2-core is left; a tree's root is the larger end of its last edge.  Zero pivots
+    follow Jacobs and Trevisan (Linear Algebra Appl. 2011): the parent's pivot becomes
+    -1/2, one zero child's 2, and the parent sends nothing on.  That 2x2 pivot's inverse
+    is 0 in the parent's slot, so the parent, core or not, is dropped with no update to
+    its neighbours.  The core S = diag(f) - A_core goes to :func:`_inertia` on float
+    arrays, or, at integer E and where a float core pivot rounds to 0, as the integer
+    matrix diag(g) S diag(g) of the exact pivots f/g.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = np.asarray(energies, dtype=np.float64)
@@ -294,21 +332,31 @@ def forest_counting_function(n: int, edges, energies) -> np.ndarray:
         live[parents] -= 1
         nbr[parents] -= leaves
         rounds.append((leaves, parents))
-    if live.any():
-        raise ValueError("edges do not form a forest")
-    whole = e == np.floor(e)
+    core = live > 0
+    if has_core := core.any():
+        # a loop or a repeated pair lies on a cycle of the multigraph, so in the core
+        core_edges = np.sort(edges[core[edges[:, 0]] & core[edges[:, 1]]], axis=1)
+        if (core_edges[:, 0] == core_edges[:, 1]).any() or np.unique(core_edges, axis=0).shape != core_edges.shape:
+            raise ValueError("edges repeat a pair or join a vertex to itself")
+        core_edges = (np.cumsum(core) - 1)[core_edges]
     counts = np.empty(e.shape, dtype=np.int64)
+    floats, exact = np.flatnonzero(e != np.floor(e)), np.flatnonzero(e == np.floor(e))
     # a leaf's pivot a adds -1/a to its parent's; a zero pivot sends 1/0 = inf, so
     # its parent falls to -inf and later sends 1/-inf = -0
-    f = deg[:, None] - e[~whole]
+    f = deg[:, None] - e[floats]
     for leaves, parents in rounds:
         f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
-    counts[~whole] = np.count_nonzero((f <= 0) & (f > -np.inf), axis=0)
-    if whole.any():  # exact pivots f/g, g = 0 leaving a vertex out
-        ints = [int(x) for x in e[whole]]
-        wide = int(deg.max(initial=0)) + max(map(abs, ints)) >= _INT64_PIVOT_BOUND
-        f = deg[:, None] - np.array(ints, dtype=object if wide else np.int64)
-        g = np.ones_like(f)
+    counts[floats] = np.count_nonzero(~core[:, None] & (f <= 0) & (f > -np.inf), axis=0)
+    if has_core and floats.size:
+        minus_one = -np.ones(floats.size)
+        core_count, zero = _inertia(core_edges, list(f[core]), lambda i, j: minus_one)
+        counts[floats] += core_count
+        exact = np.union1d(exact, floats[zero])
+    if exact.size:  # exact pivots f/g of E = num/den, g = 0 leaving a vertex out
+        num, den = np.array([x.as_integer_ratio() for x in e[exact].tolist()], dtype=object).T
+        wide = int(deg.max(initial=0)) * max(den) + max(map(abs, num)) >= _INT64_PIVOT_BOUND
+        num, den = num.astype(object if wide else np.int64), den.astype(object if wide else np.int64)
+        f, g = deg[:, None] * den - num, np.repeat(den[None, :], n, axis=0)
         for leaves, parents in rounds:
             fl, gl = f.take(leaves, axis=0), g.take(leaves, axis=0)
             # f/g - gl/fl, a zero pivot leaving g = 0 at its parent; a leaf with g = 0
@@ -319,7 +367,11 @@ def forest_counting_function(n: int, edges, energies) -> np.ndarray:
             g[parents] = gp = gp * fl
             if not wide and max(np.abs(fp).max(), np.abs(gp).max()) >= _INT64_PIVOT_BOUND:
                 wide, f, g = True, f.astype(object), g.astype(object)
-        counts[whole] = np.count_nonzero((g != 0) & ((f == 0) | ((f < 0) != (g < 0))), axis=0)
+        counted = ~core[:, None] & (g != 0) & ((f == 0) | ((f < 0) != (g < 0)))
+        counts[exact] = np.count_nonzero(counted, axis=0)
+        for col, (fc, gc) in enumerate(zip(f[core].T.tolist(), g[core].T.tolist()) if has_core else ()):
+            diag = [Fraction(x * y) if y else None for x, y in zip(fc, gc)]
+            counts[exact[col]] += _inertia(core_edges, diag, lambda i, j: Fraction(-gc[i] * gc[j]))[0]
     return counts
 
 
@@ -355,8 +407,7 @@ class IdsEstimate:
     ``sigma`` are means over realizations of N^{-1} #{eigenvalues <= E}
     (closed right endpoint, so right-continuous in E).  Sizes n whose Fiedler
     floor 2(1 - cos(pi/n)) less the margin n*eps*2(n - 1) exceeds the top energy
-    add only their kernel; the other trees count by inertia, exactly at integer E, and
-    cyclic clusters by computed eigenvalues, which can round a tie there either way.
+    add only their kernel; every other cluster counts by inertia, exactly at integer E.
     ``sigma0`` is the mean cluster count per vertex, computed structurally
     from the decomposition and never from thresholded eigenvalues.
     ``delta_sigma`` is the per-realization difference sigma(E) - sigma(0)
@@ -394,13 +445,12 @@ def _validate_grid(grid) -> np.ndarray:
 
 
 def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, size_cap: int, min_size: int):
+    _check_size_cap(d, size_cap)
     counted = d.sizes >= min_size
-    tree = counted & d.is_tree
-    counts = _counting_function(d, _grouped_eigenvalues(d, size_cap, solve=counted & ~d.is_tree), grid)
-    # a counted tree has an edge, so its edges' ends are all its vertices
-    vertices, edges = np.unique(d.graph.edges[tree[d.edge_labels]], return_inverse=True)
-    forest = forest_counting_function(vertices.size, edges.reshape(-1, 2), grid)
-    return counts + forest - np.count_nonzero(tree), int(d.n_clusters)  # kernels counted above
+    # a counted cluster has an edge, so its edges' ends are all its vertices
+    vertices, edges = np.unique(d.graph.edges[counted[d.edge_labels]], return_inverse=True)
+    counts = counting_function(vertices.size, edges.reshape(-1, 2), grid)
+    return counts + d.n_clusters - np.count_nonzero(counted), int(d.n_clusters)  # uncounted: kernels
 
 
 def _each_realization(args):
@@ -631,9 +681,8 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
 def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_cap: int):
     g = d.graph
     lap, adj = [0] * (len(two_ks) - 2), [0] * (len(two_ks) - 2)
-    # k <= 2 lay out no stack, but the size cap holds at every k_max
-    solve = None if lap else np.zeros(d.sizes.shape, dtype=bool)
-    for s, _, stack in _laplacian_stacks(d, size_cap, solve=solve):
+    _check_size_cap(d, size_cap)  # at every k_max, though k <= 2 lay out no stack
+    for s, _, stack in _laplacian_stacks(d, size_cap) if lap else ():
         _add_trace_powers(stack, lap)
         # A = D - L: the off-diagonal part of -L
         np.negative(stack, out=stack)

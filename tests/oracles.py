@@ -4,8 +4,10 @@ Everything here deliberately avoids the library code paths it is used to
 check: components come from BFS or a sequential union-find instead of the
 vectorized hook-and-compress labelling, Laplacians are built entry by entry
 from the definition, small ensembles are enumerated exhaustively with
-exact per-graph probabilities, and a stack of Laplacians is solved whole,
-every copy of a repeated matrix included.
+exact per-graph probabilities, a stack of Laplacians is solved whole, every
+copy of a repeated matrix included, and exact counts of eigenvalues <= E come
+from a dense fraction-free elimination in a static degree order instead of the
+sparse one.
 """
 
 from __future__ import annotations
@@ -174,6 +176,61 @@ def exact_tree_counts(n: int, edges, energies) -> np.ndarray:
                 else:
                     pivot[v] = len(adj[v]) - e - sum(1 / pivot[w] for w in children)
             total += sum(1 for a in pivot.values() if a <= 0)
+        counts.append(total)
+    return np.array(counts, dtype=np.int64)
+
+
+def eigenvalue_counts(d, groups, energies) -> np.ndarray:
+    """#{eigenvalues <= E} at each energy E > 0 of a decomposition from computed spectra:
+    one kernel per cluster plus the nonzero eigenvalues <= E of the solved ``groups``
+    (``(size, cluster_ids, values)`` as ``spectral._grouped_eigenvalues`` returns them),
+    so a tie at an integer E falls wherever the eigensolver rounds it."""
+    counts = np.full(np.shape(energies), d.n_clusters, dtype=np.int64)
+    for _, _, vals in groups:
+        counts += np.searchsorted(np.sort(vals[:, 1:], axis=None), energies, side="right")
+    return counts
+
+
+def exact_counts(n: int, edges, energies) -> np.ndarray:
+    """#{eigenvalues <= E} of the Laplacian of any simple graph at each energy, exactly.
+
+    A float E is a rational num/den with den > 0, so L - E*I has the inertia of the
+    integer matrix M = den*L - num*I (Sylvester's law of inertia).  M is eliminated
+    densely, rows in the static order of ascending degree (ties by vertex), by
+    Bareiss's fraction-free steps (Math. Comp. 1968):
+    each is an exact integer division, and the k-th pivot is the k-th leading principal
+    minor D_k, so the k-th LDL^T pivot D_k/D_{k-1} is <= 0 iff D_k and D_{k-1} differ in
+    sign.  When every live diagonal is 0, the congruence k <- k + s*j (s = +-1) on a
+    live pair with M[k][j] != 0 makes M[k][k] = 2s*M[k][j] + M[j][j] nonzero; a live
+    block that is all zero counts as zero eigenvalues.
+    """
+    lap = dense_laplacian(n, edges).astype(np.int64).tolist()
+    counts = []
+    for energy in energies:
+        num, den = float(energy).as_integer_ratio()
+        m = [[den * x - num * (i == j) for j, x in enumerate(row)] for i, row in enumerate(lap)]
+        live, prev, total = sorted(range(n), key=lambda v: (lap[v][v], v)), 1, 0
+        while live:
+            k = next((k for k in live if m[k][k]), None)
+            if k is None:
+                pair = next(((k, j) for k in live for j in live if m[k][j]), None)
+                if pair is None:
+                    total += len(live)
+                    break
+                k, j = pair
+                s = 1 if 2 * m[k][j] + m[j][j] else -1
+                diagonal = 2 * s * m[k][j] + m[j][j]
+                for x in live:
+                    m[k][x] = m[x][k] = m[k][x] + s * m[j][x]
+                m[k][k] = diagonal
+            pivot, row = m[k][k], m[k]
+            total += (pivot < 0) != (prev < 0)
+            live.remove(k)
+            for x in live:
+                mx, a = m[x], row[x]
+                for y in live:
+                    mx[y] = (pivot * mx[y] - a * row[y]) // prev
+            prev = pivot
         counts.append(total)
     return np.array(counts, dtype=np.int64)
 

@@ -16,9 +16,7 @@ from erlap.analytics import (
     decay_F,
     decay_f,
     linear_prob_finite,
-    linear_prob_limit,
     lower_bound_L,
-    m_of_E,
     poisson_moment,
     replica_g,
     replica_q,
@@ -63,15 +61,6 @@ def test_decay_F_values_and_identity():
 
 
 # --- integer thresholds -----------------------------------------------------
-
-
-def test_m_of_E():
-    assert m_of_E(1.0) == 2
-    assert m_of_E(0.04) == 5
-    assert m_of_E(0.01) == 10
-    assert m_of_E(100.0) == 2
-    with pytest.raises(ValueError):
-        m_of_E(0.0)
 
 
 def test_M_of_E_examples():
@@ -157,12 +146,13 @@ def test_smooth_lower_bound_below_staircase():
 
 
 def test_staircase_equals_limit_chain_term():
-    # exp(-(p - ln p) M) / (2p) == linear_prob_limit(p, M) / M algebraically
+    # exp(-(p - ln p) M) / (2p) equals the large-N chain limit (M/2) p^{M-1} e^{-pM},
+    # divided by M, algebraically
     for p in (0.3, 0.5, 0.7):
         for e in (0.01, 0.12, 0.5, 3.0):
             m_chain = M_of_E(e)
             lhs = lower_bound_L(e, p)
-            rhs = linear_prob_limit(p, m_chain) / m_chain
+            rhs = 0.5 * p ** (m_chain - 1) * math.exp(-p * m_chain)
             assert abs(lhs - rhs) < 1e-15 * max(1.0, abs(lhs))
 
 
@@ -297,23 +287,12 @@ def test_linear_prob_finite_m2_boundary():
 
 def test_linear_prob_finite_converges_to_limit():
     p, m = 0.5, 3
-    limit = linear_prob_limit(p, m)
+    limit = 0.5 * m * p ** (m - 1) * math.exp(-p * m)  # (m/2) p^{m-1} e^{-pm}
     gaps = []
     for n in (100, 1000, 10_000, 100_000):
         gaps.append(abs(linear_prob_finite(n, p, m) - limit))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[2] / limit < 0.01  # within 1% by N = 10^4
-
-
-def test_linear_prob_limit_values():
-    assert abs(linear_prob_limit(0.5, 3) - 0.08367381005566119) < 1e-15
-    ms = np.arange(3, 60)
-    vals = np.array([linear_prob_limit(0.5, int(m)) for m in ms])
-    assert np.all(np.diff(vals) < 0)  # decreasing once pm > 1
-    with pytest.raises(ValueError):
-        linear_prob_limit(1.5, 3)
-    with pytest.raises(ValueError):
-        linear_prob_limit(0.5, 1)
 
 
 def test_tree_prob_finite_values_and_limit():

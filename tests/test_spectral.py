@@ -23,7 +23,7 @@ from erlap.spectral import (
     eigenvalues_cluster,
     empirical_ids,
     fiedler_floor,
-    forest_counting_function,
+    counting_function,
     graph_spectrum,
     moment_samples,
     path_emin_reference,
@@ -35,6 +35,8 @@ from oracles import (
     dense_counting_function,
     dense_laplacian,
     eigen_moment_rows,
+    eigenvalue_counts,
+    exact_counts,
     exact_tree_counts,
     path_spectrum_closed_form,
     stack_trace_powers,
@@ -57,9 +59,9 @@ def _path_graph(n):
     return _graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _stacked_laplacians(d, solve=None):
+def _stacked_laplacians(d):
     """{cluster id: dense Laplacian} as the one builder lays them out."""
-    stacks = spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP, solve=solve)
+    stacks = spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP)
     return {int(k): lap for _, ids, stack in stacks for k, lap in zip(ids, stack)}
 
 
@@ -72,15 +74,13 @@ def test_laplacian_hand_matrices():
         1: [[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
         2: [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
     }
-    # a size-1 cluster is laid out only under an explicit mask
-    assert _stacked_laplacians(d, np.ones(4, dtype=bool))[3].tolist() == [[0]]
 
 
 def test_laplacian_rows_sum_to_zero_exactly():
     spec = GraphSpec(1000, 0.8, 71)
     d = decompose(sample_graph(spec, 0))
-    laps = _stacked_laplacians(d, np.ones(d.n_clusters, dtype=bool))
-    assert sorted(laps) == list(range(d.n_clusters))
+    laps = _stacked_laplacians(d)
+    assert sorted(laps) == np.flatnonzero(d.sizes >= 2).tolist()
     for lap in laps.values():
         assert np.array_equal(lap, np.round(lap))  # integer entries
         assert np.all(lap.sum(axis=1) == 0)
@@ -91,27 +91,21 @@ def test_laplacian_rows_sum_to_zero_exactly():
     n=st.integers(min_value=2, max_value=80),
     p=st.floats(min_value=0.05, max_value=4.0),
     seed=st.integers(min_value=0, max_value=2**32),
-    data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_laplacian_stacks_match_dense_oracle(n, p, seed, data):
-    # the builder lays out only the clusters in the solve mask, each row the
-    # dense Laplacian of its cluster; clusters themselves are cut from the labels
+def test_laplacian_stacks_match_dense_oracle(n, p, seed):
+    # the builder lays out every cluster of size >= 2, each row the dense
+    # Laplacian of its cluster; clusters themselves are cut from the labels
     g = sample_graph(GraphSpec(n, min(p, n - 0.5), seed), 0)
     d = decompose(g)
-    m = d.n_clusters
-    solve = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
     yielded = []
-    for s, ids, stack in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP, solve=solve):
-        assert np.array_equal(ids, np.flatnonzero(solve & (d.sizes == s)))
+    for s, ids, stack in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP):
+        assert np.array_equal(ids, np.flatnonzero(d.sizes == s))
         for k, lap in zip(ids, stack):
             c = d.cluster(int(k))
             assert np.array_equal(lap, dense_laplacian(c.size, c.edges.tolist()))
         yielded.append(s)
-    assert yielded == sorted({int(s) for s in d.sizes[solve]})
-    default = [(s, ids) for s, ids, _ in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP)]
-    assert [s for s, _ in default] == sorted({int(s) for s in d.sizes if s >= 2})
-    assert all(np.array_equal(ids, np.flatnonzero(d.sizes == s)) for s, ids in default)
+    assert yielded == sorted({int(s) for s in d.sizes if s >= 2})
     components = bfs_components(n, g.edges.tolist())
     for k in range(d.n_clusters):
         c = d.cluster(k)
@@ -246,23 +240,17 @@ def test_grid_rejects_non_finite_energies():
 
 def _pruned_and_full_counts(d, grid):
     min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
-    pruned = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP, solve=d.sizes >= min_size)
-    full = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
-    return (spectral._counting_function(d, pruned, grid),
-            spectral._counting_function(d, full, grid))
+    return (spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, min_size)[0],
+            spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, 2)[0])
 
 
 def _exact_ids_counts(g, grid):
-    # README tie policy: trees count exactly, cyclic clusters their computed eigenvalues
+    # README tie policy: every cluster counts exactly
     counts = np.zeros(grid.shape, dtype=np.int64)
     for comp in bfs_components(g.n, g.edges.tolist()):
         index = {v: i for i, v in enumerate(comp)}
         edges = [(index[a], index[b]) for a, b in g.edges.tolist() if a in index]
-        if len(edges) == len(comp) - 1:
-            counts += exact_tree_counts(len(comp), edges, grid)
-        else:
-            vals = np.linalg.eigvalsh(dense_laplacian(len(comp), edges))
-            counts += np.searchsorted(vals, grid, side="right")
+        counts += exact_counts(len(comp), edges, grid)
     return counts
 
 
@@ -298,9 +286,13 @@ def test_pruned_ids_counts_match_dense_oracle(n, p, seed, grid):
     pruned, full = _pruned_and_full_counts(d, grid)
     assert np.array_equal(pruned, full)
     # the grids draw integer energies too, where an eigensolve can round a tie
-    # below E: trees count exactly there
+    # below E: every cluster counts exactly there
     assert np.array_equal(counts, _exact_ids_counts(g, grid))
     _assert_matches_dense(g, grid, counts)
+    # off the integers no eigenvalue equals E, and the per-cluster solves agree
+    off = grid != np.floor(grid)
+    groups = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
+    assert np.array_equal(counts[off], eigenvalue_counts(d, groups, grid[off]))
 
 
 def _random_forest(data, max_n):
@@ -329,11 +321,11 @@ def _random_forest(data, max_n):
 def test_forest_counts_match_exact_oracle(data, energies):
     # integer energies (k/8 with 8 | k) carry ties, the others cannot
     n, edges = _random_forest(data, 60)
-    counts = forest_counting_function(n, edges, energies)
+    counts = counting_function(n, edges, energies)
     assert np.array_equal(counts, exact_tree_counts(n, edges, energies))
     # a zero bound runs the integer energies on Python integers from the start
     with mock.patch.object(spectral, "_INT64_PIVOT_BOUND", 0):
-        assert np.array_equal(forest_counting_function(n, edges, energies), counts)
+        assert np.array_equal(counting_function(n, edges, energies), counts)
 
 
 def test_forest_counts_closed_forms():
@@ -342,18 +334,18 @@ def test_forest_counts_closed_forms():
         star = [(0, i) for i in range(1, m + 1)]
         grid = [0.5, 1.0, 1.5] + [float(e) for e in range(2, m + 3)]
         want = [1, m, m] + [m] * (m - 1) + [m + 1, m + 1]
-        assert forest_counting_function(m + 1, star, grid).tolist() == want
+        assert counting_function(m + 1, star, grid).tolist() == want
     # P3 has spectrum 0, 1, 3, and P_n for even n has the eigenvalue 2 (k = n/2)
-    assert forest_counting_function(3, [(0, 1), (1, 2)], [0.5, 1, 2, 3]).tolist() == [1, 2, 2, 3]
+    assert counting_function(3, [(0, 1), (1, 2)], [0.5, 1, 2, 3]).tolist() == [1, 2, 2, 3]
     for n in range(2, 41, 2):
         path = [(i, i + 1) for i in range(n - 1)]
-        assert forest_counting_function(n, path, [2.0]).tolist() == [n // 2 + 1]
+        assert counting_function(n, path, [2.0]).tolist() == [n // 2 + 1]
         below = np.count_nonzero(path_spectrum_closed_form(n) < 2.0 - 1e-9)
         assert below == n // 2
     # a forest counts as the sum of its trees: P3, K_{1,3} (0, 1, 1, 4), a vertex
     forest = [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]
-    assert forest_counting_function(8, forest, [1.0, 3.0]).tolist() == [2 + 3 + 1, 3 + 3 + 1]
-    assert forest_counting_function(4, [], [0.25, 2.0]).tolist() == [4, 4]
+    assert counting_function(8, forest, [1.0, 3.0]).tolist() == [2 + 3 + 1, 3 + 3 + 1]
+    assert counting_function(4, [], [0.25, 2.0]).tolist() == [4, 4]
     # K_{1,m} peels one leaf a round, so at E = 3 the centre's g is (-2)^m: the
     # int64 pivots must move to Python integers past 2^31 (2^64 wraps to 0); an
     # energy of 2^40 starts on Python integers
@@ -361,17 +353,97 @@ def test_forest_counts_closed_forms():
         star = [(0, i) for i in range(1, m + 1)]
         grid = [1.0, 3.0, float(m), float(m + 1)]
         want = [m, m, m, m + 1]
-        assert forest_counting_function(m + 1, star, grid).tolist() == want
+        assert counting_function(m + 1, star, grid).tolist() == want
         with mock.patch.object(spectral, "_INT64_PIVOT_BOUND", 0):
-            assert forest_counting_function(m + 1, star, grid).tolist() == want
-        assert forest_counting_function(m + 1, star, [2.0**40]).tolist() == [m + 1]
+            assert counting_function(m + 1, star, grid).tolist() == want
+        assert counting_function(m + 1, star, [2.0**40]).tolist() == [m + 1]
 
 
-def test_forest_counts_reject_a_cycle():
-    with pytest.raises(ValueError, match="forest"):
-        forest_counting_function(4, [(0, 1), (1, 2), (0, 2), (2, 3)], [1.0])
-    with pytest.raises(ValueError, match="forest"):
-        forest_counting_function(2, [(0, 1), (0, 1)], [1.0])
+@st.composite
+def _cyclic_graph(draw):
+    # dense labelled graphs on up to 14 vertices: many cycles, and cores whose
+    # diagonals hit 0 at integer energies
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+
+
+@given(
+    graph=_cyclic_graph(),
+    energies=st.lists(
+        st.one_of(
+            st.integers(min_value=1, max_value=16).map(float),
+            st.integers(min_value=1, max_value=128).map(lambda k: k / 8),
+            st.floats(min_value=1e-3, max_value=16.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_counts_match_exact_oracle_on_cyclic_graphs(graph, energies):
+    n, edges = graph
+    counts = counting_function(n, edges, energies)
+    assert np.array_equal(counts, exact_counts(n, edges, energies))
+    # integer energies on Python integers from the start, and every float energy
+    # counted exactly, as when a core pivot rounds to 0
+    with mock.patch.object(spectral, "_INT64_PIVOT_BOUND", 0):
+        assert np.array_equal(counting_function(n, edges, energies), counts)
+    real = spectral._inertia
+
+    def all_rounded_to_zero(*args):
+        count, zero = real(*args)
+        return count, zero | True
+
+    with mock.patch.object(spectral, "_inertia", all_rounded_to_zero):
+        assert np.array_equal(counting_function(n, edges, energies), counts)
+
+
+def test_counts_cores_with_all_zero_diagonals():
+    # C4 (0, 2, 2, 4) at E = 2, K4 (0, 4, 4, 4) and K_{3,3} (0, 3, 3, 3, 3, 6) at
+    # E = 3: every core diagonal is 0, so the first pivot needs a partner
+    c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    k33 = [(i, j) for i in range(3) for j in range(3, 6)]
+    assert counting_function(4, c4, [2.0]).tolist() == [3]
+    assert counting_function(4, k4, [3.0, 4.0]).tolist() == [1, 4]
+    assert counting_function(6, k33, [3.0, 6.0]).tolist() == [5, 6]
+    for n, edges in ((4, c4), (4, k4), (6, k33)):
+        grid = [1.0, 2.0, 3.0, 4.0, 6.0]
+        assert counting_function(n, edges, grid).tolist() == exact_counts(n, edges, grid).tolist()
+
+
+@pytest.mark.parametrize("n, p, r, count", [(10_000, 0.9, 1, 7112), (2000, 1.5, 0, 1103)])
+def test_integer_energy_ties_counted_exactly_on_cyclic_clusters(n, p, r, count):
+    # an eigensolve of these realizations' cyclic clusters rounds some of their
+    # eigenvalues 1 above 1 (eigvalsh counted 7106 and 1069); inertia counts every one
+    d = decompose(sample_graph(GraphSpec(n, p, 20260809), r))
+    grid = np.array([0.5, 1.0, 2.0])
+    counts, _ = spectral._ids_one(d, r, grid, DEFAULT_SIZE_CAP, 2)
+    tolerant = np.searchsorted(graph_spectrum(d), grid + 1e-7, side="right")
+    assert counts[1] == count
+    assert np.array_equal(counts, tolerant)
+
+
+def test_ids_calls_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ids called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(spectral, "_grouped_eigenvalues", refuse)
+    grid = [0.25, 0.5, 1.0, 2.0, 3.0]
+    for spec, reps in ((GraphSpec(10_000, 0.9, 20260809), 3), (GraphSpec(2000, 1.5, 20260809), 2)):
+        est = empirical_ids(spec, reps, grid)
+        assert np.all(np.isfinite(est.sigma))
+
+
+def test_counts_a_cycle_and_rejects_a_repeated_pair():
+    # a triangle with a pendant vertex, spectrum 0, 1, 3, 4
+    paw = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    assert counting_function(4, paw, [0.5, 1.0, 3.0, 3.5]).tolist() == [1, 2, 3, 3]
+    for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="repeat a pair"):
+            counting_function(2, edges, [1.0])
 
 
 @given(
@@ -402,16 +474,20 @@ def test_pruning_exact_when_top_energy_sits_on_a_path_floor(paths, extra, target
     _assert_matches_dense(g, grid, pruned)
 
 
-def test_size_cap_checked_whatever_min_size():
-    # a 12-vertex path beside small clusters: the cap applies to the largest
-    # cluster of the decomposition even when the solve mask skips or spans its size
+def test_size_cap_checked_whatever_min_size(monkeypatch):
+    # a 12-vertex path beside small clusters: the cap applies to the largest cluster
+    # of the decomposition whichever sizes are counted, and before any counting
     g = _graph(20, [(i, i + 1) for i in range(11)] + [(12, 13), (14, 15), (15, 16)])
     d = decompose(g)
-    masks = [d.sizes >= min_size for min_size in (2, 5, 12, 13, 50)]
-    for solve in masks + [np.zeros(d.n_clusters, dtype=bool)]:
+    monkeypatch.setattr(spectral, "counting_function", None)
+    checks = [lambda m=m: spectral._ids_one(d, 0, np.array([0.5, 1.0]), 8, m) for m in (2, 5, 12, 13, 50)]
+    checks += [lambda: spectral._grouped_eigenvalues(d, 8), lambda: spectral._moment_one(d, 0, (2, 4), 8)]
+    for check in checks:
         with pytest.raises(EigensolverError) as err:
-            spectral._grouped_eigenvalues(d, 8, solve=solve)
+            check()
+        assert str(err.value) == "cluster of size 12 exceeds the eigensolver size cap 8"
         assert err.value.cluster.size == 12
+    monkeypatch.undo()
     # end to end at p = 3: the giant cluster raises whether the top energy prunes
     # sizes below 5 or every size up to the cap
     for grid in ([0.05, 0.5], [1e-9]):
@@ -444,12 +520,11 @@ def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
         with pytest.raises(EigensolverError, match="kernel") as err:
             spectral._checked_eigvalsh((lap + shift * np.eye(3))[None], ids, lambda k: c)
         assert err.value.cluster is c
-    # in an ensemble run the error names the realization that replays it; IDS
-    # runs solve only cyclic clusters, which p = 2 brings into realization 0
+    # in an ensemble run the error names the realization that replays it
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-9)
     with pytest.raises(EigensolverError) as err:
-        empirical_ids(GraphSpec(300, 2.0, 5), 2, [0.5, 3.0])
+        spectral._each_realization((GraphSpec(300, 2.0, 5), range(2), lambda d, r: graph_spectrum(d)))
     assert (err.value.master_seed, err.value.realization) == (5, 0)
 
 
@@ -891,19 +966,13 @@ def test_stacked_powers_match_oracle_from_k3(g, k_max):
 
 
 def test_no_laplacian_stack_at_kmax_two():
-    # k <= 2 come from degrees and walk counts: the builder is still called, as it
-    # holds the size cap, but lays out no stack, and no trace power is formed
-    calls, laid_out = [], []
-    build = spectral._laplacian_stacks
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        for item in build(*args, **kwargs):
-            laid_out.append(item[0])
-            yield item
-
+    # k <= 2 come from degrees and walk counts: the size cap is still checked, but
+    # no stack is laid out and no trace power is formed
+    checked = []
+    real = spectral._check_size_cap
     with mock.patch.object(spectral, "_add_trace_powers", side_effect=AssertionError), \
-            mock.patch.object(spectral, "_laplacian_stacks", spy):
+            mock.patch.object(spectral, "_laplacian_stacks", side_effect=AssertionError), \
+            mock.patch.object(spectral, "_check_size_cap", lambda *args: checked.append(real(*args))):
         for k_max in (1, 2):
             moment_samples(GraphSpec(10_000, 0.99, 20260809), 3, k_max)
-    assert len(calls) == 2 * 3 and laid_out == []
+    assert len(checked) == 2 * 3
