@@ -104,6 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full property gate")
     _add_common(p_verify)
 
+    for p_solving in (p_spectrum, p_ids, p_lif, p_mom, p_verify):
+        p_solving.add_argument("--size-cap", dest="size_cap", type=int, default=None,
+                               help="largest cluster (vertices) that may be counted or solved")
+
     return parser
 
 

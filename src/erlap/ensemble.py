@@ -5,6 +5,11 @@ edge variable.  Sampling walks the linearized pair index with geometric
 gap-skipping, so the expected cost is O(N*p) instead of O(N^2), and each
 realization draws from its own generator keyed by (master_seed, r) so that
 results never depend on execution order.
+
+A single realization is drawn through ``np.random.default_rng([master_seed, r])``.
+Blocks of realizations (:func:`sample_pair_index_blocks`) draw the same
+streams, bit for bit, from PCG64 start states worked out for many indices at
+once, so no SeedSequence is built per realization.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ __all__ = [
     "Graph",
     "sample_graph",
     "sample_pair_indices",
+    "sample_pair_index_blocks",
     "degree_sequence",
     "pair_index",
     "index_pair",
@@ -137,14 +143,20 @@ def index_pair(idx, n: int):
     return np.stack([i, j], axis=1)
 
 
+def _batch_size(q: float, total: int) -> int:
+    """Geometric gaps drawn at a time: enough to pass ``total`` slots in all but
+    rare cases.  It decides only when drawing stops, never the values drawn."""
+    mean = total * q
+    return int(mean + 6.0 * math.sqrt(mean) + 16.0)
+
+
 def _skip_indices(rng: np.random.Generator, q: float, total: int) -> np.ndarray:
     """Indices of successes among ``total`` iid Bernoulli(q) slots.
 
     Gaps between successes are iid Geometric(q); drawing them in batches and
     cumulative-summing visits only the successes.
     """
-    mean = total * q
-    batch = int(mean + 6.0 * math.sqrt(mean) + 16.0)
+    batch = _batch_size(q, total)
     out = []
     last = -1
     while last < total:
@@ -164,6 +176,118 @@ def sample_pair_indices(spec: GraphSpec, realization_index: int) -> np.ndarray:
     n = spec.n_vertices
     rng = np.random.default_rng([spec.master_seed, int(r)])
     return _skip_indices(rng, spec.edge_prob / n, n * (n - 1) // 2)
+
+
+# NumPy's SeedSequence (NEP 19): a 4-word uint32 pool filled by `hashmix`, whose
+# hash constant steps by a fixed multiplier on every call, then `mix`ed word
+# against word; generate_state reads the pool out through a second hash chain.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (O'Neill 2014, PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# Realizations whose start states are held at once, as numpy words
+_SEED_SLICE = 256
+
+
+def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    """(xor, multiply) uint32 constants of ``calls`` successive hash steps."""
+    out, h = [], init
+    for _ in range(calls):
+        out.append((h, h := h * mult & _MASK32))
+    return np.array(out, dtype=np.uint32)
+
+
+_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 16)  # 4 pool fills, 12 pairwise mixes
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
+
+
+def _hashmix(v, xor, mult):
+    v = (v ^ xor) * mult
+    return v ^ (v >> np.uint32(16))
+
+
+def _seed_words(master_seed: int, realization_indices) -> np.ndarray:
+    """``SeedSequence([master_seed, r]).generate_state(4, np.uint64)`` for every
+    index ``r``, as the rows of a (k, 4) uint64 array.
+
+    A seed below 2**64 is one or two uint32 words and so is ``r``; the pool
+    takes at most four, and a missing word hashes exactly like a zero word, so
+    the pool is the seed's words, then ``r``'s low and high words, zero-padded.
+    """
+    rs = realization_indices
+    if len(rs) and not (0 <= min(rs) and max(rs) <= _MAX_SEED):
+        raise ValueError("realization indices must lie in [0, 2**64 - 1]")
+    # words are split and joined through little-endian views, as generate_state
+    # does; a dtype cast would page in more numpy code on the first call
+    r = np.fromiter(rs, "<u8", len(rs)).view("<u4").reshape(-1, 2).T
+    seed = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    pool = np.zeros((4, r.shape[1]), dtype="<u4")
+    pool[: len(seed)] = np.array(seed, dtype="<u4")[:, None]
+    pool[len(seed) : len(seed) + 2] = r
+    mixer = list(_hashmix(pool, _HASH_A[:4, :1], _HASH_A[:4, 1:]))
+    calls = iter(_HASH_A[4:])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h = _hashmix(mixer[src], *next(calls))
+                v = np.uint32(_MIX_L) * mixer[dst] - np.uint32(_MIX_R) * h
+                mixer[dst] = v ^ (v >> np.uint32(16))
+    out = _hashmix(np.array(mixer * 2), _HASH_B[:, :1], _HASH_B[:, 1:])
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+
+
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """The ``PCG64.state`` that seeding words (initstate, initseq) give:
+    PCG's srandom step, ``inc = 2*initseq + 1``, ``state = (inc + initstate)*MULT + inc``."""
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
+    """Yield ``(idx, counts)`` for consecutive blocks of at most ``block`` of
+    ``realization_indices``: ``idx`` equals, bit for bit,
+    ``np.concatenate([sample_pair_indices(spec, r) for r in the block])`` and
+    ``counts`` holds each realization's edge count.
+
+    The start states of up to ``max(block, 256)`` realizations are computed in
+    one vectorised pass and set on one generator local to the call; each
+    realization draws one geometric batch (continued while it falls short of
+    the last pair), and each block is turned into pair indices by one cumsum.
+    Vectorised seeding costs about as much as ten ``default_rng`` calls, so
+    single realizations go through :func:`sample_pair_indices` instead.
+    """
+    n = spec.n_vertices
+    q = spec.edge_prob / n
+    total = n * (n - 1) // 2
+    batch = _batch_size(q, total)
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).geometric
+    rs = realization_indices
+    span = block * max(1, _SEED_SLICE // block)
+    for i in range(0, len(rs), span):
+        words = _seed_words(spec.master_seed, rs[i : i + span])
+        for j in range(0, words.shape[0], block):
+            gaps, lengths, walked = [], [], []
+            for w in words[j : j + block].tolist():
+                bits.state = _pcg64_state(*w)
+                length = walk = 0
+                while walk <= total:
+                    gaps.append(g := draw(q, batch))
+                    length += batch
+                    walk += int(g.sum())
+                lengths.append(length)
+                walked.append(walk)
+            # each realization walks from slot -1, as in _skip_indices: its first
+            # gap takes back what the realization before it walked
+            pos = np.concatenate(gaps)
+            pos[np.cumsum(lengths[:-1], dtype=np.int64)] -= np.array(walked[:-1], dtype=np.int64)
+            np.cumsum(pos, out=pos)
+            pos -= 1
+            keep = pos < total
+            owner = np.repeat(np.arange(len(lengths)), lengths)[keep]
+            yield pos[keep], np.bincount(owner, minlength=len(lengths))
 
 
 def sample_graph(spec: GraphSpec, realization_index: int) -> Graph:

@@ -338,14 +338,10 @@ def _census_chunk(args):
     spec, rs = args
     n = spec.n_vertices
     acc = CensusAccumulator(n, spec.edge_prob)
-    step = max(1, _BLOCK_VERTICES // n)
-    for i in range(0, len(rs), step):
-        block = rs[i : i + step]
+    for idx, counts in ensemble.sample_pair_index_blocks(spec, rs, max(1, _BLOCK_VERTICES // n)):
         # one index_pair call per block; offsetting graph b by b*N keeps the edges sorted
-        idx = [ensemble.sample_pair_indices(spec, r) for r in block]
-        offsets = np.repeat(np.arange(len(block)) * n, [x.size for x in idx])
-        edges = ensemble.index_pair(np.concatenate(idx), n) + offsets[:, None]
-        acc.add(decompose(Graph(len(block) * n, edges, validate=False)), n_reps=len(block))
+        edges = ensemble.index_pair(idx, n) + np.repeat(np.arange(counts.size) * n, counts)[:, None]
+        acc.add(decompose(Graph(counts.size * n, edges, validate=False)), n_reps=counts.size)
     return [acc]
 
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erlap import ensemble
 from erlap.ensemble import (
     Graph,
     GraphSpec,
@@ -17,8 +19,11 @@ from erlap.ensemble import (
     pair_index,
     read_edge_list,
     sample_graph,
+    sample_pair_index_blocks,
+    sample_pair_indices,
     write_edge_list,
 )
+from erlap.harness import _census_chunk
 
 from oracles import all_graphs, graph_probability
 
@@ -79,6 +84,78 @@ def test_determinism_across_thread_schedules():
         threaded = list(pool.map(lambda r: sample_graph(spec, r), reversed(range(12))))
     threaded.reverse()
     assert all(x == y for x, y in zip(serial, threaded))
+    # census blocks share no generator either: overlapping ranges drawn by four
+    # threads, switching every microsecond, count what a serial pass counts
+    spec = GraphSpec(100, 0.8, 7)
+    ranges = [range(0, 150), range(50, 200), range(100, 250), range(0, 250)] * 2
+    serial = [_census_chunk((spec, rs))[0].report() for rs in ranges]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [f.result(timeout=60) for f in
+                        [pool.submit(_census_chunk, (spec, rs)) for rs in ranges]]
+    finally:
+        sys.setswitchinterval(interval)
+    for want, [acc] in zip(serial, threaded):
+        got = acc.report()
+        for name in ("clusters_by_size", "trees_by_size", "linear_by_size",
+                     "sq_clusters_by_size", "vertex0_by_size", "vertex0_linear_by_size"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+_SEEDS = [0, 1, 20260809, 2**32 - 1, 2**32, 2**64 - 1]
+_INDEX_RANGES = [range(0, 300), range(2**32 - 3, 2**32 + 3), range(2**64 - 4, 2**64)]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_block_start_states_match_default_rng(seed):
+    for rs in _INDEX_RANGES:
+        words = ensemble._seed_words(seed, rs)
+        for r, w in zip(rs, words.tolist()):
+            assert w == np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
+            assert ensemble._pcg64_state(*w) == np.random.default_rng([seed, r]).bit_generator.state
+
+
+def _blocks(spec, rs, block):
+    out = list(sample_pair_index_blocks(spec, rs, block))
+    assert all(counts.size == min(block, len(rs) - i * block) for i, (_, counts) in enumerate(out))
+    return (np.concatenate([idx for idx, _ in out]) if out else np.empty(0, np.int64),
+            [c for _, counts in out for c in counts.tolist()])
+
+
+@pytest.mark.parametrize("n, p", [(2, 1.9), (50, 1.2), (200, 0.5), (5000, 4.0)])
+def test_block_sampler_matches_single_realizations(n, p):
+    # blocks of 7 divide neither a seed slice nor the index ranges; the census
+    # block holds 2048 realizations at N = 2 and one at N = 5000
+    for seed in _SEEDS:
+        spec = GraphSpec(n, p, seed)
+        for rs in _INDEX_RANGES:
+            want = [sample_pair_indices(spec, r) for r in rs]
+            for block in (7, max(1, 4096 // n)):
+                idx, counts = _blocks(spec, rs, block)
+                assert np.array_equal(idx, np.concatenate(want))
+                assert counts == [x.size for x in want]
+
+
+def test_block_sampler_continues_short_batches(monkeypatch):
+    # batch size decides only when drawing stops: with one gap per batch every
+    # realization takes the continuation branch and draws the same pairs
+    spec = GraphSpec(200, 0.5, 20260809)
+    rs = range(2**32 - 30, 2**32 + 30)
+    want = [sample_pair_indices(spec, r) for r in rs]
+    monkeypatch.setattr(ensemble, "_batch_size", lambda q, total: 1)
+    idx, counts = _blocks(spec, rs, 20)
+    assert np.array_equal(idx, np.concatenate(want))
+    assert counts == [x.size for x in want]
+    assert _blocks(spec, range(0), 20)[1] == []
+
+
+def test_block_sampler_rejects_indices_beyond_64_bits():
+    spec = GraphSpec(50, 0.5, 3)
+    for rs in (range(2**64 - 2, 2**64 + 1), range(-1, 3)):
+        with pytest.raises(ValueError):
+            list(sample_pair_index_blocks(spec, rs, 7))
 
 
 def test_mean_edge_count():

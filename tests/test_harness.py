@@ -788,6 +788,24 @@ def test_cli_moments_giant_cluster_fails_cleanly(tmp_path, capsys):
     assert lines[0].endswith("realization=0)")
 
 
+def test_cli_size_cap_flag(tmp_path, capsys):
+    from erlap.cli import build_parser
+
+    for command in ("spectrum", "ids", "lifshitz", "moments", "verify"):
+        assert build_parser().parse_args([command, "--size-cap", "7"]).size_cap == 7
+    argv = ["ids", "--n", "2000", "--p", "1.5", "--reps", "1", "--outdir", str(tmp_path)]
+    assert cli_dispatch(argv + ["--size-cap", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cluster of size 1213 exceeds the eigensolver size cap 100 "
+        "(master_seed=1, realization=0)"
+    ]
+    assert cli_dispatch(argv + ["--size-cap", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: size_cap must be at least 2"]
+    assert not tmp_path.joinpath("ids.csv").exists()
+
+
 def _never_sample(*args, **kwargs):
     raise AssertionError("a rejected configuration drew a realization")
 
