@@ -6,10 +6,10 @@ gap-skipping, so the expected cost is O(N*p) instead of O(N^2), and each
 realization draws from its own generator keyed by (master_seed, r) so that
 results never depend on execution order.
 
-A single realization is drawn through ``np.random.default_rng([master_seed, r])``.
-Blocks of realizations (:func:`sample_pair_index_blocks`) draw the same
-streams, bit for bit, from PCG64 start states worked out for many indices at
-once, so no SeedSequence is built per realization.
+Realization r draws the stream of ``np.random.default_rng([master_seed, r])``.
+Its PCG64 is seeded from words that SeedSequence's hash would give, worked out
+for many indices at once (:func:`sample_pair_index_blocks`), so no
+SeedSequence is built per realization.
 """
 
 from __future__ import annotations
@@ -150,144 +150,130 @@ def _batch_size(q: float, total: int) -> int:
     return int(mean + 6.0 * math.sqrt(mean) + 16.0)
 
 
-def _skip_indices(rng: np.random.Generator, q: float, total: int) -> np.ndarray:
-    """Indices of successes among ``total`` iid Bernoulli(q) slots.
-
-    Gaps between successes are iid Geometric(q); drawing them in batches and
-    cumulative-summing visits only the successes.
-    """
-    batch = _batch_size(q, total)
-    out = []
-    last = -1
-    while last < total:
-        gaps = rng.geometric(q, size=batch)
-        pos = last + np.cumsum(gaps)
-        out.append(pos)
-        last = int(pos[-1])
-    idx = np.concatenate(out)
-    return idx[idx < total]
-
-
-def sample_pair_indices(spec: GraphSpec, realization_index: int) -> np.ndarray:
-    """Sorted linear indices (:func:`pair_index`) of the edges of realization ``r``."""
-    r = realization_index
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 0:
-        raise ValueError(f"realization_index must be a nonnegative integer, got {r!r}")
-    n = spec.n_vertices
-    rng = np.random.default_rng([spec.master_seed, int(r)])
-    return _skip_indices(rng, spec.edge_prob / n, n * (n - 1) // 2)
-
-
 # NumPy's SeedSequence (NEP 19): a 4-word uint32 pool filled by `hashmix`, whose
 # hash constant steps by a fixed multiplier on every call, then `mix`ed word
 # against word; generate_state reads the pool out through a second hash chain.
 _MASK32 = 0xFFFFFFFF
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (O'Neill 2014, PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# Realizations whose start states are held at once, as numpy words
+# Realizations whose seed words are worked out at once
 _SEED_SLICE = 256
 
 
-def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    """(xor, multiply) uint32 constants of ``calls`` successive hash steps."""
+def _hash_chain(init: int, mult: int, calls: int) -> list[tuple[int, int]]:
+    """(xor, multiply) constants of ``calls`` successive hash steps."""
     out, h = [], init
     for _ in range(calls):
         out.append((h, h := h * mult & _MASK32))
-    return np.array(out, dtype=np.uint32)
+    return out
 
 
 _HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 16)  # 4 pool fills, 12 pairwise mixes
 _HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
 
 
-def _hashmix(v, xor, mult):
-    v = (v ^ xor) * mult
-    return v ^ (v >> np.uint32(16))
-
-
-def _seed_words(master_seed: int, realization_indices) -> np.ndarray:
-    """``SeedSequence([master_seed, r]).generate_state(4, np.uint64)`` for every
-    index ``r``, as the rows of a (k, 4) uint64 array.
+def _seed_words(master_seed: int, r) -> list:
+    """``SeedSequence([master_seed, r]).generate_state(4, np.uint64)`` as four
+    words, for an index ``r`` below 2**64 given as a Python int, or elementwise
+    for a uint64 array of them.
 
     A seed below 2**64 is one or two uint32 words and so is ``r``; the pool
     takes at most four, and a missing word hashes exactly like a zero word, so
     the pool is the seed's words, then ``r``'s low and high words, zero-padded.
+    Every step is masked to 32 bits, so the same code runs on either type; the
+    hash is written out inline because a lone index spends its time in calls.
     """
-    rs = realization_indices
-    if len(rs) and not (0 <= min(rs) and max(rs) <= _MAX_SEED):
-        raise ValueError("realization indices must lie in [0, 2**64 - 1]")
-    # words are split and joined through little-endian views, as generate_state
-    # does; a dtype cast would page in more numpy code on the first call
-    r = np.fromiter(rs, "<u8", len(rs)).view("<u4").reshape(-1, 2).T
-    seed = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
-    pool = np.zeros((4, r.shape[1]), dtype="<u4")
-    pool[: len(seed)] = np.array(seed, dtype="<u4")[:, None]
-    pool[len(seed) : len(seed) + 2] = r
-    mixer = list(_hashmix(pool, _HASH_A[:4, :1], _HASH_A[:4, 1:]))
+    pool = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    pool += [r & _MASK32, r >> 32] + [0] * (2 - len(pool))
+    mixer = []
+    for w, (xor, mult) in zip(pool, _HASH_A):
+        v = (w ^ xor) * mult & _MASK32
+        mixer.append(v ^ v >> 16)
     calls = iter(_HASH_A[4:])
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                h = _hashmix(mixer[src], *next(calls))
-                v = np.uint32(_MIX_L) * mixer[dst] - np.uint32(_MIX_R) * h
-                mixer[dst] = v ^ (v >> np.uint32(16))
-    out = _hashmix(np.array(mixer * 2), _HASH_B[:, :1], _HASH_B[:, 1:])
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+                xor, mult = next(calls)
+                h = (mixer[src] ^ xor) * mult & _MASK32
+                v = _MIX_L * mixer[dst] - _MIX_R * (h ^ h >> 16) & _MASK32
+                mixer[dst] = v ^ v >> 16
+    out = []
+    for k, (xor, mult) in enumerate(_HASH_B):
+        v = (mixer[k % 4] ^ xor) * mult & _MASK32
+        out.append(v ^ v >> 16)
+    # generate_state(4, np.uint64) views the 8 uint32 words as little-endian pairs
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
 
 
-def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
-    """The ``PCG64.state`` that seeding words (initstate, initseq) give:
-    PCG's srandom step, ``inc = 2*initseq + 1``, ``state = (inc + initstate)*MULT + inc``."""
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The four uint64 words that PCG64 asks its seed sequence for, given.
+
+    ``PCG64(_SeedWords(w))`` with ``w = _seed_words(s, r)`` starts where
+    ``np.random.default_rng([s, r])`` does, without building a SeedSequence.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
     """Yield ``(idx, counts)`` for consecutive blocks of at most ``block`` of
-    ``realization_indices``: ``idx`` equals, bit for bit,
-    ``np.concatenate([sample_pair_indices(spec, r) for r in the block])`` and
-    ``counts`` holds each realization's edge count.
+    ``realization_indices``: ``idx`` holds the sorted linear indices
+    (:func:`pair_index`) of each realization's edges in turn and ``counts``
+    each realization's edge count.
 
-    The start states of up to ``max(block, 256)`` realizations are computed in
-    one vectorised pass and set on one generator local to the call; each
+    Realization ``r`` walks the pairs with Geometric(p/N) gaps drawn from
+    ``np.random.default_rng([master_seed, r])``'s stream.  Its start state is
+    set from seed words worked out for up to 256 indices at once; each
     realization draws one geometric batch (continued while it falls short of
     the last pair), and each block is turned into pair indices by one cumsum.
-    Vectorised seeding costs about as much as ten ``default_rng`` calls, so
-    single realizations go through :func:`sample_pair_indices` instead.
     """
+    rs = realization_indices
+    if len(rs) and not (0 <= min(rs) and max(rs) <= _MAX_SEED):
+        raise ValueError("realization indices must lie in [0, 2**64 - 1]")
     n = spec.n_vertices
     q = spec.edge_prob / n
     total = n * (n - 1) // 2
     batch = _batch_size(q, total)
-    bits = np.random.PCG64(0)
-    draw = np.random.Generator(bits).geometric
-    rs = realization_indices
     span = block * max(1, _SEED_SLICE // block)
     for i in range(0, len(rs), span):
-        words = _seed_words(spec.master_seed, rs[i : i + span])
-        for j in range(0, words.shape[0], block):
-            gaps, lengths, walked = [], [], []
-            for w in words[j : j + block].tolist():
-                bits.state = _pcg64_state(*w)
-                length = walk = 0
-                while walk <= total:
+        part = rs[i : i + span]
+        # array operations cost about a microsecond whatever their length, so
+        # a lone index is hashed as a Python int
+        r = int(part[0]) if len(part) == 1 else np.fromiter(part, np.uint64, len(part))
+        words = np.array(_seed_words(spec.master_seed, r), dtype=np.uint64).T.reshape(-1, 4).copy()
+        for j in range(0, len(part), block):
+            gaps, bounds, carried = [], [0], 0
+            for w in words[j : j + block]:
+                draw = np.random.Generator(np.random.PCG64(_SeedWords(w))).geometric
+                g = draw(q, batch)
+                last = int(g.sum()) - 1  # every realization walks from slot -1
+                # the block's running sum stands at the previous realization's
+                # last slot (0 before the first): the first gap takes it back
+                g[0] -= carried + 1
+                gaps.append(g)
+                while last < total:
                     gaps.append(g := draw(q, batch))
-                    length += batch
-                    walk += int(g.sum())
-                lengths.append(length)
-                walked.append(walk)
-            # each realization walks from slot -1, as in _skip_indices: its first
-            # gap takes back what the realization before it walked
-            pos = np.concatenate(gaps)
-            pos[np.cumsum(lengths[:-1], dtype=np.int64)] -= np.array(walked[:-1], dtype=np.int64)
-            np.cumsum(pos, out=pos)
-            pos -= 1
+                    last += int(g.sum())
+                carried = last
+                bounds.append(len(gaps) * batch)
+            pos = np.cumsum(np.concatenate(gaps))
             keep = pos < total
-            owner = np.repeat(np.arange(len(lengths)), lengths)[keep]
-            yield pos[keep], np.bincount(owner, minlength=len(lengths))
+            # counted realization by realization: labelling every slot with its
+            # realization would cost a pass over the block for each label array
+            counts = [np.count_nonzero(keep[a:b]) for a, b in zip(bounds, bounds[1:])]
+            yield pos[keep], np.array(counts, dtype=np.int64)
+
+
+def sample_pair_indices(spec: GraphSpec, realization_index: int) -> np.ndarray:
+    """Sorted linear indices (:func:`pair_index`) of the edges of realization ``r``."""
+    r = realization_index
+    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not (0 <= r <= _MAX_SEED):
+        raise ValueError(f"realization_index must be an integer in [0, 2**64 - 1], got {r!r}")
+    [(idx, _)] = sample_pair_index_blocks(spec, [int(r)], 1)
+    return idx
 
 
 def sample_graph(spec: GraphSpec, realization_index: int) -> Graph:

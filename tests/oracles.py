@@ -4,7 +4,9 @@ Everything here deliberately avoids the library code paths it is used to
 check: components come from BFS or a sequential union-find instead of the
 vectorized hook-and-compress labelling, Laplacians are built entry by entry
 from the definition, small ensembles are enumerated exhaustively with
-exact per-graph probabilities, a stack of Laplacians is solved whole, every
+exact per-graph probabilities, a realization's edges are drawn from its own
+``np.random.default_rng`` a fixed batch of gaps at a time, a stack of
+Laplacians is solved whole, every
 copy of a repeated matrix included, and exact counts of eigenvalues <= E come
 from a dense fraction-free elimination in a static degree order instead of the
 sparse one.
@@ -293,6 +295,20 @@ def all_graphs(n: int):
     for bits in range(2 ** len(pairs)):
         edges = tuple(pairs[k] for k in range(len(pairs)) if bits >> k & 1)
         yield edges, len(edges)
+
+
+def reference_pair_indices(n: int, p: float, master_seed: int, r: int) -> np.ndarray:
+    """Sorted linear pair indices of realization ``r`` of G(N, p/N): Geometric(p/N)
+    gaps from ``np.random.default_rng([master_seed, r])``, walked from slot -1
+    until they pass the last of the N(N-1)/2 pairs."""
+    rng = np.random.default_rng([master_seed, r])
+    q, total = p / n, n * (n - 1) // 2
+    out, last = [], -1
+    while last < total:
+        out.append(last + np.cumsum(rng.geometric(q, size=256)))
+        last = int(out[-1][-1])
+    idx = np.concatenate(out)
+    return idx[idx < total]
 
 
 def graph_probability(n: int, m: int, q: float) -> float:

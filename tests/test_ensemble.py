@@ -25,7 +25,7 @@ from erlap.ensemble import (
 )
 from erlap.harness import _census_chunk
 
-from oracles import all_graphs, graph_probability
+from oracles import all_graphs, graph_probability, reference_pair_indices
 
 
 def test_spec_validation():
@@ -109,12 +109,16 @@ _INDEX_RANGES = [range(0, 300), range(2**32 - 3, 2**32 + 3), range(2**64 - 4, 2*
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
-def test_block_start_states_match_default_rng(seed):
+def test_seed_words_match_seed_sequence(seed):
+    # the same hash on a uint64 array of indices and on each index as a Python int
     for rs in _INDEX_RANGES:
-        words = ensemble._seed_words(seed, rs)
-        for r, w in zip(rs, words.tolist()):
-            assert w == np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
-            assert ensemble._pcg64_state(*w) == np.random.default_rng([seed, r]).bit_generator.state
+        arrays = ensemble._seed_words(seed, np.fromiter(rs, np.uint64, len(rs)))
+        for k, r in enumerate(rs):
+            want = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
+            assert ensemble._seed_words(seed, r) == want.tolist()
+            assert [int(a[k]) for a in arrays] == want.tolist()
+            bits = np.random.PCG64(ensemble._SeedWords(want))
+            assert bits.state == np.random.default_rng([seed, r]).bit_generator.state
 
 
 def _blocks(spec, rs, block):
@@ -125,17 +129,19 @@ def _blocks(spec, rs, block):
 
 
 @pytest.mark.parametrize("n, p", [(2, 1.9), (50, 1.2), (200, 0.5), (5000, 4.0)])
-def test_block_sampler_matches_single_realizations(n, p):
+def test_block_sampler_matches_default_rng_reference(n, p):
     # blocks of 7 divide neither a seed slice nor the index ranges; the census
     # block holds 2048 realizations at N = 2 and one at N = 5000
     for seed in _SEEDS:
         spec = GraphSpec(n, p, seed)
         for rs in _INDEX_RANGES:
-            want = [sample_pair_indices(spec, r) for r in rs]
+            want = [reference_pair_indices(n, p, seed, r) for r in rs]
             for block in (7, max(1, 4096 // n)):
                 idx, counts = _blocks(spec, rs, block)
                 assert np.array_equal(idx, np.concatenate(want))
                 assert counts == [x.size for x in want]
+            for r in (rs[0], rs[-1]):
+                assert np.array_equal(sample_pair_indices(spec, r), want[r - rs[0]])
 
 
 def test_block_sampler_continues_short_batches(monkeypatch):
@@ -143,19 +149,25 @@ def test_block_sampler_continues_short_batches(monkeypatch):
     # realization takes the continuation branch and draws the same pairs
     spec = GraphSpec(200, 0.5, 20260809)
     rs = range(2**32 - 30, 2**32 + 30)
-    want = [sample_pair_indices(spec, r) for r in rs]
+    want = [reference_pair_indices(200, 0.5, 20260809, r) for r in rs]
     monkeypatch.setattr(ensemble, "_batch_size", lambda q, total: 1)
     idx, counts = _blocks(spec, rs, 20)
     assert np.array_equal(idx, np.concatenate(want))
     assert counts == [x.size for x in want]
+    assert np.array_equal(sample_pair_indices(spec, rs[0]), want[0])
     assert _blocks(spec, range(0), 20)[1] == []
 
 
-def test_block_sampler_rejects_indices_beyond_64_bits():
+def test_samplers_reject_indices_beyond_64_bits():
     spec = GraphSpec(50, 0.5, 3)
     for rs in (range(2**64 - 2, 2**64 + 1), range(-1, 3)):
         with pytest.raises(ValueError):
             list(sample_pair_index_blocks(spec, rs, 7))
+    for r in (2**64, 2**70, -1):
+        with pytest.raises(ValueError):
+            sample_pair_indices(spec, r)
+        with pytest.raises(ValueError):
+            sample_graph(spec, r)
 
 
 def test_mean_edge_count():
