@@ -27,8 +27,8 @@ so it equals a float E only at an integer E, where exact pivots count the ties.
 
 Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
 Tr L^2 = sum d(d + 1) as Python integers.  Tr A^4 and Tr L^4 count closed 4-walks:
-degrees, edge degree sums, and the triangles and 4-cycles of the 2-core of the
-cyclic clusters, read off one small dense A^2.  So at k <= 2 no stack is laid out;
+degrees, edge degree sums, and the triangles and 4-cycles of the cyclic clusters,
+counted from their wedges a - v - b in int64.  So at k <= 2 no matrix is laid out;
 for k >= 3, the exact integer Tr M^{2k} = ||M^k||_F^2 (M = L, A) comes from the
 stacks by integer-valued float64 products.  The moment inequality is checked
 beside the rows, by :meth:`MomentSamples.inequality`.
@@ -625,26 +625,6 @@ def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
             traces[k] += int(np.vdot(panel, panel))
 
 
-def _two_core(edges: np.ndarray) -> np.ndarray:
-    """The rows of ``edges`` that form its 2-core, in their order.
-
-    Each round peels the vertices whose live degree has fallen to 1, and
-    updates the degrees of their neighbours only: no round recounts the
-    edges.  Each vertex keeps the sum of its live neighbours, which names a
-    leaf's one neighbour; an edge is in the core iff both its ends survive.
-    """
-    local = np.unique(edges, return_inverse=True)[1].reshape(-1, 2)
-    i, j = local[:, 0], local[:, 1]
-    deg = np.bincount(local.ravel())
-    nbr = np.bincount(local.ravel(), local[:, ::-1].ravel()).astype(np.int64)
-    while (leaves := np.flatnonzero(deg == 1)).size:
-        w = nbr[leaves]
-        deg[leaves] = 0  # the two leaves of a lone edge then fall to -1: dead alike
-        np.subtract.at(deg, w, 1)
-        np.subtract.at(nbr, w, leaves)
-    return edges[(deg[i] > 0) & (deg[j] > 0)]
-
-
 def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> tuple[int, int]:
     """Tr L^4 and Tr A^4 of ``d.graph`` from closed-walk counts, as Python integers;
     ``degrees`` are its vertex degrees and ``hist`` their histogram.
@@ -653,28 +633,32 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
     and C4 the 4-cycles (Cvetkovic, Doob and Sachs, *Spectra of Graphs*):
     sum_{i != j} c_ij^2 = sum d(d - 1) + 8 C4, Tr A^4 = sum d^2 + sum c_ij^2, and
     Tr L^4 = sum (d^2 + d)^2 + 2 sum_e (d_i + d_j)^2 - 4 sum_e (d_i + d_j) t_e
-    + sum c_ij^2.  Triangles and 4-cycles lie in the 2-core of the cyclic
-    clusters, whose dense A^2 gives t_e = A^2[i, j] and 8 C4 = ||A^2||_F^2
-    - sum d_core^2 - sum d_core(d_core - 1).  The entries of A^2 are integers
-    <= d_max and ||A^2||_F^2 <= 2m d_max^2, far below 2^53, so its float64
-    product is exact; sum_e (d_i + d_j) t_e <= 2m d_max^2 also fits int64.
+    + sum c_ij^2.  Triangles and 4-cycles lie in the cyclic clusters, and c_ij is
+    the number of wedges i - v - j there, so one count of the wedge keys (i, j),
+    i < j, gives 8 C4 = 2 sum_{i < j} c_ij (c_ij - 1) and t_e = c_ij, all in int64.
     """
     g = d.graph
     d2, d3, d4 = (sum(count * v**t for v, count in enumerate(hist)) for t in (2, 3, 4))
     pairs = np.bincount(degrees[g.edges[:, 0]] + degrees[g.edges[:, 1]]).tolist()
     lap = d4 + 2 * d3 + d2 + 2 * sum(count * v * v for v, count in enumerate(pairs))
-    walks = d2 - 2 * g.n_edges  # sum d(d - 1); the core adds 8 C4
+    walks = d2 - 2 * g.n_edges  # sum d(d - 1); the 4-cycles add 8 C4
     if not d.is_tree.all():
-        core = _two_core(g.edges[~d.is_tree[d.edge_labels]])
-        vertices, local = np.unique(core, return_inverse=True)
-        i, j = local.reshape(-1, 2).T
-        a = np.zeros((vertices.size, vertices.size))
-        a[i, j] = a[j, i] = 1.0
-        a2 = a @ a
-        core_deg = a2.diagonal()
-        walks += int(np.vdot(a2, a2)) - 2 * int(np.vdot(core_deg, core_deg)) + 2 * i.size
-        tri = a2[i, j].astype(np.int64)
-        lap -= 4 * int(np.dot(degrees[core[:, 0]] + degrees[core[:, 1]], tri))
+        e = g.edges[~d.is_tree[d.edge_labels]]
+        tail, head = np.concatenate((e, e[:, ::-1])).T
+        order = np.argsort(tail)
+        tail, head = tail[order], head[order]
+        # the wedges a - v - b: each half-edge v -> a meets every half-edge v -> b of
+        # its run, which starts at first and is as long as the degree of v
+        run, first = degrees[tail], np.searchsorted(tail, tail)
+        slot = np.repeat(first - np.cumsum(run) + run, run) + np.arange(int(run.sum()))
+        a, b = np.repeat(head, run), head[slot]
+        pair = a < b  # each unordered wedge once, and no a - v - a
+        keys, c = np.unique(a[pair] * g.n + b[pair], return_counts=True)
+        walks += 2 * int(np.dot(c, c - 1))
+        edge_keys = e[:, 0] * g.n + e[:, 1]
+        at = np.minimum(np.searchsorted(keys, edge_keys), keys.size - 1)
+        tri = np.where(keys[at] == edge_keys, c[at], 0)
+        lap -= 4 * int(np.dot(degrees[e[:, 0]] + degrees[e[:, 1]], tri))
     return lap + walks, d2 + walks
 
 

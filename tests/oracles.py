@@ -272,23 +272,6 @@ def stack_trace_powers(stacks, k_max: int) -> tuple[list[int], list[int]]:
     return lap, adj
 
 
-def two_core_edges(edges) -> set:
-    """Edges of the 2-core as a set of sorted pairs: vertices of degree <= 1 are
-    removed one at a time from a queue."""
-    adj = {}
-    for i, j in edges:
-        adj.setdefault(int(i), set()).add(int(j))
-        adj.setdefault(int(j), set()).add(int(i))
-    queue = [v for v, nbrs in adj.items() if len(nbrs) <= 1]
-    while queue:
-        v = queue.pop()
-        for w in adj.pop(v, ()):
-            adj[w].discard(v)
-            if len(adj[w]) == 1:
-                queue.append(w)
-    return {(min(v, w), max(v, w)) for v, nbrs in adj.items() for w in nbrs}
-
-
 def all_graphs(n: int):
     """Yield (edge tuple, edge count) for every labeled graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -41,7 +41,6 @@ from oracles import (
     path_spectrum_closed_form,
     stack_trace_powers,
     stackwise_eigenvalues,
-    two_core_edges,
 )
 
 
@@ -245,12 +244,20 @@ def _pruned_and_full_counts(d, grid):
 
 
 def _exact_ids_counts(g, grid):
-    # README tie policy: every cluster counts exactly
+    # README tie policy: every cluster counts exactly.  A dense solve of an n-vertex
+    # component rounds each eigenvalue by less than 2 n^2 eps, so its count is exact
+    # at every energy that no computed eigenvalue lies that near; the slow exact
+    # oracle counts only the other energies
     counts = np.zeros(grid.shape, dtype=np.int64)
-    for comp in bfs_components(g.n, g.edges.tolist()):
-        index = {v: i for i, v in enumerate(comp)}
-        edges = [(index[a], index[b]) for a, b in g.edges.tolist() if a in index]
-        counts += exact_counts(len(comp), edges, grid)
+    all_edges = g.edges.tolist()
+    for comp in bfs_components(g.n, all_edges):
+        n, index = len(comp), {v: i for i, v in enumerate(comp)}
+        edges = [(index[a], index[b]) for a, b in all_edges if a in index]
+        values = np.linalg.eigvalsh(dense_laplacian(n, edges))
+        near = np.abs(values[:, None] - grid).min(axis=0) <= 2.0 * n * n * np.finfo(np.float64).eps
+        found = np.searchsorted(values, grid, side="right")
+        found[near] = exact_counts(n, edges, grid[near])
+        counts += found
     return counts
 
 
@@ -933,17 +940,9 @@ def test_fourth_traces_match_stack_oracle(g):
     assert (lap[1], adj[1]) == (lap4 / g.n, adj4 / g.n)
 
 
-@given(g=_cycle_rich_graphs)
-@settings(max_examples=150, deadline=None)
-def test_two_core_matches_queue_peeling(g):
-    core = spectral._two_core(g.edges)
-    assert set(map(tuple, core.tolist())) == two_core_edges(g.edges.tolist())
-    assert core.tolist() == sorted(core.tolist())  # the rows keep their order
-
-
 @pytest.mark.parametrize("n, p, seed, reps", [
     (10_000, 0.5, 20260809, 3), (10_000, 0.9, 20260809, 3), (10_000, 0.99, 20260809, 3),
-    (2000, 1.5, 4242, 1),
+    (2000, 1.5, 4242, 1), (1000, 3.0, 4242, 1),
 ])
 def test_fourth_traces_match_stack_oracle_on_acceptance_seeds(n, p, seed, reps):
     for r in range(reps):
