@@ -27,9 +27,13 @@ from .spectral import (
     IdsEstimate,
     MomentInequalityReport,
     MomentSamples,
+    _check_size_cap,
     _each_realization,
     _run_chunked,
-    cluster_min_gaps,  # unused here; perfbench wraps it, graph_spectrum, quadratic_form, sample_graph
+    # unused here: perfbench's traced run wraps cluster_min_gaps, graph_spectrum and
+    # quadratic_form (and sample_graph, imported above) on this module
+    cluster_min_gaps,
+    counting_function,
     empirical_ids,
     eigenvalues_cluster,
     fiedler_floor,
@@ -632,47 +636,28 @@ class VerifyResult:
 
 
 def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
-    """Property scan of realization ``r`` over every solved cluster: Fiedler's floor
-    on the smallest nonzero eigenvalue, and the exact integer traces Tr L = sum d
-    and Tr L^2 = sum d(d + 1) against the eigenvalue sums.  The floor less the
-    eigensolver's error is at least 1/n^2 for every n <= 11,888, so this also checks
-    the 1/n^2 floor there.  The kernel is checked by the solve itself.  Returns
-    (violations, clusters, clusters checked)."""
-    violations = []
-    groups = spectral._grouped_eigenvalues(d, size_cap)  # the one solve of this realization
-    ids, sizes, gaps = spectral._min_gaps(d, groups)
-    deg = degree_sequence(d.graph)
-    d_max = d.max_degree[ids]
-    tr1 = 2.0 * d.edge_counts[ids]  # handshake lemma: sum d = 2 |E|
-    tr2 = np.bincount(d.labels, weights=deg * (deg + 1), minlength=d.n_clusters)[ids]
-    sum1 = np.concatenate([np.empty(0)] + [vals.sum(axis=1) for _, _, vals in groups])
-    sum2 = np.concatenate([np.empty(0)] + [(vals * vals).sum(axis=1) for _, _, vals in groups])
-    err1, err2 = np.abs(sum1 - tr1), np.abs(sum2 - tr2)
-    # Paths attain Fiedler's floor, so computed gaps can fall below it (10,883 did
-    # over 600 realizations at N=1e4, p=0.5); the allowance is the eigensolver's
-    # error bound n*eps*||L||_2 <= n*eps*2*d_max, and the worst shortfall was 0.15 of it.
-    # The trace bounds add that error over the n eigenvalues (for squares,
-    # |a^2 - b^2| <= e(2b + e)) plus the rounding of the row sums; the worst error
-    # was 0.21 of them over 1,500 realizations at N=1e4, p=0.5.
-    eps = np.finfo(np.float64).eps
-    n = sizes.astype(np.float64)
-    allowance = n * eps * 2.0 * d_max
-    bound1 = n * (allowance + eps * tr1)
-    bound2 = allowance * (2.0 * tr1 + n * allowance) + n * eps * tr2
-    fiedler = fiedler_floor(sizes) - allowance
-    for name, key, value, bound, bad in (
-        ("Fiedler floor", "e_min", gaps, fiedler, gaps < fiedler),
-        ("trace identity", "Tr L error", err1, bound1, err1 > bound1),
-        ("trace identity", "Tr L^2 error", err2, bound2, err2 > bound2),
-    ):
-        if bad.any():
-            i = int(np.argmax(bad))
-            violations.append(
-                f"{name} violated at realization {r}: size={int(sizes[i])} "
-                f"{key}={float(value[i])!r} bound={float(bound[i])!r} "
-                f"edges={d.cluster(int(ids[i])).edges.tolist()}"
-            )
-    return violations, d.n_clusters, sizes.shape[0]
+    """Property scan of realization ``r`` by one inertia count, no eigensolve.  Each
+    vertex of a cluster of size n >= 2 is shifted by E = Fiedler's floor 2(1 - cos(pi/n))
+    less n*eps*2*d_max, and :func:`counting_function` counts the pivots <= 0 of
+    L - diag(E).  A cluster adds at least 1, for its constant vector, and exactly 1 iff
+    its kernel is one-dimensional and its smallest nonzero eigenvalue exceeds E; so the
+    count must equal the number of those clusters, which :func:`decompose` finds by
+    another mechanism.  E is at least 1/n^2 for every n <= 11,888, so this also checks
+    the 1/n^2 floor there.  Returns (violations, clusters, clusters checked)."""
+    _check_size_cap(d, size_cap)  # inertia needs no cap; it keeps the giant-cluster error line
+    live = degree_sequence(d.graph) > 0  # the vertices of the clusters of size >= 2
+    label = d.labels[live]
+    n = d.sizes[label]
+    # paths attain the floor; the eigensolver's error bound n*eps*2*d_max is also the
+    # float count's allowance: a path of 2..500 vertices counts 1 at the floor less it
+    # and 2 at the floor plus it
+    shift = fiedler_floor(n) - n * np.finfo(np.float64).eps * 2.0 * d.max_degree[label]
+    count = int(counting_function(shift.size, (np.cumsum(live) - 1)[d.graph.edges], shift[:, None])[0])
+    clusters = int(np.count_nonzero(d.sizes >= 2))
+    violations = [] if count == clusters else [
+        f"Fiedler floor violated at realization {r}: count={count} clusters={clusters}"
+    ]
+    return violations, d.n_clusters, clusters
 
 
 def run_verify(config: ExperimentConfig) -> VerifyResult:

@@ -4,9 +4,7 @@ The graph Laplacian L = D - A is block diagonal over clusters, so the graph
 spectrum is the multiset union of small per-cluster eigenproblems.  One
 builder assembles the clusters of each size as a stack of dense Laplacians,
 and one checked eigensolve handles every stack, which keeps the LAPACK loop
-in C even when a realization holds thousands of tiny clusters.  Equal
-matrices have equal spectra, and a size class with more clusters than possible
-edge sets must repeat one, so such a class solves only its distinct matrices.
+in C even when a realization holds thousands of tiny clusters.
 
 LAPACK computes every eigenvalue of an n-vertex Laplacian within the margin
 n*eps*||L||_2 <= n*eps*2(n - 1).  Each connected cluster has a one-dimensional
@@ -24,6 +22,9 @@ need no eigensolve: #{lambda <= E} is the number of pivots <= 0 of L - E*I
 (Sylvester's law of inertia), eliminated leaf to root with no fill-in down to the
 2-core, then sparsest row first.  A Laplacian eigenvalue is an algebraic integer,
 so it equals a float E only at an integer E, where exact pivots count the ties.
+Verify's scan needs no eigensolve either: with each vertex shifted by its cluster's
+floor less n*eps*2*d_max, one count equals the number of clusters of size >= 2 iff
+each has a one-dimensional kernel and clears its floor.
 
 Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
 Tr L^2 = sum d(d + 1) as Python integers.  Tr A^4 and Tr L^4 count closed 4-walks:
@@ -234,27 +235,11 @@ def _min_solved_size(e_max: float, size_cap: int) -> int:
 
 
 def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int):
-    """Laplacian eigenvalues of the clusters :func:`_laplacian_stacks` yields, by size.
-
-    Returns a list of (size, cluster_ids, values) with ``values`` of shape
-    (count, size), each row sorted ascending with its first entry exactly 0.
-
-    A Laplacian is fixed by its s(s - 1)/2 upper off-diagonal entries, so a class
-    of more than 2^{s(s - 1)/2} size-s clusters must repeat a matrix (pigeonhole).
-    Such a class solves each distinct matrix once, its first cluster named in a
-    kernel error, and copies the rows back to every cluster; a smaller class is
-    solved whole.
-    """
-    groups = []
-    for s, ids, stack in _laplacian_stacks(d, size_cap):
-        first = inverse = slice(None)
-        bits = s * (s - 1) // 2
-        if ids.size > 1 << bits:
-            upper = np.triu_indices(s, 1)
-            keys = (stack[:, upper[0], upper[1]] != 0) @ (1 << np.arange(bits))
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        groups.append((s, ids, _checked_eigvalsh(stack[first], ids[first], d.cluster)[inverse]))
-    return groups
+    """Laplacian eigenvalues of the clusters :func:`_laplacian_stacks` yields, by size:
+    a list of (size, cluster_ids, values) with ``values`` of shape (count, size), each
+    row sorted ascending with its first entry exactly 0."""
+    return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster))
+            for s, ids, stack in _laplacian_stacks(d, size_cap)]
 
 
 def _inertia(edges: np.ndarray, diag: list, off):
@@ -303,7 +288,10 @@ def _inertia(edges: np.ndarray, diag: list, off):
 def counting_function(n: int, edges, energies) -> np.ndarray:
     """#{eigenvalues <= E}, kernel included, at each energy E of the Laplacian of the
     simple graph on vertices 0..n-1 with ``edges``: the pivots <= 0 of L - E*I (module
-    docstring).  A repeated pair or a loop raises ValueError.
+    docstring).  ``energies`` of shape (k,) is a grid; of shape (n, k), column j shifts
+    each vertex v by its own E[v, j] and counts the pivots <= 0 of L - diag(E[:, j]).
+    A column is integer, and counted exactly, iff every entry is.  A repeated pair or a
+    loop raises ValueError.
 
     Each round peels the current leaves, one per parent, into their parents, until only
     the 2-core is left; a tree's root is the larger end of its last edge.  Zero pivots
@@ -311,8 +299,9 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     -1/2, one zero child's 2, and the parent sends nothing on.  That 2x2 pivot's inverse
     is 0 in the parent's slot, so the parent, core or not, is dropped with no update to
     its neighbours.  The core S = diag(f) - A_core goes to :func:`_inertia` on float
-    arrays, or, at integer E and where a float core pivot rounds to 0, as the integer
-    matrix diag(g) S diag(g) of the exact pivots f/g.
+    arrays, or, in an integer column and where a float core pivot rounds to 0, as the
+    integer matrix diag(g) S diag(g) of the exact pivots f/g, congruent to S for any
+    nonzero per-vertex g.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = np.asarray(energies, dtype=np.float64)
@@ -339,11 +328,12 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
         if (core_edges[:, 0] == core_edges[:, 1]).any() or np.unique(core_edges, axis=0).shape != core_edges.shape:
             raise ValueError("edges repeat a pair or join a vertex to itself")
         core_edges = (np.cumsum(core) - 1)[core_edges]
-    counts = np.empty(e.shape, dtype=np.int64)
-    floats, exact = np.flatnonzero(e != np.floor(e)), np.flatnonzero(e == np.floor(e))
+    counts = np.empty(e.shape[-1], dtype=np.int64)
+    integral = (e == np.floor(e)).reshape(-1, e.shape[-1]).all(axis=0)
+    floats, exact = np.flatnonzero(~integral), np.flatnonzero(integral)
     # a leaf's pivot a adds -1/a to its parent's; a zero pivot sends 1/0 = inf, so
     # its parent falls to -inf and later sends 1/-inf = -0
-    f = deg[:, None] - e[floats]
+    f = deg[:, None] - e[..., floats]
     for leaves, parents in rounds:
         f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
     counts[floats] = np.count_nonzero(~core[:, None] & (f <= 0) & (f > -np.inf), axis=0)
@@ -353,10 +343,10 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
         counts[floats] += core_count
         exact = np.union1d(exact, floats[zero])
     if exact.size:  # exact pivots f/g of E = num/den, g = 0 leaving a vertex out
-        num, den = np.array([x.as_integer_ratio() for x in e[exact].tolist()], dtype=object).T
-        wide = int(deg.max(initial=0)) * max(den) + max(map(abs, num)) >= _INT64_PIVOT_BOUND
+        num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(e[..., exact])
+        wide = int(deg.max(initial=0)) * den.max(initial=1) + np.abs(num).max(initial=0) >= _INT64_PIVOT_BOUND
         num, den = num.astype(object if wide else np.int64), den.astype(object if wide else np.int64)
-        f, g = deg[:, None] * den - num, np.repeat(den[None, :], n, axis=0)
+        f, g = deg[:, None] * den - num, np.broadcast_to(den, (n, exact.size)).copy()
         for leaves, parents in rounds:
             fl, gl = f.take(leaves, axis=0), g.take(leaves, axis=0)
             # f/g - gl/fl, a zero pivot leaving g = 0 at its parent; a leaf with g = 0
@@ -387,17 +377,13 @@ def graph_spectrum(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP) ->
     return eigs
 
 
-def _min_gaps(d: ClusterDecomposition, groups):
-    """Cluster ids, sizes, and smallest nonzero eigenvalues of the solved ``groups``."""
-    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids, _ in groups])
-    gaps = np.concatenate([np.empty(0)] + [vals[:, 1] for _, _, vals in groups])
-    return ids, d.sizes[ids], gaps
-
-
 def cluster_min_gaps(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP):
     """Cluster ids, sizes, and smallest nonzero eigenvalues of every cluster
     with at least two vertices."""
-    return _min_gaps(d, _grouped_eigenvalues(d, size_cap))
+    groups = _grouped_eigenvalues(d, size_cap)
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids, _ in groups])
+    gaps = np.concatenate([np.empty(0)] + [vals[:, 1] for _, _, vals in groups])
+    return ids, d.sizes[ids], gaps
 
 
 @dataclass(frozen=True)

@@ -109,29 +109,19 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
     return lap
 
 
-def stackwise_eigenvalues(stacks) -> list:
-    """One eigensolve per size class over its whole stack, kernel pinned to 0.0.
-
-    ``stacks`` yields ``(size, cluster_ids, stack)`` as the library's stack
-    builder lays them out; every stacked matrix is solved, repeated or not.
-    Returns ``(size, cluster_ids, values)`` per class.
-    """
-    out = []
-    for s, ids, stack in stacks:
-        vals = np.linalg.eigvalsh(stack)
-        vals[:, 0] = 0.0
-        out.append((s, ids, vals))
-    return out
-
-
 def dense_counting_function(n: int, edges, energies) -> np.ndarray:
-    """#{eigenvalues <= E} of the dense N x N Laplacian of the whole graph.
+    """#{eigenvalues <= E} of the dense N x N Laplacian of the whole graph at each
+    energy of a grid, or, for ``energies`` of shape (N, k), #{eigenvalues <= 0} of
+    L - diag(E[:, j]) for each column j.
 
-    One eigensolve of the full matrix: no clusters, no pinned kernel and no
-    pruning, so its zero eigenvalues carry rounding of either sign.
+    One eigensolve of the full matrix per grid or column: no clusters, no pinned
+    kernel and no pruning, so its zero eigenvalues carry rounding of either sign.
     """
-    vals = np.linalg.eigvalsh(dense_laplacian(n, edges))
-    return np.searchsorted(vals, np.asarray(energies, dtype=np.float64), side="right")
+    lap = dense_laplacian(n, edges)
+    e = np.asarray(energies, dtype=np.float64)
+    if e.ndim == 2:
+        return np.array([np.count_nonzero(np.linalg.eigvalsh(lap - np.diag(col)) <= 0.0) for col in e.T])
+    return np.searchsorted(np.linalg.eigvalsh(lap), e, side="right")
 
 
 def exact_tree_counts(n: int, edges, energies) -> np.ndarray:
@@ -194,10 +184,13 @@ def eigenvalue_counts(d, groups, energies) -> np.ndarray:
 
 
 def exact_counts(n: int, edges, energies) -> np.ndarray:
-    """#{eigenvalues <= E} of the Laplacian of any simple graph at each energy, exactly.
+    """#{eigenvalues <= E} of the Laplacian of any simple graph at each energy, exactly;
+    for ``energies`` of shape (n, k), #{eigenvalues <= 0} of L - diag(E[:, j]) for each
+    column j.
 
-    A float E is a rational num/den with den > 0, so L - E*I has the inertia of the
-    integer matrix M = den*L - num*I (Sylvester's law of inertia).  M is eliminated
+    Each float E_v is a rational num_v/den_v with den_v > 0, so with den their least
+    common multiple, L - diag(E) has the inertia of the integer matrix
+    M = den*L - diag(den*E) (Sylvester's law of inertia).  M is eliminated
     densely, rows in the static order of ascending degree (ties by vertex), by
     Bareiss's fraction-free steps (Math. Comp. 1968):
     each is an exact integer division, and the k-th pivot is the k-th leading principal
@@ -207,10 +200,13 @@ def exact_counts(n: int, edges, energies) -> np.ndarray:
     block that is all zero counts as zero eigenvalues.
     """
     lap = dense_laplacian(n, edges).astype(np.int64).tolist()
+    e = np.asarray(energies, dtype=np.float64)
     counts = []
-    for energy in energies:
-        num, den = float(energy).as_integer_ratio()
-        m = [[den * x - num * (i == j) for j, x in enumerate(row)] for i, row in enumerate(lap)]
+    for column in np.broadcast_to(e.T if e.ndim == 2 else e[:, None], (e.shape[-1], n)).tolist():
+        ratios = [x.as_integer_ratio() for x in column]
+        den = math.lcm(*(d for _, d in ratios))
+        m = [[den * x - (i == j) * ratios[i][0] * (den // ratios[i][1]) for j, x in enumerate(row)]
+             for i, row in enumerate(lap)]
         live, prev, total = sorted(range(n), key=lambda v: (lap[v][v], v)), 1, 0
         while live:
             k = next((k for k in live if m[k][k]), None)

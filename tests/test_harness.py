@@ -626,21 +626,38 @@ def test_cli_verify_serializes_violations(tmp_path, capsys, monkeypatch):
     assert "VIOLATION tau_normalization" in captured.err
 
 
-def test_run_verify_solves_each_cluster_once(monkeypatch):
-    import erlap.spectral as spectral_module
+def test_run_verify_ensemble_scan_calls_no_eigensolver(monkeypatch):
+    # the scan counts inertia only; eigvalsh may run inside the path oracle alone
+    import erlap.harness as harness_module
 
-    real = spectral_module._grouped_eigenvalues
-    solved = []
+    real_eigvalsh, real_cluster = np.linalg.eigvalsh, harness_module.eigenvalues_cluster
+    oracle = []
 
-    def counting(d, *args):
-        groups = real(d, *args)
-        solved.append(sum(ids.shape[0] for _, ids, _ in groups))
-        return groups
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ensemble scan called an eigensolver")
 
-    monkeypatch.setattr(spectral_module, "_grouped_eigenvalues", counting)
-    result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=3, master_seed=77))
+    def guarded(a):
+        if not oracle:
+            refuse()
+        return real_eigvalsh(a)
+
+    def path_oracle(c, **kwargs):
+        oracle.append(c.size)
+        try:
+            return real_cluster(c, **kwargs)
+        finally:
+            oracle.pop()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", guarded)
+    monkeypatch.setattr(spectral, "_grouped_eigenvalues", refuse)
+    monkeypatch.setattr(harness_module, "eigenvalues_cluster", path_oracle)
+    config = ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=3, master_seed=77)
+    result = run_verify(config)
     assert result.ok
-    assert len(solved) == 3 and sum(solved) == result.clusters_checked
+    # every cluster of size >= 2 is checked, as decompose counts them
+    sizes = [decompose(sample_graph(config.spec(), r)).sizes for r in range(3)]
+    assert result.clusters_checked == sum(int(np.count_nonzero(s >= 2)) for s in sizes)
+    assert result.clusters_total == sum(s.size for s in sizes)
 
 
 def test_run_verify_calls_cluster_solver_only_for_path_oracle(monkeypatch):
@@ -663,28 +680,38 @@ def test_run_verify_calls_cluster_solver_only_for_path_oracle(monkeypatch):
 
 
 def test_run_verify_flags_gaps_below_fiedler_floor(monkeypatch):
-    # lower every computed gap by a relative 1e-6: still far above 1/n^2, but
-    # far below Fiedler's floor less the eigensolver allowance
-    import erlap.spectral as spectral_module
+    # a size-2 cluster sits exactly on its floor, lambda_2 = 2: raising every floor by
+    # a relative 1e-6 puts each single edge's lambda_2 below the shift, and every
+    # realization holds one, so every realization is flagged with one count too many
+    import erlap.harness as harness_module
 
-    real = spectral_module._grouped_eigenvalues
-
-    def lowered(d, *args):
-        groups = real(d, *args)
-        for s, _, vals in groups:
-            vals[:, 1] = spectral_module.fiedler_floor(s) * (1.0 - 1e-6)
-        return groups
-
-    monkeypatch.setattr(spectral_module, "_grouped_eigenvalues", lowered)
+    real = harness_module.fiedler_floor
+    monkeypatch.setattr(harness_module, "fiedler_floor", lambda sizes: real(sizes) * (1.0 + 1e-6))
     result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=2, master_seed=77))
     assert not result.ok
     assert dict((name, ok) for name, ok, _ in result.checks)["ensemble_scan"] is False
-    assert [v.split(":")[0] for v in result.violations if v.startswith("Fiedler")] == [
+    assert [v.split(":")[0] for v in result.violations] == [
         "Fiedler floor violated at realization 0",
         "Fiedler floor violated at realization 1",
     ]
-    # the trace identities read the same lowered eigenvalues
-    assert all(v.startswith(("Fiedler floor", "trace identity")) for v in result.violations)
+    for v in result.violations:
+        count, clusters = (int(field.split("=")[1]) for field in v.split(": ")[1].split())
+        assert count > clusters
+
+
+def test_verify_flags_two_clusters_under_one_label():
+    # two clusters of size >= 2 merged under one label hold two kernels where the
+    # decomposition expects one, so the count exceeds the cluster count by one
+    import erlap.harness as harness_module
+    from erlap.clusters import ClusterDecomposition
+
+    d = decompose(sample_graph(GraphSpec(1500, 0.5, 77), 0))
+    assert harness_module._verify_one(d, 0, 2000)[0] == []
+    a, b = np.flatnonzero(d.sizes >= 2)[:2]
+    merged = ClusterDecomposition(d.graph, np.unique(np.where(d.labels == b, a, d.labels), return_inverse=True)[1])
+    violations, total, checked = harness_module._verify_one(merged, 5, 2000)
+    assert (total, checked) == (d.n_clusters - 1, int(np.count_nonzero(d.sizes >= 2)) - 1)
+    assert violations == [f"Fiedler floor violated at realization 5: count={checked + 1} clusters={checked}"]
 
 
 def test_fiedler_floor_less_margin_covers_the_inverse_square_floor():
@@ -704,27 +731,6 @@ def test_path_oracle_tolerance_implies_the_twelve_over_n_squared_bound():
     ref = np.array([path_emin_reference(int(k)) for k in n])
     assert np.all(ref <= np.pi**2 / n.astype(np.float64) ** 2)
     assert np.min(12.0 / n.astype(np.float64) ** 2 - (ref + 1e-9)) > 5.3e-5
-
-
-def test_run_verify_flags_eigenvalue_sums_off_the_traces(monkeypatch):
-    # raise each cluster's top eigenvalue by a relative 1e-9: the gaps only grow,
-    # so no floor fires, but the exact Tr L and Tr L^2 catch every realization
-    import erlap.spectral as spectral_module
-
-    real = spectral_module._grouped_eigenvalues
-
-    def raised(d, *args):
-        groups = real(d, *args)
-        for _, _, vals in groups:
-            vals[:, -1] *= 1.0 + 1e-9
-        return groups
-
-    monkeypatch.setattr(spectral_module, "_grouped_eigenvalues", raised)
-    result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=3, master_seed=77))
-    assert not result.ok
-    assert {v.split(":")[0] for v in result.violations} == {
-        f"trace identity violated at realization {r}" for r in range(3)
-    }
 
 
 def test_run_verify_workers_do_not_change_result():

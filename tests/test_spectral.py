@@ -40,7 +40,6 @@ from oracles import (
     exact_tree_counts,
     path_spectrum_closed_form,
     stack_trace_powers,
-    stackwise_eigenvalues,
 )
 
 
@@ -396,14 +395,67 @@ def test_counts_match_exact_oracle_on_cyclic_graphs(graph, energies):
     # counted exactly, as when a core pivot rounds to 0
     with mock.patch.object(spectral, "_INT64_PIVOT_BOUND", 0):
         assert np.array_equal(counting_function(n, edges, energies), counts)
-    real = spectral._inertia
-
-    def all_rounded_to_zero(*args):
-        count, zero = real(*args)
-        return count, zero | True
-
-    with mock.patch.object(spectral, "_inertia", all_rounded_to_zero):
+    with mock.patch.object(spectral, "_inertia", _all_rounded_to_zero):
         assert np.array_equal(counting_function(n, edges, energies), counts)
+
+
+def _all_rounded_to_zero(*args, _real=spectral._inertia):
+    # as if every float core pivot rounded to 0: each column goes to the exact count
+    count, zero = _real(*args)
+    return count, zero | True
+
+
+_shift = st.one_of(
+    st.integers(min_value=1, max_value=16).map(float),
+    st.integers(min_value=1, max_value=128).map(lambda k: k / 8),
+    st.floats(min_value=1e-3, max_value=16.0),
+)
+
+
+@given(graph=_cyclic_graph(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_vertex_shifts_count_like_the_dense_and_exact_oracles(graph, data):
+    # each column shifts every vertex by its own energy; an all-integer column is
+    # counted exactly, and so is any column once a core pivot rounds to 0
+    n, edges = graph
+    integer_columns = data.draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    columns = [
+        data.draw(st.lists(st.integers(1, 16).map(float) if whole else _shift, min_size=n, max_size=n))
+        for whole in integer_columns
+    ]
+    shifts = np.array(columns).T
+    counts = counting_function(n, edges, shifts)
+    # L - diag(E) -/+ 1e-9 I brackets the float count; a tie counts on one side only
+    assert np.all(dense_counting_function(n, edges, shifts - 1e-9) <= counts)
+    assert np.all(counts <= dense_counting_function(n, edges, shifts + 1e-9))
+    exact = exact_counts(n, edges, shifts)
+    assert np.array_equal(counts[integer_columns], exact[integer_columns])
+    if len(edges) >= n:  # a cycle, so a core for _inertia
+        with mock.patch.object(spectral, "_inertia", _all_rounded_to_zero):
+            assert np.array_equal(counting_function(n, edges, shifts), exact)
+
+
+@given(
+    graph=_cyclic_graph(),
+    energies=st.lists(st.one_of(_shift, st.just(2.0**40)), min_size=1, max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_identical_rows_count_like_the_grid(graph, energies):
+    # an (n, k) array of equal rows is the grid itself, integer energies included
+    n, edges = graph
+    grid = np.array(energies)
+    assert np.array_equal(counting_function(n, edges, np.tile(grid, (n, 1))), counting_function(n, edges, grid))
+
+
+def test_path_count_resolves_the_fiedler_floor_within_the_verify_allowance():
+    # paths attain Fiedler's floor.  Every vertex shifted by the floor less verify's
+    # allowance n*eps*2*d_max, a path counts its kernel alone; shifted by the floor
+    # plus the allowance, its kernel and lambda_2
+    for n in range(2, 501):
+        path = [(i, i + 1) for i in range(n - 1)]
+        allowance = n * np.finfo(np.float64).eps * 2.0 * min(n - 1, 2)
+        shifts = fiedler_floor(n) + np.array([[-allowance, allowance]] * n)
+        assert counting_function(n, path, shifts).tolist() == [1, 2], n
 
 
 def test_counts_cores_with_all_zero_diagonals():
@@ -571,78 +623,6 @@ def test_graph_spectrum_matches_dense_solve():
     assert s.shape == (g.n,)
     assert np.max(np.abs(s - dense)) < 1e-10
     assert int(np.count_nonzero(s == 0.0)) == d.n_clusters
-
-
-def _assert_grouped_equals_stackwise(d):
-    got = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
-    want = stackwise_eigenvalues(spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP))
-    assert [(s, ids.tolist()) for s, ids, _ in got] == [(s, ids.tolist()) for s, ids, _ in want]
-    for (_, _, a), (_, _, b) in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@st.composite
-def _repeated_small_clusters(draw):
-    # copies of a few graphs on 1..5 vertices, all relabelled by one permutation, so
-    # that each graph recurs in several vertex orders; size classes reach past
-    # 2^{s(s-1)/2} clusters for s <= 4
-    edges, start = [], 0
-    for _ in range(draw(st.integers(1, 4))):
-        s = draw(st.integers(1, 5))
-        pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
-        template = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-        for _ in range(draw(st.integers(1, 120))):
-            edges += [(start + i, start + j) for i, j in template]
-            start += s
-    perm = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(start)
-    return _graph(start, [sorted((int(perm[i]), int(perm[j]))) for i, j in edges])
-
-
-@given(_repeated_small_clusters())
-@settings(max_examples=60, deadline=None)
-def test_grouped_eigenvalues_equal_stackwise_solve_on_repeated_clusters(g):
-    _assert_grouped_equals_stackwise(decompose(g))
-
-
-def test_grouped_eigenvalues_equal_stackwise_solve_on_acceptance_seeds():
-    # at N = 1e4, p = 0.5 the size 2, 3 and 4 classes all exceed 2^{s(s-1)/2} clusters
-    for seed in (20260809, 4242):
-        for p in (0.5, 0.9):
-            spec = GraphSpec(10_000, p, seed)
-            for r in range(3):
-                _assert_grouped_equals_stackwise(decompose(sample_graph(spec, r)))
-
-
-def test_repeated_laplacians_reach_eigvalsh_once(monkeypatch):
-    # 40 single edges (2 possible edge sets on 2 vertices); eleven 3-vertex clusters
-    # (8 possible edge sets) in three matrices: paths with the middle vertex
-    # numbered second or first, and triangles; three stars, below the 64 of size 4
-    edges, start = [], 0
-    for shape, copies in (([(0, 1)], 40), ([(0, 1), (1, 2)], 5), ([(0, 1), (0, 2)], 4),
-                          ([(0, 1), (0, 2), (1, 2)], 2), ([(0, 1), (0, 2), (0, 3)], 3)):
-        size = max(j for _, j in shape) + 1
-        for _ in range(copies):
-            edges += [(start + i, start + j) for i, j in shape]
-            start += size
-    d = decompose(_graph(start, edges))
-    seen = []
-    real = np.linalg.eigvalsh
-
-    def recording(a):
-        seen.append(a.copy())
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    groups = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
-    monkeypatch.undo()
-    assert [stack.shape for stack in seen] == [(1, 2, 2), (3, 3, 3), (3, 4, 4)]
-    assert len(np.unique(seen[1].reshape(3, -1), axis=0)) == 3
-    assert [ids.size for _, ids, _ in groups] == [40, 11, 3]
-    _assert_grouped_equals_stackwise(d)
-    # every cluster gets its own row: editing one copy leaves the others
-    vals = groups[0][2]
-    vals[0, 1] = -1.0
-    assert vals[1, 1] == 2.0
 
 
 def test_kernel_identity_on_ensemble():
