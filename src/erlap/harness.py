@@ -19,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from . import analytics, ensemble, spectral
-from .clusters import CensusAccumulator, CensusReport, Cluster, ClusterDecomposition, decompose
+from .clusters import CensusAccumulator, CensusReport, ClusterDecomposition, decompose
 from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
 from .spectral import (
     DEFAULT_SIZE_CAP,
@@ -30,8 +30,8 @@ from .spectral import (
     _check_size_cap,
     _each_realization,
     _run_chunked,
-    # unused here: perfbench's traced run wraps cluster_min_gaps, graph_spectrum and
-    # quadratic_form (and sample_graph, imported above) on this module
+    # unused here, wrapped on this module by perfbench's traced run: cluster_min_gaps,
+    # eigenvalues_cluster, graph_spectrum, path_emin_reference, quadratic_form (and sample_graph)
     cluster_min_gaps,
     counting_function,
     empirical_ids,
@@ -651,7 +651,8 @@ def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
     # paths attain the floor; the eigensolver's error bound n*eps*2*d_max is also the
     # float count's allowance: a path of 2..500 vertices counts 1 at the floor less it
     # and 2 at the floor plus it
-    shift = fiedler_floor(n) - n * np.finfo(np.float64).eps * 2.0 * d.max_degree[label]
+    shift = fiedler_floor(np.arange(1, d.sizes.max() + 1))[n - 1]  # one floor per size
+    shift -= n * np.finfo(np.float64).eps * 2.0 * d.max_degree[label]
     count = int(counting_function(shift.size, (np.cumsum(live) - 1)[d.graph.edges], shift[:, None])[0])
     clusters = int(np.count_nonzero(d.sizes >= 2))
     violations = [] if count == clusters else [
@@ -665,14 +666,14 @@ def run_verify(config: ExperimentConfig) -> VerifyResult:
     checks = []
     violations: list[str] = []
 
-    bad_paths = []
-    for n in range(2, 201):
-        # |e_min - ref| < 1e-9 also puts e_min below 12/n^2 for n <= 200
-        path = Cluster(np.arange(n), np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
-        e_min = eigenvalues_cluster(path, size_cap=max(config.size_cap, 200))[1]
-        if abs(e_min - path_emin_reference(n)) >= 1e-9:
-            bad_paths.append(n)
-    checks.append(("path_oracle", not bad_paths, f"n=2..200 bad={bad_paths}"))
+    # paths attain the floor: the forest of P_2..P_200 counts each path's kernel at the
+    # floor less the scan's allowance n*eps*2*d_max, and its lambda_2 too at the floor plus it
+    n = np.repeat(np.arange(2, 201), np.arange(2, 201))  # each vertex's path size
+    heads = np.flatnonzero(n[:-1] == n[1:])  # one path per size: an edge joins equal sizes
+    allowance = n * np.finfo(np.float64).eps * 2.0 * np.minimum(n - 1, 2)
+    shifts = fiedler_floor(n)[:, None] + allowance[:, None] * np.array([-1.0, 1.0])
+    counts = counting_function(n.size, np.stack([heads, heads + 1], axis=1), shifts).tolist()
+    checks.append(("path_oracle", counts == [199, 398], f"n=2..200 counts={counts} want=[199, 398]"))
 
     norm_bad = []
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):

@@ -22,9 +22,10 @@ need no eigensolve: #{lambda <= E} is the number of pivots <= 0 of L - E*I
 (Sylvester's law of inertia), eliminated leaf to root with no fill-in down to the
 2-core, then sparsest row first.  A Laplacian eigenvalue is an algebraic integer,
 so it equals a float E only at an integer E, where exact pivots count the ties.
-Verify's scan needs no eigensolve either: with each vertex shifted by its cluster's
-floor less n*eps*2*d_max, one count equals the number of clusters of size >= 2 iff
-each has a one-dimensional kernel and clears its floor.
+Verify needs no eigensolve either: with each vertex shifted by its cluster's floor
+less n*eps*2*d_max, one count equals the number of clusters of size >= 2 iff each has
+a one-dimensional kernel and clears its floor.  Its path oracle counts the forest of the
+paths P_2..P_200, which attain the floor, at the floor less and plus that allowance.
 
 Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
 Tr L^2 = sum d(d + 1) as Python integers.  Tr A^4 and Tr L^4 count closed 4-walks:
@@ -217,10 +218,7 @@ def fiedler_floor(sizes) -> np.ndarray:
 
 
 def path_emin_reference(n: int) -> float:
-    """Closed-form smallest nonzero Laplacian eigenvalue of the n-vertex path.
-
-    Equals 2(1 - cos(pi/n)), which stays below 12/n^2 for every n >= 2.
-    """
+    """The n-vertex path's smallest nonzero Laplacian eigenvalue 2(1 - cos(pi/n)) < 12/n^2."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"path needs n >= 2 vertices, got {n!r}")
     return float(fiedler_floor(n))

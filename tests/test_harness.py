@@ -627,30 +627,15 @@ def test_cli_verify_serializes_violations(tmp_path, capsys, monkeypatch):
 
 
 def test_run_verify_ensemble_scan_calls_no_eigensolver(monkeypatch):
-    # the scan counts inertia only; eigvalsh may run inside the path oracle alone
+    # the ensemble scan counts inertia only, and so does the path oracle
     import erlap.harness as harness_module
 
-    real_eigvalsh, real_cluster = np.linalg.eigvalsh, harness_module.eigenvalues_cluster
-    oracle = []
-
     def refuse(*args, **kwargs):
-        raise AssertionError("the ensemble scan called an eigensolver")
+        raise AssertionError("run_verify called an eigensolver")
 
-    def guarded(a):
-        if not oracle:
-            refuse()
-        return real_eigvalsh(a)
-
-    def path_oracle(c, **kwargs):
-        oracle.append(c.size)
-        try:
-            return real_cluster(c, **kwargs)
-        finally:
-            oracle.pop()
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", guarded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(spectral, "_grouped_eigenvalues", refuse)
-    monkeypatch.setattr(harness_module, "eigenvalues_cluster", path_oracle)
+    monkeypatch.setattr(harness_module, "eigenvalues_cluster", refuse)
     config = ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=3, master_seed=77)
     result = run_verify(config)
     assert result.ok
@@ -661,42 +646,80 @@ def test_run_verify_ensemble_scan_calls_no_eigensolver(monkeypatch):
 
 
 def test_run_verify_calls_cluster_solver_only_for_path_oracle(monkeypatch):
-    # the ensemble scan checks only the realization's one stacked solve
+    # the path oracle, once the cluster solver's one caller, is now one inertia count
+    # on the forest P_2..P_200, so no path and no cluster is solved at any R; the
+    # ensemble scan adds one count per realization
     import erlap.harness as harness_module
 
-    real = harness_module.eigenvalues_cluster
-    sizes = []
+    real_solver, real_count = harness_module.eigenvalues_cluster, harness_module.counting_function
+    solved, counted = [], []
 
-    def counting(c, *args, **kwargs):
-        sizes.append(c.size)
-        return real(c, *args, **kwargs)
+    def solver(c, *args, **kwargs):
+        solved.append(c.size)
+        return real_solver(c, *args, **kwargs)
 
-    monkeypatch.setattr(harness_module, "eigenvalues_cluster", counting)
+    def count(n, edges, energies, *args, **kwargs):
+        counted.append((n, len(edges), np.shape(energies)))
+        return real_count(n, edges, energies, *args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "eigenvalues_cluster", solver)
+    monkeypatch.setattr(harness_module, "counting_function", count)
     for reps in (1, 4):
-        sizes.clear()
+        solved.clear()
+        counted.clear()
         config = ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=reps, master_seed=77)
-        assert run_verify(config).ok
-        assert sizes == list(range(2, 201))
+        result = run_verify(config)
+        assert result.ok and dict((name, ok) for name, ok, _ in result.checks)["path_oracle"]
+        assert solved == []
+        assert counted[0] == (sum(range(2, 201)), sum(range(1, 200)), (sum(range(2, 201)), 2))
+        assert len(counted) == 1 + reps
 
 
 def test_run_verify_flags_gaps_below_fiedler_floor(monkeypatch):
     # a size-2 cluster sits exactly on its floor, lambda_2 = 2: raising every floor by
     # a relative 1e-6 puts each single edge's lambda_2 below the shift, and every
-    # realization holds one, so every realization is flagged with one count too many
+    # realization holds one, so every realization is flagged with one count too many;
+    # the path oracle's P_2 counts its lambda_2 below the raised floor too
     import erlap.harness as harness_module
 
     real = harness_module.fiedler_floor
     monkeypatch.setattr(harness_module, "fiedler_floor", lambda sizes: real(sizes) * (1.0 + 1e-6))
     result = run_verify(ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=2, master_seed=77))
     assert not result.ok
-    assert dict((name, ok) for name, ok, _ in result.checks)["ensemble_scan"] is False
+    checks = dict((name, ok) for name, ok, _ in result.checks)
+    assert checks["ensemble_scan"] is False and checks["path_oracle"] is False
     assert [v.split(":")[0] for v in result.violations] == [
         "Fiedler floor violated at realization 0",
         "Fiedler floor violated at realization 1",
+        "path_oracle",
     ]
-    for v in result.violations:
+    for v in result.violations[:2]:
         count, clusters = (int(field.split("=")[1]) for field in v.split(": ")[1].split())
         assert count > clusters
+
+
+def test_path_oracle_flags_a_floor_wrong_for_one_path_size(monkeypatch):
+    # raising the floor of n = 137 alone by 3 allowances puts lambda_2 of P_137 below
+    # both of the oracle's shifts; no realization holds a 137-vertex cluster, so the
+    # ensemble scan, which reads the same floor, still passes
+    import erlap.harness as harness_module
+
+    real = harness_module.fiedler_floor
+
+    def wrong_at_137(sizes):
+        sizes = np.asarray(sizes)
+        return real(sizes) + (sizes == 137) * 3 * 137 * np.finfo(np.float64).eps * 2.0 * 2
+
+    monkeypatch.setattr(harness_module, "fiedler_floor", wrong_at_137)
+    config = ExperimentConfig(n_vertices=1500, edge_prob=0.5, n_reps=2, master_seed=77)
+    assert all(137 not in decompose(sample_graph(config.spec(), r)).sizes for r in range(2))
+    result = run_verify(config)
+    checks = dict((name, ok) for name, ok, _ in result.checks)
+    assert checks["path_oracle"] is False and checks["ensemble_scan"] is True
+    assert [v for v in result.violations if v.startswith("path_oracle:")] == [
+        "path_oracle: n=2..200 counts=[200, 398] want=[199, 398]"
+    ]
+    assert len(result.violations) == 1
 
 
 def test_verify_flags_two_clusters_under_one_label():
@@ -724,9 +747,9 @@ def test_fiedler_floor_less_margin_covers_the_inverse_square_floor():
 
 
 def test_path_oracle_tolerance_implies_the_twelve_over_n_squared_bound():
-    # verify's path oracle checks |e_min - ref| < 1e-9 only: with ref =
-    # 2(1 - cos(pi/n)) <= pi^2/n^2, that puts e_min below 12/n^2 for n = 2..200,
-    # with a margin of at least (12 - pi^2)/200^2 - 1e-9 > 5.3e-5
+    # verify's path oracle puts e_min within n*eps*2*d_max <= 1.8e-13 of ref =
+    # 2(1 - cos(pi/n)) <= pi^2/n^2 for n = 2..200, so below 12/n^2, with a margin of
+    # at least (12 - pi^2)/200^2 - 1e-9 > 5.3e-5 even at the eigensolver tests' 1e-9
     n = np.arange(2, 201)
     ref = np.array([path_emin_reference(int(k)) for k in n])
     assert np.all(ref <= np.pi**2 / n.astype(np.float64) ** 2)
