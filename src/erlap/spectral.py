@@ -292,14 +292,16 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     loop raises ValueError.
 
     Each round peels the current leaves, one per parent, into their parents, until only
-    the 2-core is left; a tree's root is the larger end of its last edge.  Zero pivots
-    follow Jacobs and Trevisan (Linear Algebra Appl. 2011): the parent's pivot becomes
-    -1/2, one zero child's 2, and the parent sends nothing on.  That 2x2 pivot's inverse
-    is 0 in the parent's slot, so the parent, core or not, is dropped with no update to
-    its neighbours.  The core S = diag(f) - A_core goes to :func:`_inertia` on float
-    arrays, or, in an integer column and where a float core pivot rounds to 0, as the
-    integer matrix diag(g) S diag(g) of the exact pivots f/g, congruent to S for any
-    nonzero per-vertex g.
+    the 2-core is left; a tree's root is the larger end of its last edge.  The (n, k)
+    pivot tables are row-major whatever the layout of ``energies``, so a round gathers
+    and scatters its leaf and parent rows whole.  Zero pivots follow Jacobs and Trevisan
+    (Linear Algebra Appl. 2011): the parent's pivot becomes -1/2, one zero child's 2,
+    and the parent sends nothing on.  That 2x2 pivot's inverse is 0 in the parent's
+    slot, so the parent, core or not, is dropped with no update to its neighbours.  The
+    core S = diag(f) - A_core goes to :func:`_inertia` on float arrays, or, in an
+    integer column and where a float core pivot rounds to 0, as the integer matrix
+    diag(g) S diag(g) of the exact pivots f/g, congruent to S for any nonzero
+    per-vertex g.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = np.asarray(energies, dtype=np.float64)
@@ -331,7 +333,7 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     floats, exact = np.flatnonzero(~integral), np.flatnonzero(integral)
     # a leaf's pivot a adds -1/a to its parent's; a zero pivot sends 1/0 = inf, so
     # its parent falls to -inf and later sends 1/-inf = -0
-    f = deg[:, None] - e[..., floats]
+    f = deg[:, None] - np.take(e, floats, axis=-1)
     for leaves, parents in rounds:
         f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
     counts[floats] = np.count_nonzero(~core[:, None] & (f <= 0) & (f > -np.inf), axis=0)
@@ -341,7 +343,7 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
         counts[floats] += core_count
         exact = np.union1d(exact, floats[zero])
     if exact.size:  # exact pivots f/g of E = num/den, g = 0 leaving a vertex out
-        num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(e[..., exact])
+        num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(np.take(e, exact, axis=-1))
         wide = int(deg.max(initial=0)) * den.max(initial=1) + np.abs(num).max(initial=0) >= _INT64_PIVOT_BOUND
         num, den = num.astype(object if wide else np.int64), den.astype(object if wide else np.int64)
         f, g = deg[:, None] * den - num, np.broadcast_to(den, (n, exact.size)).copy()

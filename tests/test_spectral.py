@@ -458,6 +458,48 @@ def test_path_count_resolves_the_fiedler_floor_within_the_verify_allowance():
         assert counting_function(n, path, shifts).tolist() == [1, 2], n
 
 
+def _layouts(shifts):
+    # one (n, k) table C-ordered, Fortran-ordered, and as every other column of a
+    # wider table whose other columns are NaN
+    wide = np.full((shifts.shape[0], 2 * shifts.shape[1]), np.nan)
+    wide[:, ::2] = shifts
+    return np.ascontiguousarray(shifts), np.asfortranarray(shifts), wide[:, ::2]
+
+
+def test_layout_of_the_energy_table_does_not_change_the_path_forest_counts():
+    # verify's path oracle: the forest of P_2..P_200, each vertex shifted by its path's
+    # floor -/+ the scan's allowance, then by integer energies counted exactly; a
+    # single column is contiguous in every layout, so it gives the counts to match
+    n = np.repeat(np.arange(2, 201), np.arange(2, 201))
+    heads = np.flatnonzero(n[:-1] == n[1:])
+    edges = np.stack([heads, heads + 1], axis=1)
+    allowance = n * np.finfo(np.float64).eps * 2.0 * np.minimum(n - 1, 2)
+    floats = fiedler_floor(n)[:, None] + allowance[:, None] * np.array([-1.0, 1.0])
+    integers = np.stack([np.arange(n.size) % 5, np.full(n.size, 2), n % 3 + 1], axis=1).astype(np.float64)
+    for shifts in (floats, integers):
+        want = [int(counting_function(n.size, edges, shifts[:, [j]])[0]) for j in range(shifts.shape[1])]
+        for table in _layouts(shifts):
+            assert counting_function(n.size, edges, table).tolist() == want
+    assert want[1] == sum(m // 2 + 1 for m in range(2, 201))  # P_m counts m // 2 + 1 at E = 2
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_layout_of_the_energy_table_does_not_change_the_counts(data):
+    # cyclic graphs and forests; float columns and all-integer columns (the exact
+    # pivots), k >= 2 so that the layouts differ
+    n, edges = _random_forest(data, 60) if data.draw(st.booleans()) else data.draw(_cyclic_graph())
+    integer_columns = data.draw(st.lists(st.booleans(), min_size=2, max_size=4))
+    columns = [
+        data.draw(st.lists(st.integers(1, 16).map(float) if whole else _shift, min_size=n, max_size=n))
+        for whole in integer_columns
+    ]
+    shifts = np.array(columns).T
+    c_order, fortran, strided = (counting_function(n, edges, table) for table in _layouts(shifts))
+    assert np.array_equal(fortran, c_order) and np.array_equal(strided, c_order)
+    assert np.array_equal(c_order[integer_columns], exact_counts(n, edges, shifts)[integer_columns])
+
+
 def test_counts_cores_with_all_zero_diagonals():
     # C4 (0, 2, 2, 4) at E = 2, K4 (0, 4, 4, 4) and K_{3,3} (0, 3, 3, 3, 3, 6) at
     # E = 3: every core diagonal is 0, so the first pivot needs a partner
