@@ -652,7 +652,7 @@ def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
     # float count's allowance: a path of 2..500 vertices counts 1 at the floor less it
     # and 2 at the floor plus it
     shift = fiedler_floor(np.arange(1, d.sizes.max() + 1))[n - 1]  # one floor per size
-    shift -= n * np.finfo(np.float64).eps * 2.0 * d.max_degree[label]
+    shift -= spectral._eig_margin(n, d.max_degree[label])
     count = int(counting_function(shift.size, (np.cumsum(live) - 1)[d.graph.edges], shift[:, None])[0])
     clusters = int(np.count_nonzero(d.sizes >= 2))
     violations = [] if count == clusters else [
@@ -670,7 +670,7 @@ def run_verify(config: ExperimentConfig) -> VerifyResult:
     # floor less the scan's allowance n*eps*2*d_max, and its lambda_2 too at the floor plus it
     n = np.repeat(np.arange(2, 201), np.arange(2, 201))  # each vertex's path size
     heads = np.flatnonzero(n[:-1] == n[1:])  # one path per size: an edge joins equal sizes
-    allowance = n * np.finfo(np.float64).eps * 2.0 * np.minimum(n - 1, 2)
+    allowance = spectral._eig_margin(n, np.minimum(n - 1, 2))
     shifts = fiedler_floor(n)[:, None] + allowance[:, None] * np.array([-1.0, 1.0])
     counts = counting_function(n.size, np.stack([heads, heads + 1], axis=1), shifts).tolist()
     checks.append(("path_oracle", counts == [199, 398], f"n=2..200 counts={counts} want=[199, 398]"))

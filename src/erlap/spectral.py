@@ -7,10 +7,10 @@ and one checked eigensolve handles every stack, which keeps the LAPACK loop
 in C even when a realization holds thousands of tiny clusters.
 
 LAPACK computes every eigenvalue of an n-vertex Laplacian within the margin
-n*eps*||L||_2 <= n*eps*2(n - 1).  Each connected cluster has a one-dimensional
-kernel: the solve requires its smallest computed eigenvalue to lie within that
-margin of 0 and then replaces it by an exact 0.0, so that zero counts (and
-hence the spectral value at the lower edge) never depend on a floating point
+n*eps*||L||_2 <= n*eps*2*d_max <= n*eps*2(n - 1).  Each connected cluster has a
+one-dimensional kernel: the solve requires its smallest computed eigenvalue to lie
+within that margin of 0 and then replaces it by an exact 0.0, so that zero counts
+(and hence the spectral value at the lower edge) never depend on a floating point
 threshold.  Spectra are returned as plain ascending arrays; the whole-graph one
 is checked to hold exactly one 0.0 per cluster.
 
@@ -31,9 +31,9 @@ Moments need no eigensolve.  The degrees give sum d^{2k}, Tr A^2 = 2m and
 Tr L^2 = sum d(d + 1) as Python integers.  Tr A^4 and Tr L^4 count closed 4-walks:
 degrees, edge degree sums, and the triangles and 4-cycles of the cyclic clusters,
 counted from their wedges a - v - b in int64.  So at k <= 2 no matrix is laid out;
-for k >= 3, the exact integer Tr M^{2k} = ||M^k||_F^2 (M = L, A) comes from the
-stacks by integer-valued float64 products.  The moment inequality is checked
-beside the rows, by :meth:`MomentSamples.inequality`.
+for k >= 3, Tr M^{2k} = ||M^k||_F^2 (M = L, A) comes from sparse int64 products over
+the vertices of degree > 0.  The moment inequality is checked beside the rows, by
+:meth:`MomentSamples.inequality`.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 2000
 MAX_MOMENT_POWER = 8
-# largest row panel of M^k held at once by the trace moments; without panels
-# the full stacked product raised the peak memory of a moments run
-_PANEL_BYTES = 64 * 1024
 _INT64_PIVOT_BOUND = 1 << 31  # int64 peel pivots f/g below it keep every product below 2^63
 
 
@@ -150,10 +147,10 @@ def _laplacian_stacks(d: ClusterDecomposition, size_cap: int):
         yield s, order[a:b], flat.reshape(c, s, s)
 
 
-def _eig_margin(n):
-    """n*eps*2(n - 1), the eigensolver's error bound on any eigenvalue of an
-    n-vertex Laplacian (module docstring)."""
-    return n * np.finfo(np.float64).eps * 2.0 * (n - 1)
+def _eig_margin(n, d_max):
+    """n*eps*2*d_max >= n*eps*||L||_2, the eigensolver's error bound on any eigenvalue of
+    an n-vertex Laplacian of maximum degree d_max, at most n - 1 (module docstring)."""
+    return n * np.finfo(np.float64).eps * 2.0 * d_max
 
 
 def _checked_eigvalsh(stack: np.ndarray, ids: np.ndarray, cluster_of) -> np.ndarray:
@@ -161,7 +158,7 @@ def _checked_eigvalsh(stack: np.ndarray, ids: np.ndarray, cluster_of) -> np.ndar
     failures and a smallest eigenvalue outside the margin of 0 raise
     :class:`EigensolverError`."""
     s = stack.shape[1]
-    margin = _eig_margin(s)
+    margin = _eig_margin(s, s - 1)
     try:
         vals = np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
@@ -228,7 +225,7 @@ def _min_solved_size(e_max: float, size_cap: int) -> int:
     """Smallest size whose floor minus margin (module docstring) reaches ``e_max``;
     that difference falls with n and is negative from n ~ 12000 on."""
     n = np.arange(2, min(size_cap, 1 << 14) + 1)
-    reach = fiedler_floor(n) - _eig_margin(n) <= e_max
+    reach = fiedler_floor(n) - _eig_margin(n, n - 1) <= e_max
     return int(n[np.argmax(reach)]) if reach.any() else size_cap + 1
 
 
@@ -524,10 +521,9 @@ class MomentSamples:
     Row r of each array holds N^{-1} Tr[M^{2k}] for realization r and the
     powers listed in ``two_ks``, the correctly rounded quotient of an exact integer
     trace, never an eigenvalue power sum: from the degrees for M = D and at k = 1,
-    from closed-walk counts at k = 2, and at k >= 3 from ||M^k||_F^2 in float64
-    panels, exact while each size class's trace is below 2^53.  Means and
-    standard errors derive from the rows, so parallel collection order cannot
-    change them.
+    from closed-walk counts at k = 2, and at k >= 3 from ||M^k||_F^2 by sparse int64
+    products.  Means and standard errors derive from the rows, so parallel
+    collection order cannot change them.
     """
 
     n: int
@@ -592,23 +588,32 @@ class MomentInequalityReport:
     satisfied: bool
 
 
-def _add_trace_powers(stack: np.ndarray, traces: list) -> None:
-    """Add Tr M^{2k} = ||M^k||_F^2, summed over the stacked matrices M, to
-    ``traces[k - 3]`` for k = 3..len(traces) + 2 (k <= 2 come from walk counts).
+def _trace_powers(g: Graph, degrees: np.ndarray, k_max: int) -> tuple[list[int], list[int]]:
+    """Tr L^{2k} and Tr A^{2k} of ``g``, of vertex degrees ``degrees``, for k = 3..k_max as
+    Python integers, each ||M^k||_F^2 of a sparse int64 product over the vertices of degree > 0.
 
-    The rows of M^k are built panel by panel as M[:, R, :] @ M @ ... @ M, so
-    the extra memory is a panel of ``_PANEL_BYTES`` or one row per matrix.
-    Entries of M^k are integers bounded by (2 d_max)^k, so the float64
-    products and panel sums are exact below 2^53, a bound that only k >= 3
-    must meet; the totals are Python integers and never wrap.
+    The absolute row sums of L are 2d, so no entry of M^k, nor a partial sum forming it,
+    exceeds (2 d_max)^k: the products are exact while that is below 2^63 (checked; every
+    d_max < 2^14 passes at k <= 4).  The squares are summed in int64 while
+    nnz(M^k) (2 d_max)^{2k} < 2^63, else in Python integers.
     """
-    c, s, _ = stack.shape
-    rows = max(1, _PANEL_BYTES // (8 * c * s))
-    for lo in range(0, s, rows):
-        panel = stack[:, lo : lo + rows] @ stack
-        for k in range(len(traces)):
-            panel = panel @ stack
-            traces[k] += int(np.vdot(panel, panel))
+    import scipy.sparse  # here: at module level it raised the peak RSS growth of runs with no product
+
+    live = degrees > 0
+    deg, bound = degrees[live], 2 * int(degrees.max(initial=0))
+    if bound**k_max >= 1 << 63:
+        raise ValueError(f"M^{k_max} of a graph of maximum degree {bound // 2} exceeds int64")
+    i, j = (np.cumsum(live) - 1)[np.concatenate((g.edges, g.edges[:, ::-1]))].T
+    adj = scipy.sparse.csr_array((np.ones(i.size, dtype=np.int64), (i, j)), shape=(deg.size, deg.size))
+    lap = scipy.sparse.diags_array(deg, dtype=np.int64) - adj
+    traces = ([], [])
+    for m, out in zip((lap, adj), traces):
+        power = m @ m
+        for k in range(3, k_max + 1):
+            power = power @ m
+            x = power.data.astype(object if power.nnz * bound ** (2 * k) >= 1 << 63 else np.int64)
+            out.append(int(np.dot(x, x)))
+    return traces
 
 
 def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> tuple[int, int]:
@@ -650,22 +655,16 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
 
 def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_cap: int):
     g = d.graph
-    lap, adj = [0] * (len(two_ks) - 2), [0] * (len(two_ks) - 2)
-    _check_size_cap(d, size_cap)  # at every k_max, though k <= 2 lay out no stack
-    for s, _, stack in _laplacian_stacks(d, size_cap) if lap else ():
-        _add_trace_powers(stack, lap)
-        # A = D - L: the off-diagonal part of -L
-        np.negative(stack, out=stack)
-        stack[:, np.arange(s), np.arange(s)] = 0.0
-        _add_trace_powers(stack, adj)
+    _check_size_cap(d, size_cap)  # products need no cap; it keeps the giant-cluster error line
     degrees = degree_sequence(g)
     hist = np.bincount(degrees).tolist()
     deg = [sum(count * v**two_k for v, count in enumerate(hist)) for two_k in two_ks]
+    # Tr A^2 = sum d = 2m and Tr L^2 = sum d(d + 1)
+    lap, adj = [deg[0] + 2 * g.n_edges], [2 * g.n_edges]
     if len(two_ks) > 1:
         lap4, adj4 = _fourth_traces(d, degrees, hist)
-        lap, adj = [lap4, *lap], [adj4, *adj]
-    # Tr A^2 = sum d = 2m and Tr L^2 = sum d(d + 1)
-    lap, adj = [deg[0] + 2 * g.n_edges, *lap], [2 * g.n_edges, *adj]
+        lap_k, adj_k = _trace_powers(g, degrees, len(two_ks)) if len(two_ks) > 2 else ([], [])
+        lap, adj = [*lap, lap4, *lap_k], [*adj, adj4, *adj_k]
     return tuple(np.array([t / g.n for t in row]) for row in (lap, deg, adj))
 
 

@@ -255,7 +255,8 @@ def stack_trace_powers(stacks, k_max: int) -> tuple[list[int], list[int]]:
     ``stacks`` yields ``(size, cluster_ids, stack)`` as the library's stack
     builder lays them out; A is the off-diagonal part of -L.  Each M^k is formed
     whole by float64 matrix powers, exact while every trace is below 2^53: the
-    route the library took for every k >= 2 before walk counts replaced k = 2.
+    route the library took for every k >= 2 before walk counts replaced k = 2 and
+    sparse int64 products the rest.
     """
     lap, adj = [0] * (k_max - 1), [0] * (k_max - 1)
     for s, _, stack in stacks:

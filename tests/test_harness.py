@@ -742,7 +742,7 @@ def test_fiedler_floor_less_margin_covers_the_inverse_square_floor():
     # n*eps*2(n - 1)); that bound is at least 1/n^2 for n = 2..11,888, so the
     # paper's 1/n^2 floor on the smallest nonzero eigenvalue is checked with it
     n = np.arange(2, 11_889)
-    bound = fiedler_floor(n) - spectral._eig_margin(n)
+    bound = fiedler_floor(n) - spectral._eig_margin(n, n - 1)
     assert np.all(bound >= 1.0 / n.astype(np.float64) ** 2)
 
 

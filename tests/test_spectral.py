@@ -813,7 +813,7 @@ def test_adjacency_trace_identities_exact():
     assert samples_one.adj[0, 0] == 2 * g.n_edges / g.n
     assert samples_one.lap[0, 0] == int(np.sum(deg * (deg + 1))) / g.n
     # k_max = 1 takes them from the degrees, with no trace products
-    with mock.patch.object(spectral, "_add_trace_powers", side_effect=AssertionError):
+    with mock.patch.object(spectral, "_trace_powers", side_effect=AssertionError):
         first = moment_samples(GraphSpec(300, 1.0, 23), 1, k_max=1)
     for kind in ("lap", "deg", "adj"):
         assert getattr(first, kind).tolist() == getattr(samples_one, kind)[:, :1].tolist()
@@ -833,39 +833,51 @@ def test_adjacency_trace_identities_exact():
 )
 @settings(max_examples=60, deadline=None)
 def test_moment_rows_match_eigenvalue_power_sums(n, p, k_max, seed):
-    # p up to 4 covers cyclic and supercritical graphs; an 8-byte panel
-    # budget forces one row per panel, so the panel split is covered too
+    # p up to 4 covers cyclic and supercritical graphs
     spec = GraphSpec(n, min(p, n - 0.5), seed)
-    for panel_bytes in (spectral._PANEL_BYTES, 8):
-        with mock.patch.object(spectral, "_PANEL_BYTES", panel_bytes):
-            samples = moment_samples(spec, 2, k_max)
-        for r in range(2):
-            g = sample_graph(spec, r)
-            lap, deg, adj = eigen_moment_rows(g.n, g.edges.tolist(), samples.two_ks)
-            np.testing.assert_allclose(samples.lap[r], lap, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(samples.deg[r], deg, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(samples.adj[r], adj, rtol=1e-12, atol=0)
+    samples = moment_samples(spec, 2, k_max)
+    for r in range(2):
+        g = sample_graph(spec, r)
+        lap, deg, adj = eigen_moment_rows(g.n, g.edges.tolist(), samples.two_ks)
+        np.testing.assert_allclose(samples.lap[r], lap, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(samples.deg[r], deg, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(samples.adj[r], adj, rtol=1e-12, atol=0)
 
 
 def test_moments_giant_cluster_fails_cleanly():
-    # k_max <= 2 form no trace power, but the size cap still holds
-    for k_max in (1, 2):
+    # the trace products need no cap, but it holds at every k_max, before any product
+    for k_max in range(1, MAX_MOMENT_POWER // 2 + 1):
         with pytest.raises(EigensolverError) as err, \
-                mock.patch.object(spectral, "_add_trace_powers", side_effect=AssertionError):
+                mock.patch.object(spectral, "_trace_powers", side_effect=AssertionError):
             moment_samples(GraphSpec(3000, 3.0, 1), 1, k_max, size_cap=100)
         assert err.value.realization == 0
         assert err.value.cluster.size > 100
 
 
 def test_degree_moments_correctly_rounded():
-    # the star K_{1,23} at 2k = 12: sum d^12 = 23^12 + 23 exceeds 2^53, where a
-    # float64 sum of the powers is inexact; the row is the correctly rounded quotient
-    # (2k = 12 lies beyond MAX_MOMENT_POWER, so it is reached through _moment_one)
-    m = 23
-    g = _graph(m + 1, [(0, i) for i in range(1, m + 1)])
+    # the star K_{1,m}: sum d^{2k} = m^{2k} + m, Tr A^{2k} = 2 m^k, and L has spectrum
+    # {0, 1^(m - 1), m + 1}, so Tr L^{2k} = (m - 1) + (m + 1)^{2k}.  Each row is the
+    # correctly rounded quotient of the exact trace, past 2^53 where a float64 sum is
+    # inexact: sum d^12 at m = 23, Tr L^8 from m = 100 on; at m = 500 the sum of the
+    # squares of L^4 passes 2^63 and is taken in Python integers.  2k = 10, 12 lie
+    # beyond MAX_MOMENT_POWER, so they are reached through _moment_one.
     two_ks = (2, 4, 6, 8, 10, 12)
-    _, deg, _ = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
-    assert deg.tolist() == [float(Fraction(m**t + m, m + 1)) for t in two_ks]
+    for m in (23, 100, 500):
+        g = _graph(m + 1, [(0, i) for i in range(1, m + 1)])
+        lap, deg, adj = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
+        assert deg.tolist() == [float(Fraction(m**t + m, m + 1)) for t in two_ks]
+        assert lap.tolist() == [float(Fraction(m - 1 + (m + 1) ** t, m + 1)) for t in two_ks]
+        assert adj.tolist() == [float(Fraction(2 * m ** (t // 2), m + 1)) for t in two_ks]
+
+
+def test_trace_powers_refuse_products_beyond_int64():
+    # the star K_{1,m} has d_max = m, and (2m)^4 >= 2^63 from m = 27,555 on: the
+    # entries of L^4 could wrap, so no product is formed
+    m = 27_555
+    g = _graph(m + 1, [(0, i) for i in range(1, m + 1)])
+    assert (2 * (m - 1)) ** 4 < 2**63 <= (2 * m) ** 4
+    with pytest.raises(ValueError, match="exceeds int64"):
+        spectral._trace_powers(g, degree_sequence(g), 4)
 
 
 
@@ -967,33 +979,35 @@ def test_fourth_traces_match_stack_oracle(g):
     (2000, 1.5, 4242, 1), (1000, 3.0, 4242, 1),
 ])
 def test_fourth_traces_match_stack_oracle_on_acceptance_seeds(n, p, seed, reps):
+    # and the sparse products at k = 3, 4
     for r in range(reps):
         g = sample_graph(GraphSpec(n, p, seed), r)
-        (lap4,), (adj4,) = _stack_traces(g)
+        (lap4, *lap_k), (adj4, *adj_k) = _stack_traces(g, 4)
         assert _fourth_traces_of(g) == (lap4, adj4)
+        assert spectral._trace_powers(g, degree_sequence(g), 4) == (lap_k, adj_k)
 
 
 @given(g=_cycle_rich_graphs, k_max=st.integers(min_value=3, max_value=MAX_MOMENT_POWER // 2))
 @settings(max_examples=60, deadline=None)
-def test_stacked_powers_match_oracle_from_k3(g, k_max):
-    # _add_trace_powers starts at k = 3, at the panel budget and at one row per panel
+def test_trace_powers_match_stack_oracle_from_k3(g, k_max):
+    # _trace_powers starts at k = 3; the rows are the correctly rounded quotients
     two_ks = tuple(range(2, 2 * k_max + 1, 2))
     lap_k, adj_k = _stack_traces(g, k_max)
-    for panel_bytes in (spectral._PANEL_BYTES, 8):
-        with mock.patch.object(spectral, "_PANEL_BYTES", panel_bytes):
-            lap, _, adj = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
-        assert lap[1:].tolist() == [t / g.n for t in lap_k]
-        assert adj[1:].tolist() == [t / g.n for t in adj_k]
+    assert spectral._trace_powers(g, degree_sequence(g), k_max) == (lap_k[1:], adj_k[1:])
+    lap, _, adj = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
+    assert lap[1:].tolist() == [t / g.n for t in lap_k]
+    assert adj[1:].tolist() == [t / g.n for t in adj_k]
 
 
-def test_no_laplacian_stack_at_kmax_two():
-    # k <= 2 come from degrees and walk counts: the size cap is still checked, but
-    # no stack is laid out and no trace power is formed
-    checked = []
-    real = spectral._check_size_cap
-    with mock.patch.object(spectral, "_add_trace_powers", side_effect=AssertionError), \
-            mock.patch.object(spectral, "_laplacian_stacks", side_effect=AssertionError), \
-            mock.patch.object(spectral, "_check_size_cap", lambda *args: checked.append(real(*args))):
-        for k_max in (1, 2):
+def test_moments_never_lay_out_a_stack():
+    # k <= 2 come from degrees and walk counts, k >= 3 from sparse products: the size
+    # cap is still checked, but no stack is laid out at any k_max, and no product below 3
+    checked, powers = [], []
+    real, real_powers = spectral._check_size_cap, spectral._trace_powers
+    with mock.patch.object(spectral, "_laplacian_stacks", side_effect=AssertionError), \
+            mock.patch.object(spectral, "_check_size_cap", lambda *args: checked.append(real(*args))), \
+            mock.patch.object(spectral, "_trace_powers", lambda *args: powers.append(args[2]) or real_powers(*args)):
+        for k_max in range(1, MAX_MOMENT_POWER // 2 + 1):
             moment_samples(GraphSpec(10_000, 0.99, 20260809), 3, k_max)
-    assert len(checked) == 2 * 3
+    assert len(checked) == 4 * 3
+    assert powers == [3] * 3 + [4] * 3
