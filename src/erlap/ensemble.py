@@ -129,18 +129,26 @@ def pair_index(i, j, n: int):
 
 
 def index_pair(idx, n: int):
-    """Invert :func:`pair_index`: map linear indices to an (m, 2) pair array."""
+    """Invert :func:`pair_index`: map linear indices to an (m, 2) pair array; an index
+    outside [0, n(n-1)/2) raises ValueError."""
     k = np.atleast_1d(np.asarray(idx, dtype=np.int64))
     b = 2 * n - 1
-    # float solve of i*(2n-1-i)/2 <= k, then exact integer fixup (off by <= 1)
-    i = ((b - np.sqrt(b * b - 8.0 * k)) / 2.0).astype(np.int64)
-    i = np.clip(i, 0, n - 2)
-    while (low := k < _row_offset(i, n)).any():
-        i[low] -= 1
-    while (high := k >= _row_offset(i + 1, n)).any():
-        i[high] += 1
-    j = k - _row_offset(i, n) + i + 1
-    return np.stack([i, j], axis=1)
+    out = np.empty((k.size, 2), dtype=np.int64)
+    # float solve of i*(2n-1-i)/2 <= k, truncated into the output; the row is right iff
+    # i < j < n, and only otherwise does the exact integer fixup (off by <= 1) run
+    out[:, 0] = (b - np.sqrt(b * b - 8.0 * k)) / 2.0
+    i, j = out[:, 0], out[:, 1]
+    j[:] = k - _row_offset(i, n) + i + 1
+    if not ((j > i) & (j < n)).all():
+        if k.min() < 0 or k.max() >= n * (n - 1) // 2:  # the fixup would never end
+            raise ValueError(f"pair index outside [0, N(N-1)/2) for N={n}")
+        i = np.clip(i, 0, n - 2)
+        while (low := k < _row_offset(i, n)).any():
+            i[low] -= 1
+        while (high := k >= _row_offset(i + 1, n)).any():
+            i[high] += 1
+        out[:, 0], out[:, 1] = i, k - _row_offset(i, n) + i + 1
+    return out
 
 
 def _batch_size(q: float, total: int) -> int:

@@ -646,14 +646,14 @@ def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
     the 1/n^2 floor there.  Returns (violations, clusters, clusters checked)."""
     _check_size_cap(d, size_cap)  # inertia needs no cap; it keeps the giant-cluster error line
     live = degree_sequence(d.graph) > 0  # the vertices of the clusters of size >= 2
-    label = d.labels[live]
-    n = d.sizes[label]
+    label = d.labels.take(np.flatnonzero(live))
+    n = d.sizes.take(label)
     # paths attain the floor; the eigensolver's error bound n*eps*2*d_max is also the
     # float count's allowance: a path of 2..500 vertices counts 1 at the floor less it
     # and 2 at the floor plus it
-    shift = fiedler_floor(np.arange(1, d.sizes.max() + 1))[n - 1]  # one floor per size
-    shift -= spectral._eig_margin(n, d.max_degree[label])
-    count = int(counting_function(shift.size, (np.cumsum(live) - 1)[d.graph.edges], shift[:, None])[0])
+    shift = fiedler_floor(np.arange(1, d.sizes.max() + 1)).take(n - 1)  # one floor per size
+    shift -= spectral._eig_margin(n, d.max_degree.take(label))
+    count = int(counting_function(shift.size, (np.cumsum(live) - 1).take(d.graph.edges), shift[:, None])[0])
     clusters = int(np.count_nonzero(d.sizes >= 2))
     violations = [] if count == clusters else [
         f"Fiedler floor violated at realization {r}: count={count} clusters={clusters}"

@@ -95,7 +95,7 @@ def _stable_order(keys: np.ndarray, k: int) -> np.ndarray:
 def _check_size_cap(d: ClusterDecomposition, size_cap: int) -> None:
     """Raise :class:`EigensolverError`, naming the largest cluster of ``d``, if it exceeds ``size_cap``."""
     if d.sizes.size and (top := int(d.sizes.max())) > size_cap:
-        raise EigensolverError(f"cluster of size {top} exceeds the eigensolver size cap {size_cap}",
+        raise EigensolverError(f"cluster of size {top} exceeds the size cap {size_cap}",
                                cluster=d.cluster(int(np.argmax(d.sizes))))
 
 
@@ -309,14 +309,16 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     owner = np.empty(n, dtype=np.int64)
     rounds = []
     while (leaves := np.flatnonzero(live == 1)).size:
-        parents = nbr[leaves]
-        keep = (live[parents] > 1) | (leaves < parents)
-        owner[parents[keep]] = leaves[keep]  # one write per parent lands: its leaf goes now
-        keep &= owner[parents] == leaves
-        leaves, parents = leaves[keep], parents[keep]
+        parents = nbr.take(leaves)
+        keep = np.flatnonzero((live.take(parents) > 1) | (leaves < parents))
+        leaves, parents = leaves.take(keep), parents.take(keep)
+        owner[parents] = leaves  # one write per parent lands: its leaf goes now
+        keep = np.flatnonzero(owner.take(parents) == leaves)
+        leaves, parents = leaves.take(keep), parents.take(keep)
+        # the parents are now unique, so each gather-and-scatter is exact
         live[leaves] = 0
-        live[parents] -= 1
-        nbr[parents] -= leaves
+        live[parents] = live.take(parents) - 1
+        nbr[parents] = nbr.take(parents) - leaves
         rounds.append((leaves, parents))
     core = live > 0
     if has_core := core.any():
@@ -431,7 +433,8 @@ def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, size_cap: int, m
     _check_size_cap(d, size_cap)
     counted = d.sizes >= min_size
     # a counted cluster has an edge, so its edges' ends are all its vertices
-    vertices, edges = np.unique(d.graph.edges[counted[d.edge_labels]], return_inverse=True)
+    edges = d.graph.edges.take(np.flatnonzero(counted.take(d.edge_labels)), axis=0)
+    vertices, edges = np.unique(edges, return_inverse=True)
     counts = counting_function(vertices.size, edges.reshape(-1, 2), grid)
     return counts + d.n_clusters - np.count_nonzero(counted), int(d.n_clusters)  # uncounted: kernels
 
@@ -439,7 +442,8 @@ def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, size_cap: int, m
 def _each_realization(args):
     """Chunk worker, the one place a realization is drawn: for each index ``r`` it
     decomposes realization ``r`` of ``spec`` and applies ``one(d, r, *extra)`` to the
-    decomposition ``d``, re-raising an :class:`EigensolverError` with ``(master_seed, r)``."""
+    decomposition ``d``, re-raising an :class:`EigensolverError` or a ValueError with
+    ``(master_seed, r)``."""
     spec, rs, one, *extra = args
     out = []
     for r in rs:
@@ -447,6 +451,8 @@ def _each_realization(args):
             out.append(one(decompose(sample_graph(spec, r)), r, *extra))
         except EigensolverError as exc:
             raise EigensolverError(str(exc), exc.cluster, spec.master_seed, r) from exc
+        except ValueError as exc:  # e.g. _trace_powers' int64 refusal
+            raise ValueError(f"{exc} (master_seed={spec.master_seed}, realization={r})") from exc
     return out
 
 
@@ -630,26 +636,26 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
     """
     g = d.graph
     d2, d3, d4 = (sum(count * v**t for v, count in enumerate(hist)) for t in (2, 3, 4))
-    pairs = np.bincount(degrees[g.edges[:, 0]] + degrees[g.edges[:, 1]]).tolist()
+    pairs = np.bincount(degrees.take(g.edges[:, 0]) + degrees.take(g.edges[:, 1])).tolist()
     lap = d4 + 2 * d3 + d2 + 2 * sum(count * v * v for v, count in enumerate(pairs))
     walks = d2 - 2 * g.n_edges  # sum d(d - 1); the 4-cycles add 8 C4
     if not d.is_tree.all():
-        e = g.edges[~d.is_tree[d.edge_labels]]
+        e = g.edges.take(np.flatnonzero(~d.is_tree.take(d.edge_labels)), axis=0)
         tail, head = np.concatenate((e, e[:, ::-1])).T
         order = np.argsort(tail)
-        tail, head = tail[order], head[order]
+        tail, head = tail.take(order), head.take(order)
         # the wedges a - v - b: each half-edge v -> a meets every half-edge v -> b of
         # its run, which starts at first and is as long as the degree of v
-        run, first = degrees[tail], np.searchsorted(tail, tail)
+        run, first = degrees.take(tail), np.searchsorted(tail, tail)
         slot = np.repeat(first - np.cumsum(run) + run, run) + np.arange(int(run.sum()))
-        a, b = np.repeat(head, run), head[slot]
-        pair = a < b  # each unordered wedge once, and no a - v - a
-        keys, c = np.unique(a[pair] * g.n + b[pair], return_counts=True)
+        a, b = np.repeat(head, run), head.take(slot)
+        pair = np.flatnonzero(a < b)  # each unordered wedge once, and no a - v - a
+        keys, c = np.unique(a.take(pair) * g.n + b.take(pair), return_counts=True)
         walks += 2 * int(np.dot(c, c - 1))
         edge_keys = e[:, 0] * g.n + e[:, 1]
         at = np.minimum(np.searchsorted(keys, edge_keys), keys.size - 1)
-        tri = np.where(keys[at] == edge_keys, c[at], 0)
-        lap -= 4 * int(np.dot(degrees[e[:, 0]] + degrees[e[:, 1]], tri))
+        tri = np.where(keys.take(at) == edge_keys, c.take(at), 0)
+        lap -= 4 * int(np.dot(degrees.take(e[:, 0]) + degrees.take(e[:, 1]), tri))
     return lap + walks, d2 + walks
 
 

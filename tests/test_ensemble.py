@@ -252,6 +252,33 @@ def test_pair_index_boundaries_large_n():
     back = pair_index(pairs[:, 0], pairs[:, 1], n)
     assert np.array_equal(back, ks)
     assert np.array_equal(index_pair(np.array([total - 1]), n)[0], [n - 2, n - 1])
+    # an index past either end is refused, where the integer fixup would never end
+    for m, bad in ((n, [0, total]), (n, [-1]), (10, [45])):
+        with pytest.raises(ValueError, match="pair index outside"), np.errstate(invalid="ignore"):
+            index_pair(np.array(bad), m)
+
+
+@pytest.mark.parametrize("n", [3_037_000_499, 2**26 + 1])
+def test_index_pair_round_trip_where_the_float_estimate_misses(n, monkeypatch):
+    # n = 3,037,000,499 is the largest N whose int64 keys i*N + j fit (the edge-list
+    # bound); there the float row estimate misses near row boundaries and the integer
+    # fixup must run.  At 2**26 + 1 it is exact at every row boundary.
+    rng = np.random.default_rng(n)
+    total = n * (n - 1) // 2
+    rows = np.concatenate([np.arange(1000), rng.integers(0, n - 1, 1000), n - 2 - np.arange(1000)])
+    starts = ensemble._row_offset(rows, n)
+    ks = np.concatenate([rng.integers(0, total, 10_000), starts, starts[starts > 0] - 1, [total - 1]])
+    calls = []
+    real = ensemble._row_offset
+    monkeypatch.setattr(ensemble, "_row_offset", lambda i, n: calls.append(1) or real(i, n))
+    pairs = index_pair(ks, n)
+    assert np.all((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] < n))
+    assert np.array_equal(pair_index(pairs[:, 0], pairs[:, 1], n), ks)
+    if n == 3_037_000_499:
+        assert len(calls) > 1  # one _row_offset call checks the estimate; the fixup makes more
+        calls.clear()
+        index_pair(ks[:10_000], n)  # random k alone pass the exactness test
+        assert len(calls) == 1
 
 
 def test_sampled_graphs_canonical():

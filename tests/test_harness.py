@@ -802,7 +802,7 @@ def test_cli_spectrum_giant_cluster_names_realization(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: cluster of size 3929 exceeds the eigensolver size cap 2000 "
+        "error: cluster of size 3929 exceeds the size cap 2000 "
         "(master_seed=9, realization=3)"
     ]
 
@@ -817,6 +817,26 @@ def test_cli_moments_giant_cluster_fails_cleanly(tmp_path, capsys):
     assert lines[0].endswith("realization=0)")
 
 
+def test_cli_realization_value_error_names_realization(tmp_path, capsys, monkeypatch):
+    # a ValueError raised for one realization, like _trace_powers' int64 refusal,
+    # keeps the one error line and exit 2 and names the (seed, realization) to replay
+    from erlap import spectral
+
+    def refuse(g, degrees, k_max):
+        raise ValueError("M^3 of a graph of maximum degree 9 exceeds int64")
+
+    monkeypatch.setattr(spectral, "_trace_powers", refuse)
+    argv = ["moments", "--n", "200", "--p", "0.5", "--reps", "2", "--kmax", "3", "--seed", "11",
+            "--outdir", str(tmp_path)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: M^3 of a graph of maximum degree 9 exceeds int64 (master_seed=11, realization=0)"
+    ]
+    assert not tmp_path.joinpath("moments.csv").exists()
+
+
 def test_cli_size_cap_flag(tmp_path, capsys):
     from erlap.cli import build_parser
 
@@ -827,7 +847,7 @@ def test_cli_size_cap_flag(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: cluster of size 1213 exceeds the eigensolver size cap 100 "
+        "error: cluster of size 1213 exceeds the size cap 100 "
         "(master_seed=1, realization=0)"
     ]
     assert cli_dispatch(argv + ["--size-cap", "1"]) == 2

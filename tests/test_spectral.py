@@ -586,7 +586,7 @@ def test_size_cap_checked_whatever_min_size(monkeypatch):
     for check in checks:
         with pytest.raises(EigensolverError) as err:
             check()
-        assert str(err.value) == "cluster of size 12 exceeds the eigensolver size cap 8"
+        assert str(err.value) == "cluster of size 12 exceeds the size cap 8"
         assert err.value.cluster.size == 12
     monkeypatch.undo()
     # end to end at p = 3: the giant cluster raises whether the top energy prunes
