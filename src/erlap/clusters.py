@@ -69,9 +69,9 @@ class ClusterDecomposition:
     Clusters are numbered 0..K-1 by ascending smallest member vertex.  The
     per-vertex ``labels``, per-edge ``edge_labels`` and per-cluster ``sizes``
     and ``edge_counts`` are computed eagerly (cheap, vectorized); the
-    ``is_tree`` mask, the per-cluster ``max_degree`` and :class:`Cluster`
-    records are built on request, because hot loops (census, batched
-    eigensolves) only need the arrays.
+    ``is_tree`` mask, the vertex ``degrees``, the per-cluster ``max_degree``
+    and :class:`Cluster` records are built on request, because hot loops
+    (census, batched eigensolves) only need the arrays.
 
     ``is_tree`` is the one classification rule: a connected cluster on n
     vertices has at least n - 1 edges and is a tree iff it has exactly n - 1
@@ -93,10 +93,15 @@ class ClusterDecomposition:
         return self.edge_counts == self.sizes - 1
 
     @cached_property
+    def degrees(self) -> np.ndarray:
+        """Degree of each vertex of the graph."""
+        return degree_sequence(self.graph)
+
+    @cached_property
     def max_degree(self) -> np.ndarray:
         """Largest vertex degree in each cluster (0 for an isolated vertex)."""
         out = np.zeros(self.n_clusters, dtype=np.int64)
-        np.maximum.at(out, self.labels, degree_sequence(self.graph))
+        np.maximum.at(out, self.labels, self.degrees)
         return out
 
     def class_flag_arrays(self):
@@ -141,22 +146,28 @@ def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     while hi.shape[0]:
         np.minimum.at(lab, hi, lo)
         up = lab.take(lo)
-        jump = np.flatnonzero((lab.take(hi) == lo) & (up != lo))
+        jump = ((lab.take(hi) == lo) & (up != lo)).nonzero()[0]
         hooked, up = hi.take(jump), up.take(jump)
         while hooked.shape[0]:
             lab[hooked] = up
             nxt = lab.take(up)
-            jump = np.flatnonzero(nxt != up)
+            jump = (nxt != up).nonzero()[0]
             hooked, up = hooked.take(jump), nxt.take(jump)
         lab = lab.take(lab)
         la, lb = lab.take(a), lab.take(b)
-        live = np.flatnonzero(la != lb)
+        live = (la != lb).nonzero()[0]
         a, b, la, lb = a.take(live), b.take(live), la.take(live), lb.take(live)
         lo, hi = np.minimum(la, lb), np.maximum(la, lb)
-    roots = np.flatnonzero(lab == np.arange(n, dtype=np.int64))
-    rank = np.empty(n, dtype=np.int64)
-    rank[roots] = np.arange(roots.shape[0], dtype=np.int64)
-    return rank.take(lab)
+    return _renumber(lab == np.arange(n, dtype=np.int64))[1].take(lab)  # roots ranked
+
+
+def _renumber(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of ``mask``'s true entries and, at each, its rank among them, by one
+    scatter: at N = 2e4 half the time of a cumsum of the mask, a third of a sort's."""
+    vertices = mask.nonzero()[0]
+    local = np.empty(mask.size, dtype=np.int64)
+    local[vertices] = np.arange(vertices.size)
+    return vertices, local
 
 
 def decompose(g: Graph) -> ClusterDecomposition:

@@ -19,8 +19,8 @@ from typing import IO
 import numpy as np
 
 from . import analytics, ensemble, spectral
-from .clusters import CensusAccumulator, CensusReport, ClusterDecomposition, decompose
-from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
+from .clusters import CensusAccumulator, CensusReport, ClusterDecomposition, _renumber, decompose
+from .ensemble import Graph, GraphSpec, sample_graph
 from .spectral import (
     DEFAULT_SIZE_CAP,
     MAX_MOMENT_POWER,
@@ -645,15 +645,15 @@ def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
     another mechanism.  E is at least 1/n^2 for every n <= 11,888, so this also checks
     the 1/n^2 floor there.  Returns (violations, clusters, clusters checked)."""
     _check_size_cap(d, size_cap)  # inertia needs no cap; it keeps the giant-cluster error line
-    live = degree_sequence(d.graph) > 0  # the vertices of the clusters of size >= 2
-    label = d.labels.take(np.flatnonzero(live))
+    vertices, local = _renumber(d.degrees > 0)  # the vertices of the clusters of size >= 2
+    label = d.labels.take(vertices)
     n = d.sizes.take(label)
     # paths attain the floor; the eigensolver's error bound n*eps*2*d_max is also the
     # float count's allowance: a path of 2..500 vertices counts 1 at the floor less it
     # and 2 at the floor plus it
     shift = fiedler_floor(np.arange(1, d.sizes.max() + 1)).take(n - 1)  # one floor per size
     shift -= spectral._eig_margin(n, d.max_degree.take(label))
-    count = int(counting_function(shift.size, (np.cumsum(live) - 1).take(d.graph.edges), shift[:, None])[0])
+    count = int(counting_function(shift.size, local.take(d.graph.edges), shift[:, None])[0])
     clusters = int(np.count_nonzero(d.sizes >= 2))
     violations = [] if count == clusters else [
         f"Fiedler floor violated at realization {r}: count={count} clusters={clusters}"

@@ -46,8 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clusters import Cluster, ClusterDecomposition, _component_labels, decompose
-from .ensemble import Graph, GraphSpec, degree_sequence, sample_graph
+from .clusters import Cluster, ClusterDecomposition, _component_labels, _renumber, decompose
+from .ensemble import Graph, GraphSpec, sample_graph
 
 __all__ = [
     "EigensolverError",
@@ -279,6 +279,29 @@ def _inertia(edges: np.ndarray, diag: list, off):
     return count, zero
 
 
+def _leaf_rounds(n: int, edges: np.ndarray):
+    """Degrees, (leaves, parents) rounds and live degrees left (> 0 on the 2-core) of
+    :func:`counting_function`'s leaf peel of the graph on 0..n-1 with ``edges``."""
+    deg = np.bincount(edges.ravel(), minlength=n)
+    live = deg.copy()
+    # the sum of a vertex's live neighbours is a leaf's parent
+    nbr = np.bincount(edges.ravel(), edges[:, ::-1].ravel(), n).astype(np.int64)
+    owner = np.empty(n, dtype=np.int64)
+    rounds = []
+    while (leaves := (live == 1).nonzero()[0]).size:
+        parents = nbr.take(leaves)
+        # one write per parent lands; a K2 end the pair rule drops is its parent's only leaf
+        owner[parents] = leaves
+        keep = ((owner.take(parents) == leaves) & ((live.take(parents) > 1) | (leaves < parents))).nonzero()[0]
+        leaves, parents = leaves.take(keep), parents.take(keep)
+        # the parents are now unique, so each gather-and-scatter is exact
+        live[leaves] = 0
+        live[parents] = live.take(parents) - 1
+        nbr[parents] = nbr.take(parents) - leaves
+        rounds.append((leaves, parents))
+    return deg, rounds, live
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def counting_function(n: int, edges, energies) -> np.ndarray:
     """#{eigenvalues <= E}, kernel included, at each energy E of the Laplacian of the
@@ -289,44 +312,27 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     loop raises ValueError.
 
     Each round peels the current leaves, one per parent, into their parents, until only
-    the 2-core is left; a tree's root is the larger end of its last edge.  The (n, k)
-    pivot tables are row-major whatever the layout of ``energies``, so a round gathers
-    and scatters its leaf and parent rows whole.  Zero pivots follow Jacobs and Trevisan
-    (Linear Algebra Appl. 2011): the parent's pivot becomes -1/2, one zero child's 2,
-    and the parent sends nothing on.  That 2x2 pivot's inverse is 0 in the parent's
-    slot, so the parent, core or not, is dropped with no update to its neighbours.  The
-    core S = diag(f) - A_core goes to :func:`_inertia` on float arrays, or, in an
-    integer column and where a float core pivot rounds to 0, as the integer matrix
-    diag(g) S diag(g) of the exact pivots f/g, congruent to S for any nonzero
-    per-vertex g.
+    the 2-core is left; a tree's root is the larger end of its last edge.  One mask keeps
+    the leaves whose write to their parent's slot landed, less the larger end of a K2.
+    The (n, k) pivot tables are row-major whatever the layout of ``energies``, so a round
+    gathers and scatters its leaf and parent rows whole.  Zero pivots follow Jacobs and
+    Trevisan (Linear Algebra Appl. 2011): the parent's pivot becomes -1/2, one zero
+    child's 2, and the parent sends nothing on.  That 2x2 pivot's inverse is 0 in the
+    parent's slot, so the parent, core or not, is dropped with no update to its
+    neighbours.  The core S = diag(f) - A_core goes to :func:`_inertia` on float arrays,
+    or, in an integer column and where a float core pivot rounds to 0, as the integer
+    matrix diag(g) S diag(g) of the exact pivots f/g, congruent to S for any nonzero g.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = np.asarray(energies, dtype=np.float64)
-    deg = np.bincount(edges.ravel(), minlength=n)
-    live = deg.copy()
-    # the sum of a vertex's live neighbours is a leaf's parent
-    nbr = np.bincount(edges.ravel(), edges[:, ::-1].ravel(), n).astype(np.int64)
-    owner = np.empty(n, dtype=np.int64)
-    rounds = []
-    while (leaves := np.flatnonzero(live == 1)).size:
-        parents = nbr.take(leaves)
-        keep = np.flatnonzero((live.take(parents) > 1) | (leaves < parents))
-        leaves, parents = leaves.take(keep), parents.take(keep)
-        owner[parents] = leaves  # one write per parent lands: its leaf goes now
-        keep = np.flatnonzero(owner.take(parents) == leaves)
-        leaves, parents = leaves.take(keep), parents.take(keep)
-        # the parents are now unique, so each gather-and-scatter is exact
-        live[leaves] = 0
-        live[parents] = live.take(parents) - 1
-        nbr[parents] = nbr.take(parents) - leaves
-        rounds.append((leaves, parents))
+    deg, rounds, live = _leaf_rounds(n, edges)
     core = live > 0
     if has_core := core.any():
         # a loop or a repeated pair lies on a cycle of the multigraph, so in the core
         core_edges = np.sort(edges[core[edges[:, 0]] & core[edges[:, 1]]], axis=1)
         if (core_edges[:, 0] == core_edges[:, 1]).any() or np.unique(core_edges, axis=0).shape != core_edges.shape:
             raise ValueError("edges repeat a pair or join a vertex to itself")
-        core_edges = (np.cumsum(core) - 1)[core_edges]
+        core_edges = _renumber(core)[1].take(core_edges)
     counts = np.empty(e.shape[-1], dtype=np.int64)
     integral = (e == np.floor(e)).reshape(-1, e.shape[-1]).all(axis=0)
     floats, exact = np.flatnonzero(~integral), np.flatnonzero(integral)
@@ -335,7 +341,9 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     f = deg[:, None] - np.take(e, floats, axis=-1)
     for leaves, parents in rounds:
         f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
-    counts[floats] = np.count_nonzero(~core[:, None] & (f <= 0) & (f > -np.inf), axis=0)
+    counted = (f <= 0) & (f > -np.inf)
+    counted[core] = False
+    counts[floats] = np.count_nonzero(counted.T.copy(), axis=1)  # rows contiguous: 2x faster
     if has_core and floats.size:
         minus_one = -np.ones(floats.size)
         core_count, zero = _inertia(core_edges, list(f[core]), lambda i, j: minus_one)
@@ -356,8 +364,9 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
             g[parents] = gp = gp * fl
             if not wide and max(np.abs(fp).max(), np.abs(gp).max()) >= _INT64_PIVOT_BOUND:
                 wide, f, g = True, f.astype(object), g.astype(object)
-        counted = ~core[:, None] & (g != 0) & ((f == 0) | ((f < 0) != (g < 0)))
-        counts[exact] = np.count_nonzero(counted, axis=0)
+        counted = (g != 0) & ((f == 0) | ((f < 0) != (g < 0)))
+        counted[core] = False
+        counts[exact] = np.count_nonzero(counted.T.copy(), axis=1)
         for col, (fc, gc) in enumerate(zip(f[core].T.tolist(), g[core].T.tolist()) if has_core else ()):
             diag = [Fraction(x * y) if y else None for x, y in zip(fc, gc)]
             counts[exact[col]] += _inertia(core_edges, diag, lambda i, j: Fraction(-gc[i] * gc[j]))[0]
@@ -433,9 +442,11 @@ def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, size_cap: int, m
     _check_size_cap(d, size_cap)
     counted = d.sizes >= min_size
     # a counted cluster has an edge, so its edges' ends are all its vertices
-    edges = d.graph.edges.take(np.flatnonzero(counted.take(d.edge_labels)), axis=0)
-    vertices, edges = np.unique(edges, return_inverse=True)
-    counts = counting_function(vertices.size, edges.reshape(-1, 2), grid)
+    edges = d.graph.edges.take(counted.take(d.edge_labels).nonzero()[0], axis=0)
+    flag = np.zeros(d.graph.n, dtype=bool)
+    flag[edges] = True
+    vertices, local = _renumber(flag)
+    counts = counting_function(vertices.size, local.take(edges), grid)
     return counts + d.n_clusters - np.count_nonzero(counted), int(d.n_clusters)  # uncounted: kernels
 
 
@@ -605,11 +616,11 @@ def _trace_powers(g: Graph, degrees: np.ndarray, k_max: int) -> tuple[list[int],
     """
     import scipy.sparse  # here: at module level it raised the peak RSS growth of runs with no product
 
-    live = degrees > 0
-    deg, bound = degrees[live], 2 * int(degrees.max(initial=0))
+    live, local = _renumber(degrees > 0)
+    deg, bound = degrees.take(live), 2 * int(degrees.max(initial=0))
     if bound**k_max >= 1 << 63:
         raise ValueError(f"M^{k_max} of a graph of maximum degree {bound // 2} exceeds int64")
-    i, j = (np.cumsum(live) - 1)[np.concatenate((g.edges, g.edges[:, ::-1]))].T
+    i, j = local.take(np.concatenate((g.edges, g.edges[:, ::-1]))).T
     adj = scipy.sparse.csr_array((np.ones(i.size, dtype=np.int64), (i, j)), shape=(deg.size, deg.size))
     lap = scipy.sparse.diags_array(deg, dtype=np.int64) - adj
     traces = ([], [])
@@ -662,14 +673,13 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
 def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_cap: int):
     g = d.graph
     _check_size_cap(d, size_cap)  # products need no cap; it keeps the giant-cluster error line
-    degrees = degree_sequence(g)
-    hist = np.bincount(degrees).tolist()
+    hist = np.bincount(d.degrees).tolist()
     deg = [sum(count * v**two_k for v, count in enumerate(hist)) for two_k in two_ks]
     # Tr A^2 = sum d = 2m and Tr L^2 = sum d(d + 1)
     lap, adj = [deg[0] + 2 * g.n_edges], [2 * g.n_edges]
     if len(two_ks) > 1:
-        lap4, adj4 = _fourth_traces(d, degrees, hist)
-        lap_k, adj_k = _trace_powers(g, degrees, len(two_ks)) if len(two_ks) > 2 else ([], [])
+        lap4, adj4 = _fourth_traces(d, d.degrees, hist)
+        lap_k, adj_k = _trace_powers(g, d.degrees, len(two_ks)) if len(two_ks) > 2 else ([], [])
         lap, adj = [*lap, lap4, *lap_k], [*adj, adj4, *adj_k]
     return tuple(np.array([t / g.n for t in row]) for row in (lap, deg, adj))
 

@@ -269,6 +269,41 @@ def stack_trace_powers(stacks, k_max: int) -> tuple[list[int], list[int]]:
     return lap, adj
 
 
+def two_filter_leaf_rounds(n: int, edges) -> tuple[list, np.ndarray]:
+    """The leaf peel of :func:`erlap.spectral.counting_function` as it ran before one mask
+    per round: the (leaves, parents) rounds and the live degrees left.
+
+    Each round filters twice.  The pair rule first drops the larger end of a K2 (both of
+    its ends are leaves); then every remaining leaf writes itself into its parent's owner
+    slot, and the leaves whose write landed (one per parent) are peeled.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    live = np.bincount(edges.ravel(), minlength=n)
+    nbr = np.bincount(edges.ravel(), edges[:, ::-1].ravel(), n).astype(np.int64)
+    owner = np.empty(n, dtype=np.int64)
+    rounds = []
+    while (leaves := np.flatnonzero(live == 1)).size:
+        parents = nbr[leaves]
+        keep = (live[parents] > 1) | (leaves < parents)
+        leaves, parents = leaves[keep], parents[keep]
+        owner[parents] = leaves
+        keep = owner[parents] == leaves
+        leaves, parents = leaves[keep], parents[keep]
+        live[leaves] = 0
+        live[parents] -= 1
+        nbr[parents] -= leaves
+        rounds.append((leaves, parents))
+    return rounds, live
+
+
+def unique_renumbering(edges) -> tuple[int, np.ndarray]:
+    """The vertex count and edges of a graph's non-isolated part, its vertices numbered
+    0.. in ascending order by ``np.unique``: how IDS counts once numbered the vertices of
+    the clusters they count."""
+    vertices, local = np.unique(np.asarray(edges, dtype=np.int64), return_inverse=True)
+    return vertices.size, local.reshape(-1, 2)
+
+
 def all_graphs(n: int):
     """Yield (edge tuple, edge count) for every labeled graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -40,6 +40,8 @@ from oracles import (
     exact_tree_counts,
     path_spectrum_closed_form,
     stack_trace_powers,
+    two_filter_leaf_rounds,
+    unique_renumbering,
 )
 
 
@@ -363,6 +365,83 @@ def test_forest_counts_closed_forms():
         with mock.patch.object(spectral, "_INT64_PIVOT_BOUND", 0):
             assert counting_function(m + 1, star, grid).tolist() == want
         assert counting_function(m + 1, star, [2.0**40]).tolist() == [m + 1]
+
+
+def _assert_same_peel(n, edges):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    deg, rounds, live = spectral._leaf_rounds(n, edges)
+    want, want_live = two_filter_leaf_rounds(n, edges)
+    assert len(rounds) == len(want)
+    for (leaves, parents), (want_leaves, want_parents) in zip(rounds, want):
+        assert np.array_equal(leaves, want_leaves) and np.array_equal(parents, want_parents)
+    assert np.array_equal(live, want_live)
+    assert np.array_equal(deg, np.bincount(edges.ravel(), minlength=n))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_mask_peel_matches_the_two_filter_oracle_on_forests(data):
+    _assert_same_peel(*_random_forest(data, 60))
+
+
+def test_one_mask_peel_matches_the_two_filter_oracle_on_stars_beside_k2s():
+    # a star's leaves all name its centre, and both ends of a K2 are leaves: the
+    # pair rule and the owner slot meet in one round, in shuffled vertex orders
+    rng = np.random.default_rng(7)
+    for m in range(1, 9):
+        for k2s in range(4):
+            n = m + 1 + 2 * k2s
+            parts = [(0, i) for i in range(1, m + 1)]
+            parts += [(m + 1 + 2 * t, m + 2 + 2 * t) for t in range(k2s)]
+            for _ in range(6):
+                perm = rng.permutation(n)
+                edges = sorted(tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in parts)
+                _assert_same_peel(n, edges)
+
+
+@pytest.mark.parametrize("n, p", [(2000, 1.5), (500, 3.0)])
+def test_one_mask_peel_matches_the_two_filter_oracle_on_graphs_with_cores(n, p):
+    for r in range(3):
+        g = sample_graph(GraphSpec(n, p, 20260809), r)
+        _, _, live = spectral._leaf_rounds(g.n, g.edges)
+        assert (live > 0).any()  # a 2-core is left
+        _assert_same_peel(g.n, g.edges)
+
+
+@st.composite
+def _clusters_in_any_order(draw):
+    # isolated vertices, trees and cyclic clusters of 1..9 vertices, their vertices
+    # shuffled so that uncounted clusters sit below, between and above counted ones
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=10))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    edges, start = set(), 0
+    for size in sizes:
+        for v in range(1, size):
+            edges.add((draw(st.integers(min_value=0, max_value=v - 1)) + start, v + start))
+        for _ in range(draw(st.integers(min_value=0, max_value=2)) if size >= 3 else 0):
+            a, b = sorted(draw(st.lists(st.integers(start, start + size - 1), min_size=2, max_size=2, unique=True)))
+            edges.add((a, b))
+        start += size
+    return _graph(n, [sorted((perm[a], perm[b])) for a, b in edges])
+
+
+@given(
+    g=_clusters_in_any_order(),
+    grid=st.lists(st.floats(min_value=1e-3, max_value=2.5), min_size=1, max_size=5, unique=True).map(
+        lambda xs: np.array(sorted(xs))
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_ids_counts_do_not_depend_on_the_renumbering_of_counted_vertices(g, grid):
+    d = decompose(g)
+    min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
+    counts, k = spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, min_size)
+    counted = d.sizes >= min_size
+    n, edges = unique_renumbering(g.edges[counted[d.edge_labels]])
+    want = counting_function(n, edges, grid) + d.n_clusters - np.count_nonzero(counted)
+    assert np.array_equal(counts, want) and k == d.n_clusters
+    _assert_matches_dense(g, grid, counts)
 
 
 @st.composite
