@@ -84,14 +84,6 @@ class EigensolverError(RuntimeError):
         self.realization = realization
 
 
-def _stable_order(keys: np.ndarray, k: int) -> np.ndarray:
-    """Stable argsort of integer keys in [0, k); numpy radix-sorts 16-bit
-    keys, about 5x faster than its timsort on int64 at N = 2e4."""
-    if k <= 1 << 16:
-        keys = keys.astype(np.uint16)
-    return np.argsort(keys, kind="stable")
-
-
 def _check_size_cap(d: ClusterDecomposition, size_cap: int) -> None:
     """Raise :class:`EigensolverError`, naming the largest cluster of ``d``, if it exceeds ``size_cap``."""
     if d.sizes.size and (top := int(d.sizes.max())) > size_cap:
@@ -101,50 +93,26 @@ def _check_size_cap(d: ClusterDecomposition, size_cap: int) -> None:
 
 def _laplacian_stacks(d: ClusterDecomposition, size_cap: int):
     """Yield ``(size, cluster_ids, stack)`` per size class of the clusters of size >= 2,
-    ``stack[j]`` the dense float64 Laplacian of cluster ``cluster_ids[j]`` with its
-    vertices numbered in ascending order, after :func:`_check_size_cap`.
+    sizes and ids ascending, ``stack[j]`` the dense float64 Laplacian of cluster
+    ``cluster_ids[j]`` with its vertices in ascending order, after :func:`_check_size_cap`.
 
-    The clusters are laid out in local coordinates, each entry's flat position
-    computed once for all sizes and each diagonal by one bincount.
+    A stable sort of the labels gives each vertex its local index: its place less its
+    cluster's start.  Each class writes -1 at both entries of its edges in one fancy
+    index, and the diagonal is minus the row sums.
     """
     _check_size_cap(d, size_cap)
-    sizes = d.sizes
-    # the solved clusters in (size, id) order, so that each size class is one run
-    order = np.flatnonzero(sizes >= 2)
-    order = order[np.argsort(sizes[order], kind="stable")]
-    m = order.size
-    if not m:
-        return
-    rank = np.full(sizes.shape[0], m, dtype=np.int64)  # m marks a skipped cluster
-    rank[order] = np.arange(m)
-    counts = sizes[order]
-    # group the solved clusters' vertices by rank; the stable sort keeps each
-    # cluster's vertices ascending, so a vertex's place in its group is its local index
-    vrank = rank[d.labels]
-    vertices = np.flatnonzero(vrank < m)
-    vertices = vertices[_stable_order(vrank[vertices], m)]
+    sizes, edge_sizes = d.sizes, d.sizes.take(d.edge_labels)
     local = np.empty(d.graph.n, dtype=np.int64)
-    local[vertices] = np.arange(vertices.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    # the same grouping for edges: cluster order[j] owns rows estart[j]:estart[j + 1]
-    erank = rank[d.edge_labels]
-    edges = np.flatnonzero(erank < m)
-    edges = edges[_stable_order(erank[edges], m)]
-    slot, ends = erank[edges], local[d.graph.edges[edges]]
-    estart = np.concatenate(([0], np.cumsum(d.edge_counts[order])))
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [m]))
-    # an end's place among its size class's vertices, then the flat positions of
-    # L[i, j] and L[j, i] in its class's stack; offsets come from the sizes, as a
-    # class of size-1 clusters has no edges
-    place = ends + ((np.arange(m) - np.repeat(runs[:-1], np.diff(runs))) * counts)[slot][:, None]
-    flat_ij = place * counts[slot][:, None] + ends[:, ::-1]
-    for a, b in zip(runs[:-1].tolist(), runs[1:].tolist()):
-        s, c = int(counts[a]), b - a
-        lo, hi = estart[a], estart[b]
-        flat = np.zeros(c * s * s, dtype=np.float64)
-        flat[flat_ij[lo:hi]] = -1.0
-        degree = np.bincount(place[lo:hi].ravel(), minlength=c * s)  # 1 at both ends of an edge
-        flat.reshape(c, s * s)[:, :: s + 1] = degree.reshape(c, s)
-        yield s, order[a:b], flat.reshape(c, s, s)
+    local[np.argsort(d.labels, kind="stable")] = np.arange(d.graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    for s in np.unique(sizes[sizes >= 2]).tolist():
+        ids = np.flatnonzero(sizes == s)
+        mine = np.flatnonzero(edge_sizes == s)
+        slot = np.searchsorted(ids, d.edge_labels.take(mine))
+        i, j = local.take(d.graph.edges.take(mine, axis=0)).T
+        stack = np.zeros((ids.size, s, s))
+        stack[slot, i, j] = stack[slot, j, i] = -1.0
+        stack[:, np.arange(s), np.arange(s)] = -stack.sum(axis=2)
+        yield s, ids, stack
 
 
 def _eig_margin(n, d_max):
@@ -158,7 +126,7 @@ def _checked_eigvalsh(stack: np.ndarray, ids: np.ndarray, cluster_of) -> np.ndar
     failures and a smallest eigenvalue outside the margin of 0 raise
     :class:`EigensolverError`."""
     s = stack.shape[1]
-    margin = _eig_margin(s, s - 1)
+    margin = float(_eig_margin(s, s - 1))
     try:
         vals = np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
@@ -192,10 +160,12 @@ def eigenvalues_cluster(c: Cluster, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndar
     """The ``c.size`` Laplacian eigenvalues of the connected cluster ``c``, ascending,
     the kernel pinned to 0.0 (module docstring).
 
-    A ``c`` that is not one connected cluster raises ValueError; one beyond
+    A ``c`` that is not one connected cluster, or whose edges are not canonical rows
+    (:class:`Cluster`) of a simple graph on its vertices, raises ValueError; one beyond
     ``size_cap``, or a failed solve, raises :class:`EigensolverError` naming ``c``.
     """
-    g = Graph(c.size, c.edges, validate=False)
+    # validated as Graph validates its own input; an empty cluster has 0 components
+    g = Graph(c.size, c.edges, validate=c.size > 0 or c.n_edges > 0)
     # decompose(g) by hand: perfbench counts each decompose() call as a realization's
     d = ClusterDecomposition(g, _component_labels(g.n, g.edges))
     if d.n_clusters != 1:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erlap import spectral
@@ -93,6 +93,8 @@ def test_laplacian_rows_sum_to_zero_exactly():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 @settings(max_examples=80, deadline=None)
+@example(n=2400, p=2.0, seed=20260809)  # a 1,951-vertex giant within DEFAULT_SIZE_CAP
+@example(n=3000, p=0.95, seed=20260809)  # near-critical: 26 size classes
 def test_laplacian_stacks_match_dense_oracle(n, p, seed):
     # the builder lays out every cluster of size >= 2, each row the dense
     # Laplacian of its cluster; clusters themselves are cut from the labels
@@ -175,6 +177,11 @@ def test_eigenvalues_cluster_rejects_a_disconnected_cluster():
             eigenvalues_cluster(c)
     with pytest.raises(ValueError, match="0 components"):
         eigenvalues_cluster(Cluster(np.arange(0), np.empty((0, 2), dtype=np.int64)))
+    # malformed edges fail as Graph's own input does, before the labels or the builder
+    for edges, message in (([[0, 5]], "out of range"), ([[0, 1], [0, 1]], "unique"),
+                           ([[0, 1], [1, 1]], "self-loops")):
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_cluster(Cluster(np.arange(2), np.array(edges)))
 
 
 def test_path_oracle_closed_form():
@@ -700,6 +707,7 @@ def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
         with pytest.raises(EigensolverError, match="kernel") as err:
             spectral._checked_eigvalsh((lap + shift * np.eye(3))[None], ids, lambda k: c)
         assert err.value.cluster is c
+        assert "np.float64(" not in str(err.value)
     # in an ensemble run the error names the realization that replays it
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-9)
