@@ -9,7 +9,11 @@ results never depend on execution order.
 Realization r draws the stream of ``np.random.default_rng([master_seed, r])``.
 Its PCG64 is seeded from words that SeedSequence's hash would give, worked out
 for many indices at once (:func:`sample_pair_index_blocks`), so no
-SeedSequence is built per realization.
+SeedSequence is built per realization.  A block of realizations draws its gaps
+as one (block, batch) stack: below q = p/N = 1/3 numpy's geometric gap is a
+rounded-up exponential, so each row is one ``standard_exponential`` fill and
+the whole stack is scaled, rounded up and clipped just above total + 1 in a few
+array passes; from q = 1/3 on each row is filled by ``geometric`` itself.
 """
 
 from __future__ import annotations
@@ -232,11 +236,24 @@ def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
     (:func:`pair_index`) of each realization's edges in turn and ``counts``
     each realization's edge count.
 
-    Realization ``r`` walks the pairs with Geometric(p/N) gaps drawn from
-    ``np.random.default_rng([master_seed, r])``'s stream.  Its start state is
-    set from seed words worked out for up to 256 indices at once; each
-    realization draws one geometric batch (continued while it falls short of
-    the last pair), and each block is turned into pair indices by one cumsum.
+    Realization ``r`` walks the pairs from slot -1 with Geometric(q) gaps,
+    q = p/N, from ``np.random.default_rng([master_seed, r])``'s stream, its
+    start state set from seed words worked out for up to 256 indices at once.
+    A block is one C-ordered (block, batch) float64 stack, one row per
+    realization filled by one draw.  For q < 1/3 numpy's ``geometric`` is
+    ``ceil(-standard_exponential / log1p(-q))``, one exponential per gap: rows
+    are filled by ``standard_exponential`` and the stack is divided by
+    ``-log1p(-q)`` and rounded up, bit for bit numpy's gaps.  From q = 1/3 on
+    numpy draws by search, and rows are filled by ``geometric`` itself.
+
+    Gaps are clipped at the float just above total + 1, so a clipped gap
+    passes the last pair from any slot; numpy gives gaps near 2**63 at tiny q.
+    A cumsum per row from slot -1 turns gaps into slots, and slots past the
+    last pair are dropped.  While any walk has not passed the last pair, every
+    row draws one more batch, from its last slot or total if lower.  So no
+    slot exceeds total + batch * (total + 1), and no int64 sum can wrap while
+    that is below 2**63: for every N up to 3.3e6 at p <= 1, up to 2.0e6 at
+    p <= 4, and up to 1.0e9 as p -> 0 (batch 16).
     """
     rs = realization_indices
     if len(rs) and not (0 <= min(rs) and max(rs) <= _MAX_SEED):
@@ -245,6 +262,7 @@ def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
     q = spec.edge_prob / n
     total = n * (n - 1) // 2
     batch = _batch_size(q, total)
+    clip = math.nextafter(float(total + 1), math.inf)  # above total + 1 where float() rounds down
     span = block * max(1, _SEED_SLICE // block)
     for i in range(0, len(rs), span):
         part = rs[i : i + span]
@@ -253,26 +271,24 @@ def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
         r = int(part[0]) if len(part) == 1 else np.fromiter(part, np.uint64, len(part))
         words = np.array(_seed_words(spec.master_seed, r), dtype=np.uint64).T.reshape(-1, 4).copy()
         for j in range(0, len(part), block):
-            gaps, bounds, carried = [], [0], 0
-            for w in words[j : j + block]:
-                draw = np.random.Generator(np.random.PCG64(_SeedWords(w))).geometric
-                g = draw(q, batch)
-                last = int(g.sum()) - 1  # every realization walks from slot -1
-                # the block's running sum stands at the previous realization's
-                # last slot (0 before the first): the first gap takes it back
-                g[0] -= carried + 1
-                gaps.append(g)
-                while last < total:
-                    gaps.append(g := draw(q, batch))
-                    last += int(g.sum())
-                carried = last
-                bounds.append(len(gaps) * batch)
-            pos = np.cumsum(np.concatenate(gaps))
-            keep = pos < total
-            # counted realization by realization: labelling every slot with its
-            # realization would cost a pass over the block for each label array
-            counts = [np.count_nonzero(keep[a:b]) for a, b in zip(bounds, bounds[1:])]
-            yield pos[keep], np.array(counts, dtype=np.int64)
+            gens = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words[j : j + block]]
+            slots = []
+            while not slots or slots[-1][:, -1].min() < total:
+                gaps = np.empty((len(gens), batch))
+                for gen, row in zip(gens, gaps):
+                    if q < 1 / 3:
+                        gen.standard_exponential(out=row)
+                    else:
+                        row[:] = gen.geometric(q, batch)
+                if q < 1 / 3:
+                    np.ceil(np.divide(gaps, -math.log1p(-q), out=gaps), out=gaps)
+                s = np.minimum(gaps, clip, out=gaps).astype(np.int64)
+                s[:, 0] += np.minimum(slots[-1][:, -1], total) if slots else -1
+                slots.append(np.cumsum(s, axis=1, out=s))
+            s = slots[0] if len(slots) == 1 else np.concatenate(slots, axis=1)
+            keep = s < total
+            # every row ends past the last pair, so its count is its first dropped slot
+            yield s[keep], keep.argmin(axis=1)
 
 
 def sample_pair_indices(spec: GraphSpec, realization_index: int) -> np.ndarray:

@@ -5,7 +5,7 @@ check: components come from BFS or a sequential union-find instead of the
 vectorized hook-and-compress labelling, Laplacians are built entry by entry
 from the definition, small ensembles are enumerated exhaustively with
 exact per-graph probabilities, a realization's edges are drawn from its own
-``np.random.default_rng`` a fixed batch of gaps at a time, a stack of
+``np.random.default_rng`` a fixed batch of geometric gaps at a time, a stack of
 Laplacians is solved whole, every
 copy of a repeated matrix included, and exact counts of eigenvalues <= E come
 from a dense fraction-free elimination in a static degree order instead of the
@@ -324,6 +324,36 @@ def reference_pair_indices(n: int, p: float, master_seed: int, r: int) -> np.nda
         last = int(out[-1][-1])
     idx = np.concatenate(out)
     return idx[idx < total]
+
+
+def geometric_pair_index_blocks(spec, realization_indices, block: int, batch: int):
+    """``(idx, counts)`` per block of at most ``block`` realizations, as the block
+    sampler yields them, from one ``Generator.geometric`` loop per realization:
+    ``batch`` gaps at a time from ``np.random.default_rng([master_seed, r])``,
+    continued until the walk has passed the last pair, and one cumsum over
+    the block's gaps.  Gaps near 2**63 (tiny p/N) wrap its int64 sums."""
+    n = spec.n_vertices
+    q, total = spec.edge_prob / n, n * (n - 1) // 2
+    rs = list(realization_indices)
+    for j in range(0, len(rs), block):
+        gaps, bounds, carried = [], [0], 0
+        for r in rs[j : j + block]:
+            draw = np.random.default_rng([spec.master_seed, r]).geometric
+            g = draw(q, batch)
+            last = int(g.sum()) - 1  # every realization walks from slot -1
+            # the block's running sum stands at the previous realization's
+            # last slot (0 before the first): the first gap takes it back
+            g[0] -= carried + 1
+            gaps.append(g)
+            while last < total:
+                gaps.append(g := draw(q, batch))
+                last += int(g.sum())
+            carried = last
+            bounds.append(len(gaps) * batch)
+        pos = np.cumsum(np.concatenate(gaps))
+        keep = pos < total
+        counts = [np.count_nonzero(keep[a:b]) for a, b in zip(bounds, bounds[1:])]
+        yield pos[keep], np.array(counts, dtype=np.int64)
 
 
 def graph_probability(n: int, m: int, q: float) -> float:

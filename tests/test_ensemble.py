@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from erlap import ensemble
@@ -25,7 +25,12 @@ from erlap.ensemble import (
 )
 from erlap.harness import _census_chunk
 
-from oracles import all_graphs, graph_probability, reference_pair_indices
+from oracles import (
+    all_graphs,
+    geometric_pair_index_blocks,
+    graph_probability,
+    reference_pair_indices,
+)
 
 
 def test_spec_validation():
@@ -156,6 +161,68 @@ def test_block_sampler_continues_short_batches(monkeypatch):
     assert counts == [x.size for x in want]
     assert np.array_equal(sample_pair_indices(spec, rs[0]), want[0])
     assert _blocks(spec, range(0), 20)[1] == []
+
+
+_THIRD = 1 / 3  # numpy's geometric draws by inversion below this q, by search from it on
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    q=st.one_of(
+        st.floats(1e-4, math.nextafter(_THIRD, 0)),
+        st.sampled_from([math.nextafter(_THIRD, 0), _THIRD]),
+        st.floats(_THIRD, 0.6),
+    ),
+    block=st.integers(1, 81),
+    start=st.one_of(st.integers(0, 2**12), st.integers(2**64 - 2**12, 2**64 - 600)),
+    count=st.integers(0, 600),
+    batch=st.one_of(st.none(), st.integers(1, 3)),
+)
+@example(n=300, q=0.01, block=81, start=1000, count=600, batch=None)
+@example(n=8, q=math.nextafter(_THIRD, 0), block=3, start=2**32 - 300, count=600, batch=2)
+@example(n=3, q=_THIRD, block=1, start=250, count=300, batch=None)
+@example(n=12, q=0.45, block=20, start=7, count=300, batch=1)
+def test_block_sampler_matches_geometric_oracle(n, q, block, start, count, batch):
+    # the p whose p/N is q, as the sampler divides it
+    p = next((c for c in (q * n, math.nextafter(q * n, 0), math.nextafter(q * n, n)) if c / n == q), None)
+    assume(p is not None and 0 < p < n)
+    spec = GraphSpec(n, p, 20260809)
+    total = n * (n - 1) // 2
+    # about 2e5 gaps, or 1e4 continued batches, per side
+    cost = total * q + 1 if batch is None else (total * q / batch + 1) * 20
+    rs = range(start, start + min(count, int(2e5 / cost)))
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:  # walks continue several times
+            mp.setattr(ensemble, "_batch_size", lambda q, total: batch)
+        want = list(geometric_pair_index_blocks(spec, rs, block, ensemble._batch_size(q, total)))
+        got = list(sample_pair_index_blocks(spec, rs, block))
+    assert len(got) == len(want)
+    for (idx, counts), (want_idx, want_counts) in zip(got, want):
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("q", [1e-12, 2.5e-5, 9e-5, 0.01, 0.3, math.nextafter(_THIRD, 0)])
+def test_geometric_is_a_rounded_up_exponential(q):
+    # the block sampler's gaps rest on this identity of the installed numpy: if a
+    # release changes geometric, this fails instead of every stream moving
+    a, b = np.random.default_rng([7, 11]), np.random.default_rng([7, 11])
+    gaps = np.ceil(b.standard_exponential(100_000) / -math.log1p(-q))
+    assert np.array_equal(gaps, a.geometric(q, 100_000))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_tiny_p_gives_edgeless_graphs():
+    # numpy's gaps reach 2**63 - 1 or about 1e18 here, and int64 slot sums wrapped;
+    # at N = 2**27 + 1, float(total + 1) rounds down to total, so a clip there
+    # would leave slot total - 1
+    for spec, rs, block in [(GraphSpec(200, 1e-17, 20260809), range(50), 20),
+                            (GraphSpec(10_000, 1e-15, 20260809), range(2), 1)]:
+        for idx, counts in sample_pair_index_blocks(spec, rs, block):
+            assert idx.size == 0 and not counts.any()
+    for seed in (1, 20260809):
+        assert sample_pair_indices(GraphSpec(2**27 + 1, 1e-12, seed), 0).size == 0
 
 
 def test_samplers_reject_indices_beyond_64_bits():

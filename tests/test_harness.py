@@ -517,6 +517,18 @@ def test_cli_bounds_and_tau_write_underflowed_values(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_tiny_p_draws_edgeless_graphs(tmp_path, capsys):
+    # numpy's gaps near 2**63 at tiny p/N once wrapped the int64 slot sums into
+    # "pair index outside [0, N(N-1)/2)" and exit status 2
+    ids = ["ids", "--n", "10000", "--p", "1e-15", "--reps", "2", "--outdir", str(tmp_path / "ids")]
+    census = ["census", "--n", "200", "--p", "1e-17", "--reps", "50", "--outdir", str(tmp_path / "census")]
+    assert cli_dispatch(ids) == 0
+    assert cli_dispatch(census) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert "sigma0=1.0 " in out.out and "clusters=10000 mean_density=1.0 " in out.out
+
+
 def test_cli_sample_round_trip(tmp_path, capsys):
     out_file = tmp_path / "g.txt"
     status = cli_dispatch(
