@@ -22,7 +22,6 @@ from .spectral import EigensolverError, _each_realization, graph_spectrum
 
 def _add_common(parser: argparse.ArgumentParser, sampling: bool = True) -> None:
     parser.add_argument("--config", type=str, default=None, help="config file to start from")
-    parser.add_argument("--outdir", type=str, default=None, help="output directory")
     if sampling:
         parser.add_argument("--n", dest="n_vertices", type=int, default=None, help="number of vertices N")
         parser.add_argument("--p", dest="edge_prob", type=float, default=None, help="edge probability parameter p")
@@ -107,6 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p_solving in (p_spectrum, p_ids, p_lif, p_mom, p_verify):
         p_solving.add_argument("--size-cap", dest="size_cap", type=int, default=None,
                                help="largest cluster (vertices) that may be counted or solved")
+    # verify writes no file, so it takes no output directory
+    for p_writing in (p_sample, p_spectrum, p_census, p_ids, p_lif, p_bounds, p_tau, p_mom):
+        p_writing.add_argument("--outdir", type=str, default=None, help="output directory")
 
     return parser
 
@@ -121,15 +123,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _spectrum_one(d, r, size_cap):
-    return graph_spectrum(d, size_cap), d.n_clusters
+def _spectrum_one(d, r):
+    return graph_spectrum(d), d.n_clusters
 
 
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
-    # _each_realization names (master_seed, realization) in an eigensolver error
+    # _each_realization checks the size cap and names (master_seed, realization) in its errors
     [(eigenvalues, clusters)] = _each_realization(
-        (config.spec(), [args.rep], _spectrum_one, config.size_cap)
+        (config.spec(), [args.rep], config.size_cap, _spectrum_one)
     )
     path = harness.write_table(
         Path(config.outdir) / "spectrum.csv",

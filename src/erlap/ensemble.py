@@ -57,8 +57,8 @@ class GraphSpec:
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
             raise ValueError(f"n_vertices must be an integer >= 2, got {n!r}")
         p = self.edge_prob
-        if not (0.0 < float(p) < n):
-            raise ValueError(f"edge_prob must satisfy 0 < p < N, got {p!r}")
+        if not (0.0 < float(p) < n and float(p) / n > 0.0):  # p/N may underflow to 0
+            raise ValueError(f"edge_prob must satisfy 0 < p < N and p/N > 0, got p={p!r} for N={n}")
         s = self.master_seed
         if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or not (0 <= s <= _MAX_SEED):
             raise ValueError(f"master_seed must fit in an unsigned 64-bit integer, got {s!r}")
@@ -281,7 +281,8 @@ def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
                     else:
                         row[:] = gen.geometric(q, batch)
                 if q < 1 / 3:
-                    np.ceil(np.divide(gaps, -math.log1p(-q), out=gaps), out=gaps)
+                    with np.errstate(over="ignore"):  # a subnormal q: inf gaps, clipped below
+                        np.ceil(np.divide(gaps, -math.log1p(-q), out=gaps), out=gaps)
                 s = np.minimum(gaps, clip, out=gaps).astype(np.int64)
                 s[:, 0] += np.minimum(slots[-1][:, -1], total) if slots else -1
                 slots.append(np.cumsum(s, axis=1, out=s))

@@ -27,7 +27,6 @@ from .spectral import (
     IdsEstimate,
     MomentInequalityReport,
     MomentSamples,
-    _check_size_cap,
     _each_realization,
     _run_chunked,
     # unused here, wrapped on this module by perfbench's traced run: cluster_min_gaps,
@@ -635,7 +634,7 @@ class VerifyResult:
     clusters_checked: int
 
 
-def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
+def _verify_one(d: ClusterDecomposition, r: int):
     """Property scan of realization ``r`` by one inertia count, no eigensolve.  Each
     vertex of a cluster of size n >= 2 is shifted by E = Fiedler's floor 2(1 - cos(pi/n))
     less n*eps*2*d_max, and :func:`counting_function` counts the pivots <= 0 of
@@ -644,7 +643,6 @@ def _verify_one(d: ClusterDecomposition, r: int, size_cap: int):
     count must equal the number of those clusters, which :func:`decompose` finds by
     another mechanism.  E is at least 1/n^2 for every n <= 11,888, so this also checks
     the 1/n^2 floor there.  Returns (violations, clusters, clusters checked)."""
-    _check_size_cap(d, size_cap)  # inertia needs no cap; it keeps the giant-cluster error line
     vertices, local = _renumber(d.degrees > 0)  # the vertices of the clusters of size >= 2
     label = d.labels.take(vertices)
     n = d.sizes.take(label)
@@ -700,7 +698,7 @@ def run_verify(config: ExperimentConfig) -> VerifyResult:
             sandwich_bad.append(p)
     checks.append(("bound_sandwich", not sandwich_bad, f"bad={sandwich_bad}"))
 
-    extra = (_verify_one, config.size_cap)
+    extra = (config.size_cap, _verify_one)
     rows = _run_chunked(_each_realization, config.spec(), config.n_reps, extra, config.workers)
     ens_violations = [v for row in rows for v in row[0]]
     clusters_total = sum(row[1] for row in rows)

@@ -4,7 +4,8 @@ The graph Laplacian L = D - A is block diagonal over clusters, so the graph
 spectrum is the multiset union of small per-cluster eigenproblems.  One
 builder assembles the clusters of each size as a stack of dense Laplacians,
 and one checked eigensolve handles every stack, which keeps the LAPACK loop
-in C even when a realization holds thousands of tiny clusters.
+in C even when a realization holds thousands of tiny clusters.  The eigensolve
+functions take no size cap; the realization driver checks it, once per realization.
 
 LAPACK computes every eigenvalue of an n-vertex Laplacian within the margin
 n*eps*||L||_2 <= n*eps*2*d_max <= n*eps*2(n - 1).  Each connected cluster has a
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clusters import Cluster, ClusterDecomposition, _component_labels, _renumber, decompose
+from .clusters import Cluster, ClusterDecomposition, _renumber, decompose
 from .ensemble import Graph, GraphSpec, sample_graph
 
 __all__ = [
@@ -91,16 +92,15 @@ def _check_size_cap(d: ClusterDecomposition, size_cap: int) -> None:
                                cluster=d.cluster(int(np.argmax(d.sizes))))
 
 
-def _laplacian_stacks(d: ClusterDecomposition, size_cap: int):
+def _laplacian_stacks(d: ClusterDecomposition):
     """Yield ``(size, cluster_ids, stack)`` per size class of the clusters of size >= 2,
     sizes and ids ascending, ``stack[j]`` the dense float64 Laplacian of cluster
-    ``cluster_ids[j]`` with its vertices in ascending order, after :func:`_check_size_cap`.
+    ``cluster_ids[j]`` with its vertices in ascending order.
 
     A stable sort of the labels gives each vertex its local index: its place less its
     cluster's start.  Each class writes -1 at both entries of its edges in one fancy
     index, and the diagonal is minus the row sums.
     """
-    _check_size_cap(d, size_cap)
     sizes, edge_sizes = d.sizes, d.sizes.take(d.edge_labels)
     local = np.empty(d.graph.n, dtype=np.int64)
     local[np.argsort(d.labels, kind="stable")] = np.arange(d.graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -156,26 +156,22 @@ def quadratic_form(c: Cluster, phi) -> float:
     return float(np.sum(np.abs(diff) ** 2))
 
 
-def eigenvalues_cluster(c: Cluster, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def eigenvalues_cluster(c: Cluster) -> np.ndarray:
     """The ``c.size`` Laplacian eigenvalues of the connected cluster ``c``, ascending,
     the kernel pinned to 0.0 (module docstring).
 
     A ``c`` that is not one connected cluster, or whose edges are not canonical rows
-    (:class:`Cluster`) of a simple graph on its vertices, raises ValueError; one beyond
-    ``size_cap``, or a failed solve, raises :class:`EigensolverError` naming ``c``.
+    (:class:`Cluster`) of a simple graph on its vertices, raises ValueError; a failed
+    solve raises :class:`EigensolverError` naming ``c``.
     """
     # validated as Graph validates its own input; an empty cluster has 0 components
-    g = Graph(c.size, c.edges, validate=c.size > 0 or c.n_edges > 0)
-    # decompose(g) by hand: perfbench counts each decompose() call as a realization's
-    d = ClusterDecomposition(g, _component_labels(g.n, g.edges))
+    d = decompose(Graph(c.size, c.edges, validate=c.size > 0 or c.n_edges > 0))
     if d.n_clusters != 1:
         raise ValueError(f"cluster has {d.n_clusters} components, not 1")
     try:
-        for _, ids, stack in _laplacian_stacks(d, size_cap):
-            return _checked_eigvalsh(stack, ids, d.cluster)[0]
+        return graph_spectrum(d)
     except EigensolverError as exc:  # name c, not its local copy
         raise EigensolverError(str(exc), cluster=c) from exc
-    return np.zeros(1)
 
 
 def fiedler_floor(sizes) -> np.ndarray:
@@ -191,20 +187,20 @@ def path_emin_reference(n: int) -> float:
     return float(fiedler_floor(n))
 
 
-def _min_solved_size(e_max: float, size_cap: int) -> int:
+def _min_solved_size(e_max: float) -> int:
     """Smallest size whose floor minus margin (module docstring) reaches ``e_max``;
-    that difference falls with n and is negative from n ~ 12000 on."""
-    n = np.arange(2, min(size_cap, 1 << 14) + 1)
-    reach = fiedler_floor(n) - _eig_margin(n, n - 1) <= e_max
-    return int(n[np.argmax(reach)]) if reach.any() else size_cap + 1
+    that difference falls with n, lies below pi^2/n^2 and is negative from n ~ 12000
+    on, so the search ends by pi/sqrt(e_max) + 2 or 2^14, whichever comes first."""
+    n = np.arange(2, min(int(math.pi / math.sqrt(e_max)) + 2, 1 << 14) + 1)
+    return int(n[np.argmax(fiedler_floor(n) - _eig_margin(n, n - 1) <= e_max)])
 
 
-def _grouped_eigenvalues(d: ClusterDecomposition, size_cap: int):
+def _grouped_eigenvalues(d: ClusterDecomposition):
     """Laplacian eigenvalues of the clusters :func:`_laplacian_stacks` yields, by size:
     a list of (size, cluster_ids, values) with ``values`` of shape (count, size), each
     row sorted ascending with its first entry exactly 0."""
     return [(s, ids, _checked_eigvalsh(stack, ids, d.cluster))
-            for s, ids, stack in _laplacian_stacks(d, size_cap)]
+            for s, ids, stack in _laplacian_stacks(d)]
 
 
 def _inertia(edges: np.ndarray, diag: list, off):
@@ -343,22 +339,22 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     return counts
 
 
-def graph_spectrum(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def graph_spectrum(d: ClusterDecomposition) -> np.ndarray:
     """All N Laplacian eigenvalues of ``d.graph`` ascending, the multiset union of
     its clusters' spectra; a count of exact zeros other than ``d.n_clusters`` (the
     kernel identity) raises ValueError."""
     parts = [np.zeros(int(np.count_nonzero(d.sizes == 1)))]
-    parts += [vals.ravel() for _, _, vals in _grouped_eigenvalues(d, size_cap)]
+    parts += [vals.ravel() for _, _, vals in _grouped_eigenvalues(d)]
     eigs = np.sort(np.concatenate(parts))
     if int(np.count_nonzero(eigs == 0.0)) != d.n_clusters:
         raise ValueError("number of exact zeros must equal the cluster count")
     return eigs
 
 
-def cluster_min_gaps(d: ClusterDecomposition, size_cap: int = DEFAULT_SIZE_CAP):
+def cluster_min_gaps(d: ClusterDecomposition):
     """Cluster ids, sizes, and smallest nonzero eigenvalues of every cluster
     with at least two vertices."""
-    groups = _grouped_eigenvalues(d, size_cap)
+    groups = _grouped_eigenvalues(d)
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids, _ in groups])
     gaps = np.concatenate([np.empty(0)] + [vals[:, 1] for _, _, vals in groups])
     return ids, d.sizes[ids], gaps
@@ -408,8 +404,7 @@ def _validate_grid(grid) -> np.ndarray:
     return e
 
 
-def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, size_cap: int, min_size: int):
-    _check_size_cap(d, size_cap)
+def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, min_size: int):
     counted = d.sizes >= min_size
     # a counted cluster has an edge, so its edges' ends are all its vertices
     edges = d.graph.edges.take(counted.take(d.edge_labels).nonzero()[0], axis=0)
@@ -421,15 +416,18 @@ def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, size_cap: int, m
 
 
 def _each_realization(args):
-    """Chunk worker, the one place a realization is drawn: for each index ``r`` it
-    decomposes realization ``r`` of ``spec`` and applies ``one(d, r, *extra)`` to the
-    decomposition ``d``, re-raising an :class:`EigensolverError` or a ValueError with
-    ``(master_seed, r)``."""
-    spec, rs, one, *extra = args
+    """Chunk worker, the one place a realization is drawn and its size cap checked: for
+    each index ``r`` it decomposes realization ``r`` of ``spec``, applies
+    :func:`_check_size_cap` and then ``one(d, r, *extra)`` to the decomposition ``d``,
+    re-raising an :class:`EigensolverError` or a ValueError with ``(master_seed, r)``."""
+    spec, rs, size_cap, one, *extra = args
     out = []
     for r in rs:
         try:
-            out.append(one(decompose(sample_graph(spec, r)), r, *extra))
+            d = decompose(sample_graph(spec, r))
+            _check_size_cap(d, size_cap)
+            out.append(one(d, r, *extra))
+            del d  # so that the next draw does not hold two decompositions at once
         except EigensolverError as exc:
             raise EigensolverError(str(exc), exc.cluster, spec.master_seed, r) from exc
         except ValueError as exc:  # e.g. _trace_powers' int64 refusal
@@ -479,7 +477,7 @@ def empirical_ids(
     for a single one.
     """
     e = _validate_grid(grid)
-    extra = (_ids_one, e, size_cap, _min_solved_size(float(e[-1]), size_cap))
+    extra = (size_cap, _ids_one, e, _min_solved_size(float(e[-1])))
     results = _run_chunked(_each_realization, spec, n_reps, extra, workers)
     counts = np.stack([c for c, _ in results])
     ks = np.asarray([k for _, k in results], dtype=np.int64)
@@ -640,9 +638,8 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
     return lap + walks, d2 + walks
 
 
-def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...], size_cap: int):
+def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...]):
     g = d.graph
-    _check_size_cap(d, size_cap)  # products need no cap; it keeps the giant-cluster error line
     hist = np.bincount(d.degrees).tolist()
     deg = [sum(count * v**two_k for v, count in enumerate(hist)) for two_k in two_ks]
     # Tr A^2 = sum d = 2m and Tr L^2 = sum d(d + 1)
@@ -666,7 +663,7 @@ def moment_samples(
         raise ValueError(f"k_max must lie in [1, {MAX_MOMENT_POWER // 2}]")
     two_ks = tuple(2 * k for k in range(1, k_max + 1))
     rows = _run_chunked(
-        _each_realization, spec, n_reps, (_moment_one, two_ks, size_cap), workers
+        _each_realization, spec, n_reps, (size_cap, _moment_one, two_ks), workers
     )
     return MomentSamples(
         n=spec.n_vertices,

@@ -43,6 +43,9 @@ def test_spec_validation():
         GraphSpec(10, 10.0, 0)  # p must stay below N
     with pytest.raises(ValueError):
         GraphSpec(10, -0.5, 0)
+    with pytest.raises(ValueError, match="p/N > 0"):
+        GraphSpec(2, 5e-324, 0)  # p/N rounds to 0
+    GraphSpec(200, 1e-310, 0)  # p/N is subnormal, not 0
     with pytest.raises(ValueError):
         GraphSpec(10, 0.5, -1)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -522,11 +523,24 @@ def test_cli_tiny_p_draws_edgeless_graphs(tmp_path, capsys):
     # "pair index outside [0, N(N-1)/2)" and exit status 2
     ids = ["ids", "--n", "10000", "--p", "1e-15", "--reps", "2", "--outdir", str(tmp_path / "ids")]
     census = ["census", "--n", "200", "--p", "1e-17", "--reps", "50", "--outdir", str(tmp_path / "census")]
-    assert cli_dispatch(ids) == 0
-    assert cli_dispatch(census) == 0
-    out = capsys.readouterr()
+    # at p/N = 5e-313, a subnormal, the exponential gaps overflow to inf and are
+    # clipped with no warning; a p/N that underflows to 0 exits 2 before sampling
+    subnormal = ["census", "--n", "200", "--p", "1e-310", "--reps", "5", "--outdir", str(tmp_path / "sub")]
+    zero = ["ids", "--n", "2", "--p", "5e-324", "--reps", "2", "--outdir", str(tmp_path / "zero")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_dispatch(ids) == 0
+        assert cli_dispatch(census) == 0
+        assert cli_dispatch(subnormal) == 0
+        out = capsys.readouterr()
+        assert cli_dispatch(zero) == 2
     assert out.err == ""
     assert "sigma0=1.0 " in out.out and "clusters=10000 mean_density=1.0 " in out.out
+    assert "clusters=1000 mean_density=1.0 " in out.out
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: edge_prob must satisfy 0 < p < N and p/N > 0, got p=5e-324 for N=2"]
+    assert not (tmp_path / "zero").exists()
 
 
 def test_cli_sample_round_trip(tmp_path, capsys):
@@ -613,13 +627,19 @@ def test_cli_arg_map_names_config_fields():
 def test_cli_verify_exit_codes(tmp_path, capsys):
     assert (
         cli_dispatch(
-            ["verify", "--n", "800", "--p", "0.5", "--reps", "2", "--seed", "7", "--outdir", str(tmp_path)]
+            ["verify", "--n", "800", "--p", "0.5", "--reps", "2", "--seed", "7"]
         )
         == 0
     )
     out = capsys.readouterr().out
     assert "VERIFY path_oracle: ok" in out
     assert "verify status=ok" in out
+    # verify writes no file, so an output directory is an unknown flag
+    assert cli_dispatch(["verify", "--n", "300", "--reps", "1", "--outdir", str(tmp_path / "v")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --outdir" in captured.err
+    assert not (tmp_path / "v").exists()
 
 
 def test_cli_verify_serializes_violations(tmp_path, capsys, monkeypatch):
@@ -629,7 +649,7 @@ def test_cli_verify_serializes_violations(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(analytics_module, "tau_normalization", lambda p, tol: (0.5, 10))
     status = cli_dispatch(
-        ["verify", "--n", "300", "--p", "0.5", "--reps", "1", "--seed", "1", "--outdir", str(tmp_path)]
+        ["verify", "--n", "300", "--p", "0.5", "--reps", "1", "--seed", "1"]
     )
     captured = capsys.readouterr()
     assert status == 1
@@ -741,10 +761,10 @@ def test_verify_flags_two_clusters_under_one_label():
     from erlap.clusters import ClusterDecomposition
 
     d = decompose(sample_graph(GraphSpec(1500, 0.5, 77), 0))
-    assert harness_module._verify_one(d, 0, 2000)[0] == []
+    assert harness_module._verify_one(d, 0)[0] == []
     a, b = np.flatnonzero(d.sizes >= 2)[:2]
     merged = ClusterDecomposition(d.graph, np.unique(np.where(d.labels == b, a, d.labels), return_inverse=True)[1])
-    violations, total, checked = harness_module._verify_one(merged, 5, 2000)
+    violations, total, checked = harness_module._verify_one(merged, 5)
     assert (total, checked) == (d.n_clusters - 1, int(np.count_nonzero(d.sizes >= 2)) - 1)
     assert violations == [f"Fiedler floor violated at realization 5: count={checked + 1} clusters={checked}"]
 
@@ -867,6 +887,33 @@ def test_cli_size_cap_flag(tmp_path, capsys):
     assert not tmp_path.joinpath("ids.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["ids", "moments", "verify", "spectrum"])
+def test_size_cap_checked_by_the_driver_before_one(command, tmp_path, monkeypatch):
+    # every capped command draws through _each_realization, which checks the cap before
+    # the command's per-realization function: with that function refusing, each gets
+    # the same error naming the cluster and the realization
+    import erlap.cli as cli_module
+    import erlap.harness as harness_module
+    from erlap.cli import build_parser
+    from erlap.spectral import EigensolverError
+
+    def refuse(*args):
+        raise AssertionError(f"{command} ran its per-realization function past the cap")
+
+    owner, name = {"ids": (spectral, "_ids_one"), "moments": (spectral, "_moment_one"),
+                   "verify": (harness_module, "_verify_one"),
+                   "spectrum": (cli_module, "_spectrum_one")}[command]
+    monkeypatch.setattr(owner, name, refuse)
+    argv = [command, "--n", "2000", "--p", "1.5", "--reps", "2", "--seed", "1", "--size-cap", "100"]
+    argv += [] if command == "verify" else ["--outdir", str(tmp_path)]
+    with pytest.raises(EigensolverError) as err:
+        cli_module._COMMANDS[command](build_parser().parse_args(argv))
+    assert str(err.value) == "cluster of size 1213 exceeds the size cap 100 (master_seed=1, realization=0)"
+    assert err.value.cluster.size == 1213
+    assert err.value.realization == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def _never_sample(*args, **kwargs):
     raise AssertionError("a rejected configuration drew a realization")
 
@@ -920,7 +967,7 @@ def test_benchmark_hooks_exist():
         assert callable(getattr(CensusAccumulator, name)), name
     # the traced run reads the decomposition from the first positional argument
     d = decompose(sample_graph(GraphSpec(50, 0.8, 3), 0))
-    groups = spectral_module._grouped_eigenvalues(d, 50)
+    groups = spectral_module._grouped_eigenvalues(d)
     assert sum(ids.shape[0] for _, ids, _ in groups) == int(np.count_nonzero(d.sizes >= 2))
 
 

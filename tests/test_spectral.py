@@ -61,7 +61,7 @@ def _path_graph(n):
 
 def _stacked_laplacians(d):
     """{cluster id: dense Laplacian} as the one builder lays them out."""
-    stacks = spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP)
+    stacks = spectral._laplacian_stacks(d)
     return {int(k): lap for _, ids, stack in stacks for k, lap in zip(ids, stack)}
 
 
@@ -93,7 +93,7 @@ def test_laplacian_rows_sum_to_zero_exactly():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 @settings(max_examples=80, deadline=None)
-@example(n=2400, p=2.0, seed=20260809)  # a 1,951-vertex giant within DEFAULT_SIZE_CAP
+@example(n=2400, p=2.0, seed=20260809)  # a 1,951-vertex giant, within the default cap
 @example(n=3000, p=0.95, seed=20260809)  # near-critical: 26 size classes
 def test_laplacian_stacks_match_dense_oracle(n, p, seed):
     # the builder lays out every cluster of size >= 2, each row the dense
@@ -101,7 +101,7 @@ def test_laplacian_stacks_match_dense_oracle(n, p, seed):
     g = sample_graph(GraphSpec(n, min(p, n - 0.5), seed), 0)
     d = decompose(g)
     yielded = []
-    for s, ids, stack in spectral._laplacian_stacks(d, DEFAULT_SIZE_CAP):
+    for s, ids, stack in spectral._laplacian_stacks(d):
         assert np.array_equal(ids, np.flatnonzero(d.sizes == s))
         for k, lap in zip(ids, stack):
             c = d.cluster(int(k))
@@ -220,12 +220,34 @@ def test_fiedler_floor_is_the_path_gap_and_bounds_every_cluster():
     assert np.all(gaps >= fiedler_floor(sizes) * (1.0 - 1e-12))
 
 
+def _old_min_solved_size(e_max: float, size_cap: int) -> int:
+    """The search as it was when it took the size cap: capped at it, and cap + 1
+    when no size up to the cap reaches ``e_max``."""
+    n = np.arange(2, min(size_cap, 1 << 14) + 1)
+    reach = fiedler_floor(n) - spectral._eig_margin(n, n - 1) <= e_max
+    return int(n[np.argmax(reach)]) if reach.any() else size_cap + 1
+
+
 def test_min_solved_size_brackets_the_floor():
-    assert spectral._min_solved_size(0.5, DEFAULT_SIZE_CAP) == 5
-    assert spectral._min_solved_size(2.0, DEFAULT_SIZE_CAP) == 2
-    assert spectral._min_solved_size(1e-9, 100) == 101
-    # a huge cap must not size the search
-    assert spectral._min_solved_size(1e-9, 10**12) == 12164
+    assert spectral._min_solved_size(0.5) == 5
+    assert spectral._min_solved_size(2.0) == 2
+    # below every floor less margin up to n = 12163, the search still ends
+    assert spectral._min_solved_size(1e-9) == 12164
+    # the driver rejects a realization with a cluster above the cap before any count,
+    # so sizes 2..cap are all a count sees: the uncapped search counts the sizes of
+    # that range that the capped search counted, at every top energy and every cap
+    floors = fiedler_floor(np.arange(2, 40))
+    e_maxes = np.concatenate((np.geomspace(1e-9, 4.0, 400), floors, np.nextafter(floors, 0.0),
+                              np.nextafter(floors, 4.0), [1e-300, 3.6e-8, 3.7e-8, 10.0, 1e300]))
+    caps = [2, 3, 4, 5, 7, 12, 39, 100, 2000, 12163, 12164, 12165, 1 << 14, 20_000]
+    for e_max in e_maxes.tolist():
+        m = spectral._min_solved_size(e_max)
+        for cap in caps:
+            assert min(m, cap + 1) == _old_min_solved_size(e_max, cap), (e_max, cap)
+    # the search stops by pi/sqrt(e_max) + 2: at and beside the floors of larger sizes
+    floors = fiedler_floor(np.arange(40, 12_200, 9))
+    for e_max in np.concatenate((floors, np.nextafter(floors, 0.0), np.nextafter(floors, 4.0))).tolist():
+        assert spectral._min_solved_size(e_max) == _old_min_solved_size(e_max, 1 << 14), e_max
     for n in range(2, 30):
         floor = float(fiedler_floor(n))
         # within 3 ulps of the floor (the margin is at least 4 eps), size n is solved ...
@@ -233,9 +255,9 @@ def test_min_solved_size_brackets_the_floor():
         for _ in range(3):
             below, above = np.nextafter(below, 0.0), np.nextafter(above, 4.0)
         for e in (below, floor, above):
-            assert spectral._min_solved_size(float(e), DEFAULT_SIZE_CAP) <= n
+            assert spectral._min_solved_size(float(e)) <= n
         # ... and clearly below it, size n is pruned
-        assert spectral._min_solved_size(floor * (1 - 1e-9), DEFAULT_SIZE_CAP) == n + 1
+        assert spectral._min_solved_size(floor * (1 - 1e-9)) == n + 1
 
 
 def test_grid_rejects_non_finite_energies():
@@ -246,9 +268,9 @@ def test_grid_rejects_non_finite_energies():
 
 
 def _pruned_and_full_counts(d, grid):
-    min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
-    return (spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, min_size)[0],
-            spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, 2)[0])
+    min_size = spectral._min_solved_size(float(grid[-1]))
+    return (spectral._ids_one(d, 0, grid, min_size)[0],
+            spectral._ids_one(d, 0, grid, 2)[0])
 
 
 def _exact_ids_counts(g, grid):
@@ -293,10 +315,10 @@ _grids = st.lists(
 def test_pruned_ids_counts_match_dense_oracle(n, p, seed, grid):
     # p up to 4 covers cyclic and supercritical clusters
     spec = GraphSpec(n, min(p, n - 0.5), seed)
-    min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
+    min_size = spectral._min_solved_size(float(grid[-1]))
     g = sample_graph(spec, 0)
     d = decompose(g)
-    counts, k = spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, min_size)
+    counts, k = spectral._ids_one(d, 0, grid, min_size)
     assert k == d.n_clusters
     pruned, full = _pruned_and_full_counts(d, grid)
     assert np.array_equal(pruned, full)
@@ -306,7 +328,7 @@ def test_pruned_ids_counts_match_dense_oracle(n, p, seed, grid):
     _assert_matches_dense(g, grid, counts)
     # off the integers no eigenvalue equals E, and the per-cluster solves agree
     off = grid != np.floor(grid)
-    groups = spectral._grouped_eigenvalues(d, DEFAULT_SIZE_CAP)
+    groups = spectral._grouped_eigenvalues(d)
     assert np.array_equal(counts[off], eigenvalue_counts(d, groups, grid[off]))
 
 
@@ -442,8 +464,8 @@ def _clusters_in_any_order(draw):
 @settings(max_examples=150, deadline=None)
 def test_ids_counts_do_not_depend_on_the_renumbering_of_counted_vertices(g, grid):
     d = decompose(g)
-    min_size = spectral._min_solved_size(float(grid[-1]), DEFAULT_SIZE_CAP)
-    counts, k = spectral._ids_one(d, 0, grid, DEFAULT_SIZE_CAP, min_size)
+    min_size = spectral._min_solved_size(float(grid[-1]))
+    counts, k = spectral._ids_one(d, 0, grid, min_size)
     counted = d.sizes >= min_size
     n, edges = unique_renumbering(g.edges[counted[d.edge_labels]])
     want = counting_function(n, edges, grid) + d.n_clusters - np.count_nonzero(counted)
@@ -606,7 +628,7 @@ def test_integer_energy_ties_counted_exactly_on_cyclic_clusters(n, p, r, count):
     # eigenvalues 1 above 1 (eigvalsh counted 7106 and 1069); inertia counts every one
     d = decompose(sample_graph(GraphSpec(n, p, 20260809), r))
     grid = np.array([0.5, 1.0, 2.0])
-    counts, _ = spectral._ids_one(d, r, grid, DEFAULT_SIZE_CAP, 2)
+    counts, _ = spectral._ids_one(d, r, grid, 2)
     tolerant = np.searchsorted(graph_spectrum(d), grid + 1e-7, side="right")
     assert counts[1] == count
     assert np.array_equal(counts, tolerant)
@@ -661,18 +683,26 @@ def test_pruning_exact_when_top_energy_sits_on_a_path_floor(paths, extra, target
     _assert_matches_dense(g, grid, pruned)
 
 
-def test_size_cap_checked_whatever_min_size(monkeypatch):
-    # a 12-vertex path beside small clusters: the cap applies to the largest cluster
-    # of the decomposition whichever sizes are counted, and before any counting
-    g = _graph(20, [(i, i + 1) for i in range(11)] + [(12, 13), (14, 15), (15, 16)])
+def _decomposition_of(monkeypatch, g):
+    """Make the realization driver decompose ``g`` whatever it draws."""
     d = decompose(g)
+    monkeypatch.setattr(spectral, "decompose", lambda graph: d)
+    return d
+
+
+def test_size_cap_checked_whatever_min_size(monkeypatch):
+    # a 12-vertex path beside small clusters: the driver applies the cap to the largest
+    # cluster of the decomposition whichever sizes are counted, and before any counting
+    g = _graph(20, [(i, i + 1) for i in range(11)] + [(12, 13), (14, 15), (15, 16)])
+    _decomposition_of(monkeypatch, g)
     monkeypatch.setattr(spectral, "counting_function", None)
-    checks = [lambda m=m: spectral._ids_one(d, 0, np.array([0.5, 1.0]), 8, m) for m in (2, 5, 12, 13, 50)]
-    checks += [lambda: spectral._grouped_eigenvalues(d, 8), lambda: spectral._moment_one(d, 0, (2, 4), 8)]
-    for check in checks:
+    spec = GraphSpec(20, 0.5, 4)
+    runs = [(spectral._ids_one, np.array([0.5, 1.0]), m) for m in (2, 5, 12, 13, 50)]
+    runs += [(lambda d, r: spectral._grouped_eigenvalues(d),), (spectral._moment_one, (2, 4))]
+    for one, *extra in runs:
         with pytest.raises(EigensolverError) as err:
-            check()
-        assert str(err.value) == "cluster of size 12 exceeds the size cap 8"
+            spectral._each_realization((spec, range(3, 5), 8, one, *extra))
+        assert str(err.value) == "cluster of size 12 exceeds the size cap 8 (master_seed=4, realization=3)"
         assert err.value.cluster.size == 12
     monkeypatch.undo()
     # end to end at p = 3: the giant cluster raises whether the top energy prunes
@@ -684,16 +714,22 @@ def test_size_cap_checked_whatever_min_size(monkeypatch):
         assert err.value.cluster.size > 100
 
 
-def test_size_cap_raises_diagnostic():
-    c = _single_cluster(_path_graph(12))
-    with pytest.raises(EigensolverError) as err:
-        eigenvalues_cluster(c, size_cap=8)
-    assert err.value.cluster is c
-
+def test_size_cap_raises_diagnostic(monkeypatch):
+    # the eigensolves take no cap; the driver names the cluster beyond it
     g = _path_graph(12)
+    assert graph_spectrum(decompose(g)).size == 12
+    _decomposition_of(monkeypatch, g)
     with pytest.raises(EigensolverError) as err:
-        graph_spectrum(decompose(g), size_cap=8)
+        spectral._each_realization((GraphSpec(12, 0.5, 1), [0], 8, lambda d, r: graph_spectrum(d)))
     assert err.value.cluster.size == 12
+    assert (err.value.master_seed, err.value.realization) == (1, 0)
+    # a failed solve of one cluster names that cluster
+    c = _single_cluster(g)
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-9)
+    with pytest.raises(EigensolverError, match="kernel") as err:
+        eigenvalues_cluster(c)
+    assert err.value.cluster is c
 
 
 def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
@@ -712,7 +748,7 @@ def test_checked_eigvalsh_rejects_a_kernel_outside_the_margin(monkeypatch):
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-9)
     with pytest.raises(EigensolverError) as err:
-        spectral._each_realization((GraphSpec(300, 2.0, 5), range(2), lambda d, r: graph_spectrum(d)))
+        spectral._each_realization((GraphSpec(300, 2.0, 5), range(2), DEFAULT_SIZE_CAP, lambda d, r: graph_spectrum(d)))
     assert (err.value.master_seed, err.value.realization) == (5, 0)
 
 
@@ -951,7 +987,7 @@ def test_degree_moments_correctly_rounded():
     two_ks = (2, 4, 6, 8, 10, 12)
     for m in (23, 100, 500):
         g = _graph(m + 1, [(0, i) for i in range(1, m + 1)])
-        lap, deg, adj = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
+        lap, deg, adj = spectral._moment_one(decompose(g), 0, two_ks)
         assert deg.tolist() == [float(Fraction(m**t + m, m + 1)) for t in two_ks]
         assert lap.tolist() == [float(Fraction(m - 1 + (m + 1) ** t, m + 1)) for t in two_ks]
         assert adj.tolist() == [float(Fraction(2 * m ** (t // 2), m + 1)) for t in two_ks]
@@ -1008,7 +1044,7 @@ def _fourth_traces_of(g):
 
 
 def _stack_traces(g, k_max=2):
-    return stack_trace_powers(spectral._laplacian_stacks(decompose(g), DEFAULT_SIZE_CAP), k_max)
+    return stack_trace_powers(spectral._laplacian_stacks(decompose(g)), k_max)
 
 
 def _union_graph(kinds, bridges, tails, seed):
@@ -1057,7 +1093,7 @@ def test_fourth_traces_match_stack_oracle(g):
     # exact integers, and the k = 2 column is their correctly rounded quotient
     (lap4,), (adj4,) = _stack_traces(g)
     assert _fourth_traces_of(g) == (lap4, adj4)
-    lap, _, adj = spectral._moment_one(decompose(g), 0, (2, 4), DEFAULT_SIZE_CAP)
+    lap, _, adj = spectral._moment_one(decompose(g), 0, (2, 4))
     assert (lap[1], adj[1]) == (lap4 / g.n, adj4 / g.n)
 
 
@@ -1081,7 +1117,7 @@ def test_trace_powers_match_stack_oracle_from_k3(g, k_max):
     two_ks = tuple(range(2, 2 * k_max + 1, 2))
     lap_k, adj_k = _stack_traces(g, k_max)
     assert spectral._trace_powers(g, degree_sequence(g), k_max) == (lap_k[1:], adj_k[1:])
-    lap, _, adj = spectral._moment_one(decompose(g), 0, two_ks, DEFAULT_SIZE_CAP)
+    lap, _, adj = spectral._moment_one(decompose(g), 0, two_ks)
     assert lap[1:].tolist() == [t / g.n for t in lap_k]
     assert adj[1:].tolist() == [t / g.n for t in adj_k]
 
