@@ -40,15 +40,19 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--energies", type=str, default=None, help="explicit comma-separated grid")
 
 
-def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
+def _build_config(args: argparse.Namespace, analytic: bool = False) -> harness.ExperimentConfig:
     """The ``--config`` file (or the defaults) overridden by every flag given; each
-    config flag's dest is its :class:`~erlap.harness.ExperimentConfig` field."""
+    config flag's dest is its :class:`~erlap.harness.ExperimentConfig` field.  An
+    ``analytic`` command draws nothing and takes no ``--n``, so its p is checked
+    first, on its own: it must lie in (0, 1)."""
     if args.config:
         config = harness.ExperimentConfig.from_file(args.config)
     else:
         config = harness.ExperimentConfig()
     overrides = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)
                  if getattr(args, f.name, None) is not None}
+    if analytic:
+        analytics._check_p_subcritical(overrides.get("edge_prob", config.edge_prob))
     energies = overrides.pop("energies", None)
     if energies is not None:  # an explicit grid, malformed when empty
         overrides["energies"] = tuple(float(x) for x in energies.split(","))
@@ -207,7 +211,7 @@ def _cmd_lifshitz(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, analytic=True)
     p, energies = config.edge_prob, config.energy_grid()
     path = harness.write_table(
         Path(config.outdir) / "bound_curve.csv",
@@ -230,7 +234,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, analytic=True)
     p = config.edge_prob
     ns = np.arange(1, config.tau_n_max + 1, dtype=np.int64)
     tau = analytics.tau_n(p, ns)

@@ -1,14 +1,17 @@
 """Connected-cluster decomposition, classification, and census statistics.
 
-A cluster is a maximal connected subgraph; isolated vertices count as
-one-vertex clusters.  Decomposition labels vertices by vectorized
-hook-and-compress rounds (Shiloach-Vishkin style) with no per-edge Python
-loop.  Between rounds every vertex points at its root, the smallest vertex of
-its part so far.  A round hooks roots under smaller roots, which leaves only
-the hooked roots pointing at a non-root; so pointer jumping runs over those
-alone, and one full gather then re-roots every vertex.  Every cluster ends
-rooted at its smallest vertex, and the roots in ascending order number the
-clusters canonically.
+A cluster is a maximal connected subgraph.  An isolated vertex, a one-vertex
+cluster, adds one zero eigenvalue and nothing else, so a decomposition only
+counts them and describes the clusters on the vertices with an edge (1 - e^-p
+of them: 39% at p = 0.5).  It renumbers those vertices and their edges in
+ascending order, a monotone map that keeps the edge rows canonical and sorted,
+and labels them by vectorized hook-and-compress rounds (Shiloach-Vishkin style)
+with no per-edge Python loop.  Between rounds every vertex points at its root,
+the smallest vertex of its part so far.  A round hooks roots under smaller
+roots, which leaves only the hooked roots pointing at a non-root; so pointer
+jumping runs over those alone, and one full gather then re-roots every vertex.
+Every cluster ends rooted at its smallest vertex, and the roots in ascending
+order number the clusters canonically.
 
 A decomposition keeps only the labels and per-cluster counts that every
 consumer reads.  Classification needs nothing more: a cluster is a tree iff
@@ -64,27 +67,37 @@ class Cluster:
 
 
 class ClusterDecomposition:
-    """Partition of a graph into its maximal connected clusters.
+    """Partition of a graph into its maximal connected clusters: the clusters of
+    two or more vertices described array by array, the isolated vertices counted.
 
-    Clusters are numbered 0..K-1 by ascending smallest member vertex.  The
-    per-vertex ``labels``, per-edge ``edge_labels`` and per-cluster ``sizes``
-    and ``edge_counts`` are computed eagerly (cheap, vectorized); the
-    ``is_tree`` mask, the vertex ``degrees``, the per-cluster ``max_degree``
-    and :class:`Cluster` records are built on request, because hot loops
-    (census, batched eigensolves) only need the arrays.
+    ``vertices`` are the vertices with an edge, ascending, and ``edges`` the graph's
+    edges renumbered to positions in that list (a monotone map, so rows stay
+    canonical and sorted).  Per vertex of that list: ``labels`` and ``degrees``.
+    The clusters are numbered 0..K-1 by ascending smallest member; per cluster:
+    ``sizes`` and ``edge_counts``, and on request the ``is_tree`` mask and
+    ``max_degree``.  Per edge: ``edge_labels``.  The graph's ``n_isolated``
+    vertices are one-vertex clusters of their own, so it has
+    ``n_clusters = K + n_isolated`` clusters in all.  :class:`Cluster` records are
+    cut from the labels on request, because hot loops (census, inertia counts)
+    only need the arrays.
 
     ``is_tree`` is the one classification rule: a connected cluster on n
     vertices has at least n - 1 edges and is a tree iff it has exactly n - 1
     (an isolated vertex is a degenerate tree); every other cluster is cyclic.
     """
 
-    def __init__(self, graph: Graph, labels: np.ndarray):
-        k = int(labels.max()) + 1 if graph.n else 0
+    def __init__(self, graph: Graph, vertices: np.ndarray, edges: np.ndarray,
+                 degrees: np.ndarray, labels: np.ndarray):
+        k = int(labels.max()) + 1 if labels.size else 0
         self.graph = graph
+        self.vertices = vertices
+        self.edges = edges
+        self.degrees = degrees
         self.labels = labels
-        self.n_clusters = k
+        self.n_isolated = graph.n - vertices.size
+        self.n_clusters = k + self.n_isolated
         self.sizes = np.bincount(labels, minlength=k).astype(np.int64, copy=False)
-        self.edge_labels = labels.take(graph.edges[:, 0])
+        self.edge_labels = labels.take(edges[:, 0])
         self.edge_counts = np.bincount(self.edge_labels, minlength=k).astype(np.int64, copy=False)
 
     @cached_property
@@ -93,31 +106,26 @@ class ClusterDecomposition:
         return self.edge_counts == self.sizes - 1
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        """Degree of each vertex of the graph."""
-        return degree_sequence(self.graph)
-
-    @cached_property
     def max_degree(self) -> np.ndarray:
-        """Largest vertex degree in each cluster (0 for an isolated vertex)."""
-        out = np.zeros(self.n_clusters, dtype=np.int64)
+        """Largest vertex degree in each cluster."""
+        out = np.zeros(self.sizes.size, dtype=np.int64)
         np.maximum.at(out, self.labels, self.degrees)
         return out
 
     def class_flag_arrays(self):
-        """Boolean arrays (isolated, tree, linear, cyclic) indexed by cluster; a
-        linear chain is a tree of size >= 2 with no vertex of degree > 2."""
+        """Boolean arrays (tree, linear, cyclic) indexed by cluster; a linear chain
+        is a tree with no vertex of degree > 2."""
         tree = self.is_tree
-        linear = tree & (self.sizes >= 2) & (self.max_degree <= 2)
-        return self.sizes == 1, tree, linear, ~tree
+        return tree, tree & (self.max_degree <= 2), ~tree
 
     def cluster(self, k: int) -> Cluster:
-        """Cluster ``k`` with its vertices ascending and its edges renumbered to
-        their positions in that list (a monotone map, so rows stay canonical)."""
-        if not 0 <= k < self.n_clusters:
+        """Cluster ``k`` with its (global) vertices ascending and its edges renumbered
+        to their positions in that list (a monotone map, so rows stay canonical)."""
+        if not 0 <= k < self.sizes.size:
             raise IndexError(f"cluster index {k} out of range")
-        vertices = np.flatnonzero(self.labels == k)
-        edges = np.searchsorted(vertices, self.graph.edges[self.edge_labels == k])
+        mine = np.flatnonzero(self.labels == k)
+        edges = np.searchsorted(mine, self.edges[self.edge_labels == k])
+        vertices = self.vertices.take(mine)
         vertices.setflags(write=False)
         edges.setflags(write=False)
         return Cluster(vertices, edges)
@@ -171,8 +179,13 @@ def _renumber(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decompose(g: Graph) -> ClusterDecomposition:
-    """Partition into clusters: vertices share a cluster iff a path joins them."""
-    return ClusterDecomposition(g, _component_labels(g.n, g.edges))
+    """Partition into clusters: vertices share a cluster iff a path joins them.  Only
+    the vertices with an edge are labelled, renumbered with their edges (module
+    docstring)."""
+    deg = degree_sequence(g)
+    vertices, local = _renumber(deg > 0)
+    edges = local.take(g.edges)
+    return ClusterDecomposition(g, vertices, edges, deg.take(vertices), _component_labels(vertices.size, edges))
 
 
 _SIZE_COUNTERS = (
@@ -205,26 +218,31 @@ class CensusAccumulator:
 
     def add(self, d: ClusterDecomposition, n_reps: int = 1) -> None:
         """Count ``n_reps`` realizations from the decomposition of their
-        disjoint union, realization b on vertices b*N .. (b+1)*N - 1."""
+        disjoint union, realization b on vertices b*N .. (b+1)*N - 1.  Each
+        realization's isolated vertices are its clusters of size 1, all trees."""
         n = self.n_vertices
         if d.graph.n != n * n_reps:
             raise ValueError(
                 f"mixed ensembles: accumulator expects {n_reps} x N={n} vertices, "
                 f"got {d.graph.n}"
             )
-        _, tree, linear, _ = d.class_flag_arrays()
+        tree, linear, _ = d.class_flag_arrays()
         sizes = d.sizes
-        top = int(sizes.max()) + 1
+        top = int(sizes.max(initial=1)) + 1
         self._ensure(top)
-        rep = np.empty(d.n_clusters, dtype=np.int64)
-        rep[d.labels] = np.arange(d.graph.n, dtype=np.int64) // n  # realization of each cluster
+        rep_of_vertex = d.vertices // n
+        rep = np.empty(sizes.size, dtype=np.int64)
+        rep[d.labels] = rep_of_vertex  # realization of each cluster
         per_rep = np.bincount(rep * top + sizes, minlength=n_reps * top).reshape(n_reps, top)
-        k0 = d.labels[np.arange(n_reps) * n]  # cluster of each realization's vertex 0
+        per_rep[:, 1] = n - np.bincount(rep_of_vertex, minlength=n_reps)  # isolated vertices
+        k0 = d.labels.take(np.flatnonzero(d.vertices == rep_of_vertex * n))  # each vertex 0 with an edge
         self.clusters_by_size[:top] += per_rep.sum(axis=0)
         self.sq_clusters_by_size[:top] += (per_rep * per_rep).sum(axis=0)
         self.trees_by_size[:top] += np.bincount(sizes[tree], minlength=top)
+        self.trees_by_size[1] += per_rep[:, 1].sum()
         self.linear_by_size[:top] += np.bincount(sizes[linear], minlength=top)
         self.vertex0_by_size[:top] += np.bincount(sizes[k0], minlength=top)
+        self.vertex0_by_size[1] += n_reps - k0.size
         self.vertex0_linear_by_size[:top] += np.bincount(sizes[k0[linear[k0]]], minlength=top)
         self.n_reps += n_reps
 

@@ -310,7 +310,7 @@ def sample_graph(spec: GraphSpec, realization_index: int) -> Graph:
 
 def degree_sequence(g: Graph) -> np.ndarray:
     """Per-vertex degree; sums to twice the edge count."""
-    return np.bincount(g.edges.ravel(), minlength=g.n).astype(np.int64)
+    return np.bincount(g.edges.ravel(), minlength=g.n).astype(np.int64, copy=False)
 
 
 def write_edge_list(g: Graph, dest: str | IO[str]) -> None:

@@ -93,22 +93,22 @@ def _check_size_cap(d: ClusterDecomposition, size_cap: int) -> None:
 
 
 def _laplacian_stacks(d: ClusterDecomposition):
-    """Yield ``(size, cluster_ids, stack)`` per size class of the clusters of size >= 2,
-    sizes and ids ascending, ``stack[j]`` the dense float64 Laplacian of cluster
-    ``cluster_ids[j]`` with its vertices in ascending order.
+    """Yield ``(size, cluster_ids, stack)`` per size class of the clusters of ``d``, all
+    of size >= 2, sizes and ids ascending, ``stack[j]`` the dense float64 Laplacian of
+    cluster ``cluster_ids[j]`` with its vertices in ascending order.
 
     A stable sort of the labels gives each vertex its local index: its place less its
     cluster's start.  Each class writes -1 at both entries of its edges in one fancy
     index, and the diagonal is minus the row sums.
     """
     sizes, edge_sizes = d.sizes, d.sizes.take(d.edge_labels)
-    local = np.empty(d.graph.n, dtype=np.int64)
-    local[np.argsort(d.labels, kind="stable")] = np.arange(d.graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    for s in np.unique(sizes[sizes >= 2]).tolist():
+    local = np.empty(d.labels.size, dtype=np.int64)
+    local[np.argsort(d.labels, kind="stable")] = np.arange(d.labels.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    for s in np.unique(sizes).tolist():
         ids = np.flatnonzero(sizes == s)
         mine = np.flatnonzero(edge_sizes == s)
         slot = np.searchsorted(ids, d.edge_labels.take(mine))
-        i, j = local.take(d.graph.edges.take(mine, axis=0)).T
+        i, j = local.take(d.edges.take(mine, axis=0)).T
         stack = np.zeros((ids.size, s, s))
         stack[slot, i, j] = stack[slot, j, i] = -1.0
         stack[:, np.arange(s), np.arange(s)] = -stack.sum(axis=2)
@@ -341,9 +341,9 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
 
 def graph_spectrum(d: ClusterDecomposition) -> np.ndarray:
     """All N Laplacian eigenvalues of ``d.graph`` ascending, the multiset union of
-    its clusters' spectra; a count of exact zeros other than ``d.n_clusters`` (the
-    kernel identity) raises ValueError."""
-    parts = [np.zeros(int(np.count_nonzero(d.sizes == 1)))]
+    its clusters' spectra, one 0.0 per isolated vertex; a count of exact zeros other
+    than ``d.n_clusters`` (the kernel identity) raises ValueError."""
+    parts = [np.zeros(d.n_isolated)]
     parts += [vals.ravel() for _, _, vals in _grouped_eigenvalues(d)]
     eigs = np.sort(np.concatenate(parts))
     if int(np.count_nonzero(eigs == 0.0)) != d.n_clusters:
@@ -352,8 +352,8 @@ def graph_spectrum(d: ClusterDecomposition) -> np.ndarray:
 
 
 def cluster_min_gaps(d: ClusterDecomposition):
-    """Cluster ids, sizes, and smallest nonzero eigenvalues of every cluster
-    with at least two vertices."""
+    """Cluster ids (:class:`ClusterDecomposition` numbering), sizes, and smallest
+    nonzero eigenvalues of every cluster with at least two vertices."""
     groups = _grouped_eigenvalues(d)
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ids for _, ids, _ in groups])
     gaps = np.concatenate([np.empty(0)] + [vals[:, 1] for _, _, vals in groups])
@@ -406,9 +406,9 @@ def _validate_grid(grid) -> np.ndarray:
 
 def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, min_size: int):
     counted = d.sizes >= min_size
-    # a counted cluster has an edge, so its edges' ends are all its vertices
-    edges = d.graph.edges.take(counted.take(d.edge_labels).nonzero()[0], axis=0)
-    flag = np.zeros(d.graph.n, dtype=bool)
+    # a cluster has an edge, so its edges' ends are all its vertices
+    edges = d.edges.take(counted.take(d.edge_labels).nonzero()[0], axis=0)
+    flag = np.zeros(d.vertices.size, dtype=bool)
     flag[edges] = True
     vertices, local = _renumber(flag)
     counts = counting_function(vertices.size, local.take(edges), grid)
@@ -573,9 +573,9 @@ class MomentInequalityReport:
     satisfied: bool
 
 
-def _trace_powers(g: Graph, degrees: np.ndarray, k_max: int) -> tuple[list[int], list[int]]:
-    """Tr L^{2k} and Tr A^{2k} of ``g``, of vertex degrees ``degrees``, for k = 3..k_max as
-    Python integers, each ||M^k||_F^2 of a sparse int64 product over the vertices of degree > 0.
+def _trace_powers(d: ClusterDecomposition, k_max: int) -> tuple[list[int], list[int]]:
+    """Tr L^{2k} and Tr A^{2k} of ``d.graph`` for k = 3..k_max as Python integers, each
+    ||M^k||_F^2 of a sparse int64 product over the vertices of degree > 0 (``d.vertices``).
 
     The absolute row sums of L are 2d, so no entry of M^k, nor a partial sum forming it,
     exceeds (2 d_max)^k: the products are exact while that is below 2^63 (checked; every
@@ -584,11 +584,10 @@ def _trace_powers(g: Graph, degrees: np.ndarray, k_max: int) -> tuple[list[int],
     """
     import scipy.sparse  # here: at module level it raised the peak RSS growth of runs with no product
 
-    live, local = _renumber(degrees > 0)
-    deg, bound = degrees.take(live), 2 * int(degrees.max(initial=0))
+    deg, bound = d.degrees, 2 * int(d.degrees.max(initial=0))
     if bound**k_max >= 1 << 63:
         raise ValueError(f"M^{k_max} of a graph of maximum degree {bound // 2} exceeds int64")
-    i, j = local.take(np.concatenate((g.edges, g.edges[:, ::-1]))).T
+    i, j = np.concatenate((d.edges, d.edges[:, ::-1])).T
     adj = scipy.sparse.csr_array((np.ones(i.size, dtype=np.int64), (i, j)), shape=(deg.size, deg.size))
     lap = scipy.sparse.diags_array(deg, dtype=np.int64) - adj
     traces = ([], [])
@@ -601,9 +600,9 @@ def _trace_powers(g: Graph, degrees: np.ndarray, k_max: int) -> tuple[list[int],
     return traces
 
 
-def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> tuple[int, int]:
+def _fourth_traces(d: ClusterDecomposition, hist: list) -> tuple[int, int]:
     """Tr L^4 and Tr A^4 of ``d.graph`` from closed-walk counts, as Python integers;
-    ``degrees`` are its vertex degrees and ``hist`` their histogram.
+    ``hist`` is the histogram of ``d.degrees``.
 
     With c_ij the common neighbours of i != j, t_e the triangles on edge e = ij
     and C4 the 4-cycles (Cvetkovic, Doob and Sachs, *Spectra of Graphs*):
@@ -613,13 +612,13 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
     the number of wedges i - v - j there, so one count of the wedge keys (i, j),
     i < j, gives 8 C4 = 2 sum_{i < j} c_ij (c_ij - 1) and t_e = c_ij, all in int64.
     """
-    g = d.graph
+    degrees, n = d.degrees, d.vertices.size
     d2, d3, d4 = (sum(count * v**t for v, count in enumerate(hist)) for t in (2, 3, 4))
-    pairs = np.bincount(degrees.take(g.edges[:, 0]) + degrees.take(g.edges[:, 1])).tolist()
+    pairs = np.bincount(degrees.take(d.edges[:, 0]) + degrees.take(d.edges[:, 1])).tolist()
     lap = d4 + 2 * d3 + d2 + 2 * sum(count * v * v for v, count in enumerate(pairs))
-    walks = d2 - 2 * g.n_edges  # sum d(d - 1); the 4-cycles add 8 C4
+    walks = d2 - 2 * d.edges.shape[0]  # sum d(d - 1); the 4-cycles add 8 C4
     if not d.is_tree.all():
-        e = g.edges.take(np.flatnonzero(~d.is_tree.take(d.edge_labels)), axis=0)
+        e = d.edges.take(np.flatnonzero(~d.is_tree.take(d.edge_labels)), axis=0)
         tail, head = np.concatenate((e, e[:, ::-1])).T
         order = np.argsort(tail)
         tail, head = tail.take(order), head.take(order)
@@ -629,9 +628,9 @@ def _fourth_traces(d: ClusterDecomposition, degrees: np.ndarray, hist: list) -> 
         slot = np.repeat(first - np.cumsum(run) + run, run) + np.arange(int(run.sum()))
         a, b = np.repeat(head, run), head.take(slot)
         pair = np.flatnonzero(a < b)  # each unordered wedge once, and no a - v - a
-        keys, c = np.unique(a.take(pair) * g.n + b.take(pair), return_counts=True)
+        keys, c = np.unique(a.take(pair) * n + b.take(pair), return_counts=True)
         walks += 2 * int(np.dot(c, c - 1))
-        edge_keys = e[:, 0] * g.n + e[:, 1]
+        edge_keys = e[:, 0] * n + e[:, 1]
         at = np.minimum(np.searchsorted(keys, edge_keys), keys.size - 1)
         tri = np.where(keys.take(at) == edge_keys, c.take(at), 0)
         lap -= 4 * int(np.dot(degrees.take(e[:, 0]) + degrees.take(e[:, 1]), tri))
@@ -645,8 +644,8 @@ def _moment_one(d: ClusterDecomposition, r: int, two_ks: tuple[int, ...]):
     # Tr A^2 = sum d = 2m and Tr L^2 = sum d(d + 1)
     lap, adj = [deg[0] + 2 * g.n_edges], [2 * g.n_edges]
     if len(two_ks) > 1:
-        lap4, adj4 = _fourth_traces(d, d.degrees, hist)
-        lap_k, adj_k = _trace_powers(g, d.degrees, len(two_ks)) if len(two_ks) > 2 else ([], [])
+        lap4, adj4 = _fourth_traces(d, hist)
+        lap_k, adj_k = _trace_powers(d, len(two_ks)) if len(two_ks) > 2 else ([], [])
         lap, adj = [*lap, lap4, *lap_k], [*adj, adj4, *adj_k]
     return tuple(np.array([t / g.n for t in row]) for row in (lap, deg, adj))
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: components come from BFS or a sequential union-find instead of the
-vectorized hook-and-compress labelling, Laplacians are built entry by entry
+vectorized hook-and-compress labelling, the decomposition and the census keep
+every isolated vertex as a cluster of its own, Laplacians are built entry by entry
 from the definition, small ensembles are enumerated exhaustively with
 exact per-graph probabilities, a realization's edges are drawn from its own
 ``np.random.default_rng`` a fixed batch of geometric gaps at a time, a stack of
@@ -79,6 +80,55 @@ def union_find_labels(n: int, edges) -> np.ndarray:
     rank = np.empty(uniq.shape[0], dtype=np.int64)
     rank[np.argsort(first_vertex)] = np.arange(uniq.shape[0], dtype=np.int64)
     return rank[inverse]
+
+
+class WideDecomposition:
+    """The N-wide decomposition, as the library computed it before isolated vertices
+    became a count: every vertex labelled by :func:`union_find_labels`, an isolated
+    vertex a one-vertex cluster, clusters 0..K-1 numbered by smallest member."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.labels = union_find_labels(graph.n, graph.edges)
+        k = int(self.labels.max()) + 1 if graph.n else 0
+        self.n_clusters = k
+        self.sizes = np.bincount(self.labels, minlength=k).astype(np.int64)
+        self.edge_labels = self.labels[graph.edges[:, 0]]
+        self.edge_counts = np.bincount(self.edge_labels, minlength=k).astype(np.int64)
+        self.is_tree = self.edge_counts == self.sizes - 1
+        self.degrees = np.bincount(graph.edges.ravel(), minlength=graph.n).astype(np.int64)
+        self.max_degree = np.zeros(k, dtype=np.int64)
+        np.maximum.at(self.max_degree, self.labels, self.degrees)
+
+    def class_flag_arrays(self):
+        """(isolated, tree, linear, cyclic) indexed by cluster."""
+        tree = self.is_tree
+        linear = tree & (self.sizes >= 2) & (self.max_degree <= 2)
+        return self.sizes == 1, tree, linear, ~tree
+
+
+def wide_census_add(acc, d: WideDecomposition, n_reps: int = 1) -> None:
+    """``CensusAccumulator.add`` as it ran on a :class:`WideDecomposition` of ``n_reps``
+    realizations, realization b on vertices b*N .. (b+1)*N - 1: every cluster's
+    realization scattered from all N*B vertices, vertex 0's cluster read from the
+    N-wide labels."""
+    n = acc.n_vertices
+    assert d.graph.n == n * n_reps
+    _, tree, linear, _ = d.class_flag_arrays()
+    sizes = d.sizes
+    top = int(sizes.max()) + 1
+    acc._ensure(top)
+    rep = np.empty(d.n_clusters, dtype=np.int64)
+    rep[d.labels] = np.arange(d.graph.n, dtype=np.int64) // n
+    per_rep = np.bincount(rep * top + sizes, minlength=n_reps * top).reshape(n_reps, top)
+    k0 = d.labels[np.arange(n_reps) * n]
+    acc.clusters_by_size[:top] += per_rep.sum(axis=0)
+    acc.sq_clusters_by_size[:top] += (per_rep * per_rep).sum(axis=0)
+    acc.trees_by_size[:top] += np.bincount(sizes[tree], minlength=top)
+    acc.linear_by_size[:top] += np.bincount(sizes[linear], minlength=top)
+    acc.vertex0_by_size[:top] += np.bincount(sizes[k0], minlength=top)
+    acc.vertex0_linear_by_size[:top] += np.bincount(sizes[k0[linear[k0]]], minlength=top)
+    acc.n_reps += n_reps
 
 
 def classify(cluster) -> tuple[bool, bool, bool, bool]:

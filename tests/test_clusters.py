@@ -12,7 +12,7 @@ from erlap.analytics import tau_n
 from erlap.clusters import CensusAccumulator, decompose
 from erlap.ensemble import Graph, GraphSpec, sample_graph
 
-from oracles import bfs_components, classify, union_find_labels
+from oracles import WideDecomposition, bfs_components, classify, union_find_labels, wide_census_add
 
 
 def _graph(n, edges):
@@ -28,20 +28,28 @@ def _census(decompositions, edge_prob):
     return acc.report()
 
 
+def _isolated(d):
+    """The vertices of ``d.graph`` with no edge, each a one-vertex cluster."""
+    return np.setdiff1d(np.arange(d.graph.n), d.vertices).tolist()
+
+
 def test_empty_graph_singletons():
     d = decompose(_graph(5, []))
     assert d.n_clusters == 5
-    clusters = [d.cluster(k) for k in range(d.n_clusters)]
-    assert all(c.size == 1 for c in clusters)
-    assert [int(c.vertices[0]) for c in clusters] == [0, 1, 2, 3, 4]
+    # every cluster is one isolated vertex, so none is described
+    assert d.n_isolated == 5 and d.sizes.size == 0
+    assert _isolated(d) == [0, 1, 2, 3, 4]
+    with pytest.raises(IndexError):
+        d.cluster(0)
 
 
 def test_hand_decomposition():
     d = decompose(_graph(6, [(0, 1), (1, 2), (3, 4)]))
     assert d.n_clusters == 3
-    clusters = [d.cluster(k) for k in range(d.n_clusters)]
+    clusters = [d.cluster(k) for k in range(d.sizes.size)]
     groups = [c.vertices.tolist() for c in clusters]
-    assert groups == [[0, 1, 2], [3, 4], [5]]
+    assert groups == [[0, 1, 2], [3, 4]]
+    assert d.n_isolated == 1 and _isolated(d) == [5]
     # local edges of the first cluster are re-indexed to 0..size-1
     assert clusters[0].edges.tolist() == [[0, 1], [1, 2]]
 
@@ -62,18 +70,25 @@ def test_decompose_matches_bfs(n, data):
     )
     g = _graph(n, pairs)
     d = decompose(g)
-    ours = sorted(d.cluster(k).vertices.tolist() for k in range(d.n_clusters))
-    assert ours == bfs_components(n, pairs)
-    assert np.array_equal(d.labels, union_find_labels(n, g.edges))
+    ours = [d.cluster(k).vertices.tolist() for k in range(d.sizes.size)]
+    assert sorted(ours + [[v] for v in _isolated(d)]) == bfs_components(n, pairs)
+    assert d.n_clusters == len(bfs_components(n, pairs))
+    _assert_labels_match_oracles(g)
 
 
 def _assert_labels_match_oracles(g):
-    labels = decompose(g).labels
+    """The labels are union-find's canonical labels restricted to the vertices with an
+    edge and renumbered in order; every other vertex is a one-vertex cluster."""
+    d = decompose(g)
+    labels = d.labels
     assert labels.dtype == np.int64
-    assert np.array_equal(np.unique(labels), np.arange(int(labels.max()) + 1))
-    assert np.array_equal(labels, union_find_labels(g.n, g.edges))
-    groups = [np.nonzero(labels == k)[0].tolist() for k in range(int(labels.max()) + 1)]
-    assert groups == bfs_components(g.n, g.edges.tolist())
+    assert np.array_equal(np.unique(labels), np.arange(d.sizes.size))
+    full = union_find_labels(g.n, g.edges)
+    assert np.array_equal(d.vertices, np.flatnonzero(np.bincount(full)[full] >= 2))
+    assert np.array_equal(labels, np.unique(full[d.vertices], return_inverse=True)[1].ravel())
+    groups = [d.vertices[labels == k].tolist() for k in range(d.sizes.size)]
+    assert groups == sorted(groups)  # numbered by smallest member
+    assert sorted(groups + [[v] for v in _isolated(d)]) == bfs_components(g.n, g.edges.tolist())
 
 
 @given(
@@ -151,32 +166,37 @@ def test_partition_properties_on_sample():
     for r in range(3):
         g = sample_graph(spec, r)
         d = decompose(g)
-        assert int(d.sizes.sum()) == g.n
+        assert int(d.sizes.sum()) + d.n_isolated == g.n
+        assert np.all(d.sizes >= 2)
         assert int(d.edge_counts.sum()) == g.n_edges
-        # every edge joins two vertices of the same cluster
-        assert np.array_equal(d.labels[g.edges[:, 0]], d.labels[g.edges[:, 1]])
+        # the local edges are the graph's, and every edge joins two vertices of the same cluster
+        assert np.array_equal(d.vertices[d.edges], g.edges)
+        assert np.array_equal(d.labels[d.edges[:, 0]], d.labels[d.edges[:, 1]])
 
 
 def _flags(n, edges):
-    # (isolated, tree, linear, cyclic) of a graph that is one cluster
+    # (tree, linear, cyclic) of a graph that is one cluster
     return tuple(bool(a[0]) for a in decompose(_graph(n, edges)).class_flag_arrays())
 
 
 def test_classify_hand_cases():
-    isolated, tree, linear, cyclic = _flags(3, [(0, 1), (1, 2)])  # path
+    tree, linear, cyclic = _flags(3, [(0, 1), (1, 2)])  # path
     assert tree and linear and not cyclic
 
-    isolated, tree, linear, cyclic = _flags(3, [(0, 1), (0, 2), (1, 2)])  # triangle
+    tree, linear, cyclic = _flags(3, [(0, 1), (0, 2), (1, 2)])  # triangle
     assert cyclic and not tree and not linear
 
-    isolated, tree, linear, cyclic = _flags(4, [(0, 1), (0, 2), (0, 3)])  # star
+    tree, linear, cyclic = _flags(4, [(0, 1), (0, 2), (0, 3)])  # star
     assert tree and not linear
 
-    isolated, tree, linear, cyclic = _flags(2, [(0, 1)])  # pair
+    tree, linear, cyclic = _flags(2, [(0, 1)])  # pair
     assert tree and linear
 
-    isolated, tree, linear, cyclic = _flags(1, [])  # single vertex
-    assert isolated and tree and not linear
+    # a single vertex is isolated, and the census counts it as a tree but not linear
+    d = decompose(_graph(1, []))
+    assert d.n_isolated == 1 and d.n_clusters == 1 and d.sizes.size == 0
+    report = _census([d], edge_prob=0.5)
+    assert report.trees_by_size.tolist() == [0, 1] and report.linear_by_size.tolist() == [0, 0]
 
 
 @given(
@@ -187,21 +207,22 @@ def test_classify_hand_cases():
 @settings(max_examples=60, deadline=None)
 def test_class_flag_arrays_match_per_cluster_oracle(n, p, seed):
     # p up to 4 covers cyclic and supercritical clusters
-    d = decompose(sample_graph(GraphSpec(n, min(p, n - 0.5), seed), 0))
+    g = sample_graph(GraphSpec(n, min(p, n - 0.5), seed), 0)
+    d = decompose(g)
     flags = np.stack(d.class_flag_arrays(), axis=1)
-    for k in range(d.n_clusters):
-        assert tuple(flags[k].tolist()) == classify(d.cluster(k)), k
+    for k in range(d.sizes.size):
+        assert (False, *flags[k].tolist()) == classify(d.cluster(k)), k
+    assert d.n_isolated == sum(len(c) == 1 for c in bfs_components(n, g.edges.tolist()))
 
 
 def test_exactly_one_class_per_cluster():
     spec = GraphSpec(2000, 0.9, 21)
     for r in range(3):
         d = decompose(sample_graph(spec, r))
-        isolated, tree, linear, cyclic = d.class_flag_arrays()
-        one_of = (
-            isolated.astype(int) + (tree & (d.sizes >= 2)).astype(int) + cyclic.astype(int)
-        )
-        assert np.all(one_of == 1)
+        tree, linear, cyclic = d.class_flag_arrays()
+        # the isolated vertices are counted apart; every other cluster is a tree or cyclic
+        assert d.n_clusters == d.n_isolated + d.sizes.size and np.all(d.sizes >= 2)
+        assert np.all(tree.astype(int) + cyclic.astype(int) == 1)
         assert np.all(~linear | tree)
 
 
@@ -210,7 +231,7 @@ def test_linear_chain_degree_profile():
     checked = 0
     for r in range(4):
         d = decompose(sample_graph(spec, r))
-        _, _, linear, _ = d.class_flag_arrays()
+        _, linear, _ = d.class_flag_arrays()
         for k in np.nonzero(linear)[0]:
             c = d.cluster(int(k))
             degs = sorted(np.bincount(c.edges.ravel(), minlength=c.size).tolist())
@@ -258,15 +279,16 @@ def test_census_counting_identity_exact():
     report = _census(decomps, edge_prob=0.9)
     per_size_vertices = np.zeros(report.max_size + 1, dtype=np.int64)
     for d in decomps:
-        for k in range(d.n_clusters):
+        for k in range(d.sizes.size):
             per_size_vertices[int(d.sizes[k])] += int(d.sizes[k])
+        per_size_vertices[1] += d.n_isolated
     sizes = np.arange(report.max_size + 1)
     assert np.array_equal(sizes * report.clusters_by_size, per_size_vertices)
     # so sum_n n * tau_hat(n) = 1 exactly: the sizes partition all R * N vertex slots
     assert int((sizes * report.clusters_by_size).sum()) == 20 * 500
     # the cluster total and the vertices on trees follow exactly from the size counts
     assert report.total_clusters == sum(d.n_clusters for d in decomps)
-    on_trees = sum(int(d.sizes[d.is_tree].sum()) for d in decomps)
+    on_trees = sum(int(d.sizes[d.is_tree].sum()) + d.n_isolated for d in decomps)
     assert report.tree_fraction() == on_trees / (20 * 500)
 
 
@@ -322,6 +344,74 @@ def test_census_block_add_equals_single_adds(data):
     assert block.n_reps == single.n_reps
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_decompose_matches_wide_oracle(data):
+    # the decomposition is the N-wide one restricted to its clusters of size >= 2,
+    # renumbered in order, with the one-vertex clusters counted
+    n = data.draw(st.integers(min_value=1, max_value=60), label="N")
+    total = n * (n - 1) // 2
+    idx = data.draw(st.sets(st.integers(0, max(total - 1, 0)), max_size=min(total, 50)))
+    g = _graph(n, [divmod_pair(k, n) for k in idx])
+    d, wide = decompose(g), WideDecomposition(g)
+    big = np.flatnonzero(wide.sizes >= 2)  # the wide ids of the clusters d describes
+    assert np.array_equal(d.vertices, np.flatnonzero(wide.sizes[wide.labels] >= 2))
+    assert np.array_equal(d.vertices[d.edges], g.edges)
+    assert np.array_equal(d.labels, np.searchsorted(big, wide.labels[d.vertices]))
+    assert np.array_equal(d.edge_labels, np.searchsorted(big, wide.edge_labels))
+    assert np.array_equal(d.degrees, wide.degrees[d.vertices])
+    for name in ("sizes", "edge_counts", "is_tree", "max_degree"):
+        assert np.array_equal(getattr(d, name), getattr(wide, name)[big]), name
+    isolated, *flags = wide.class_flag_arrays()
+    assert [f.tolist() for f in d.class_flag_arrays()] == [f[big].tolist() for f in flags]
+    assert d.n_isolated == int(isolated.sum())
+    assert d.n_clusters == wide.n_clusters
+
+
+def _assert_census_matches_wide_oracle(n, graphs):
+    """One block add of ``graphs`` (each on N vertices) against the wide oracle's add."""
+    union = _graph(n * len(graphs), [
+        (i + b * n, j + b * n) for b, g in enumerate(graphs) for i, j in g.edges.tolist()
+    ])
+    got, want = CensusAccumulator(n, 0.5), CensusAccumulator(n, 0.5)
+    got.add(decompose(union), n_reps=len(graphs))
+    wide_census_add(want, WideDecomposition(union), n_reps=len(graphs))
+    for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size",
+                 "vertex0_by_size", "vertex0_linear_by_size"):
+        a, b = getattr(got, name), getattr(want, name)
+        top = max(np.flatnonzero(a).max(initial=0), np.flatnonzero(b).max(initial=0)) + 1
+        assert np.array_equal(a[:top], b[:top]), name
+    assert got.n_reps == want.n_reps == len(graphs)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_census_add_matches_wide_oracle(data):
+    # blocks that mix edgeless realizations and ones whose vertex 0 is isolated or not
+    n = data.draw(st.integers(min_value=1, max_value=30), label="N")
+    n_reps = data.draw(st.integers(min_value=1, max_value=6), label="B")
+    total = n * (n - 1) // 2
+    graphs = []
+    for _ in range(n_reps):
+        kind = data.draw(st.sampled_from(["edgeless", "any", "vertex0 isolated", "vertex0 linked"]))
+        idx = set() if kind == "edgeless" else data.draw(
+            st.sets(st.integers(0, max(total - 1, 0)), max_size=min(total, 30)))
+        pairs = {divmod_pair(k, n) for k in idx}
+        if kind == "vertex0 isolated":
+            pairs = {e for e in pairs if e[0] != 0}
+        elif kind == "vertex0 linked" and n >= 2:
+            pairs.add((0, data.draw(st.integers(1, n - 1))))
+        graphs.append(_graph(n, pairs))
+    _assert_census_matches_wide_oracle(n, graphs)
+
+
+@pytest.mark.parametrize("n, p, reps", [
+    (200, 0.5, 40), (200, 0.5, 1), (6, 2.5, 300), (200, 1e-12, 7), (50, 4.0, 3),
+], ids=["census_block", "one_realization", "dense_small_N", "edgeless", "supercritical"])
+def test_census_add_matches_wide_oracle_on_samples(n, p, reps):
+    _assert_census_matches_wide_oracle(n, [sample_graph(GraphSpec(n, p, 20260809), r) for r in range(reps)])
+
+
 def test_census_rejects_mixed_ensembles():
     acc = CensusAccumulator(100, 0.5)
     with pytest.raises(ValueError):
@@ -342,8 +432,8 @@ def test_cluster_density_matches_tau_sum():
     for r in range(reps):
         d = decompose(sample_graph(spec, r))
         ks.append(d.n_clusters)
-        _, tree, _, _ = d.class_flag_arrays()
-        tree_fraction.append(d.sizes[tree].sum() / n)
+        tree, _, _ = d.class_flag_arrays()
+        tree_fraction.append((d.sizes[tree].sum() + d.n_isolated) / n)
     ks = np.array(ks, dtype=float)
     target = float(np.sum(tau_n(p, np.arange(1, 400))))
     se = ks.std(ddof=1) / math.sqrt(reps) / n

@@ -266,9 +266,13 @@ def test_census_blocks_count_like_single_realizations():
     for r in range(200):
         d = decompose(sample_graph(spec, r))
         want.add(d)
-        k0 = int(d.labels[0])
-        v0_sizes.append(int(d.sizes[k0]))
-        v0_linear.append(bool(d.class_flag_arrays()[2][k0]))
+        if d.vertices[:1].tolist() == [0]:  # vertex 0 has an edge: its cluster is labelled
+            k0 = int(d.labels[0])
+            v0_sizes.append(int(d.sizes[k0]))
+            v0_linear.append(bool(d.class_flag_arrays()[1][k0]))
+        else:  # an isolated vertex 0 is a one-vertex cluster, not linear
+            v0_sizes.append(1)
+            v0_linear.append(False)
     got_report, want_report = acc.report(), want.report()
     for name in ("clusters_by_size", "trees_by_size", "linear_by_size", "sq_clusters_by_size",
                  "vertex0_by_size", "vertex0_linear_by_size"):
@@ -609,6 +613,41 @@ def test_cli_rejects_bad_explicit_energies(tmp_path, capsys):
     assert not (tmp_path / "bound_curve.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["tau", "bounds"])
+def test_cli_analytic_commands_check_p_alone(tmp_path, capsys, command):
+    # bounds and tau draw nothing and take no --n, so no p is checked against an N:
+    # every p outside (0, 1) gets the analytic one-line error and exit 2
+    for p in ("1500", "1000", "1.5", "1.0", "0", "-1", "nan", "inf"):
+        assert cli_dispatch([command, "--p", p, "--outdir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: p must lie in the open interval (0, 1), got {float(p)!r}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n, p, seed, digest", [
+    (10_000, "0.5", 20260809, "813d54eaf0565c3029a78886e43323f6aeca33cf42787efcc37eee0765166e36"),
+    (10_000, "0.5", 4242, "ab354765a5374cedd121e3061c2be34ac24b3f5df0ebc51dcadb72166f74bfd3"),
+    # a 1,951-vertex giant, within the default size cap
+    (2400, "2.0", 20260809, "dafb4386a17904738488028c924abf770a4496d63e990982a5ed4563efdf5e39"),
+], ids=["N1e4_seed20260809", "N1e4_seed4242", "giant"])
+def test_cli_spectrum_bytes_are_pinned(tmp_path, capsys, n, p, seed, digest):
+    # no benchmark workload runs the Laplacian builder or graph_spectrum, so their
+    # spectrum.csv is pinned here: sha256 of the file less its build, workers and
+    # outdir header lines, as written before isolated vertices became a count (numpy
+    # 2.4.6 with its bundled OpenBLAS on x86-64; a LAPACK that rounds differently
+    # writes other bytes)
+    import hashlib
+
+    argv = ["spectrum", "--n", str(n), "--p", p, "--seed", str(seed), "--outdir", str(tmp_path)]
+    assert cli_dispatch(argv) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(("# build=", "# config.workers=", "# config.outdir="))]
+    assert len(kept) == len(lines) - 3
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
+
+
 def test_cli_arg_map_names_config_fields():
     # every flag stores under its config field's name, apart from the few that are not config
     import argparse
@@ -672,9 +711,10 @@ def test_run_verify_ensemble_scan_calls_no_eigensolver(monkeypatch):
     result = run_verify(config)
     assert result.ok
     # every cluster of size >= 2 is checked, as decompose counts them
-    sizes = [decompose(sample_graph(config.spec(), r)).sizes for r in range(3)]
-    assert result.clusters_checked == sum(int(np.count_nonzero(s >= 2)) for s in sizes)
-    assert result.clusters_total == sum(s.size for s in sizes)
+    ds = [decompose(sample_graph(config.spec(), r)) for r in range(3)]
+    assert all(np.all(d.sizes >= 2) for d in ds)
+    assert result.clusters_checked == sum(d.sizes.size for d in ds)
+    assert result.clusters_total == sum(d.sizes.size + d.n_isolated for d in ds)
 
 
 def test_run_verify_calls_cluster_solver_only_for_path_oracle(monkeypatch):
@@ -762,10 +802,11 @@ def test_verify_flags_two_clusters_under_one_label():
 
     d = decompose(sample_graph(GraphSpec(1500, 0.5, 77), 0))
     assert harness_module._verify_one(d, 0)[0] == []
-    a, b = np.flatnonzero(d.sizes >= 2)[:2]
-    merged = ClusterDecomposition(d.graph, np.unique(np.where(d.labels == b, a, d.labels), return_inverse=True)[1])
+    a, b = 0, 1  # every cluster d describes has size >= 2
+    labels = np.unique(np.where(d.labels == b, a, d.labels), return_inverse=True)[1]
+    merged = ClusterDecomposition(d.graph, d.vertices, d.edges, d.degrees, labels)
     violations, total, checked = harness_module._verify_one(merged, 5)
-    assert (total, checked) == (d.n_clusters - 1, int(np.count_nonzero(d.sizes >= 2)) - 1)
+    assert (total, checked) == (d.n_clusters - 1, d.sizes.size - 1)
     assert violations == [f"Fiedler floor violated at realization 5: count={checked + 1} clusters={checked}"]
 
 
@@ -854,7 +895,7 @@ def test_cli_realization_value_error_names_realization(tmp_path, capsys, monkeyp
     # keeps the one error line and exit 2 and names the (seed, realization) to replay
     from erlap import spectral
 
-    def refuse(g, degrees, k_max):
+    def refuse(d, k_max):
         raise ValueError("M^3 of a graph of maximum degree 9 exceeds int64")
 
     monkeypatch.setattr(spectral, "_trace_powers", refuse)

@@ -109,7 +109,10 @@ def test_laplacian_stacks_match_dense_oracle(n, p, seed):
         yielded.append(s)
     assert yielded == sorted({int(s) for s in d.sizes if s >= 2})
     components = bfs_components(n, g.edges.tolist())
-    for k in range(d.n_clusters):
+    assert d.n_isolated == sum(len(c) == 1 for c in components)
+    components = [c for c in components if len(c) >= 2]
+    assert d.sizes.size == len(components)
+    for k in range(d.sizes.size):
         c = d.cluster(k)
         assert c.vertices.tolist() == components[k]
         inside = np.isin(g.edges[:, 0], c.vertices)
@@ -130,10 +133,8 @@ def test_quadratic_form_matches_matrix():
     g = sample_graph(spec, 1)
     d = decompose(g)
     checked = 0
-    for k in range(d.n_clusters):
+    for k in range(d.sizes.size):
         c = d.cluster(int(k))
-        if c.size < 2:
-            continue
         lap = dense_laplacian(c.size, c.edges.tolist())
         for _ in range(100):
             phi = rng.standard_normal(c.size)
@@ -159,13 +160,18 @@ def test_eigenvalues_hand_spectra():
 def test_spectrum_invariants():
     spec = GraphSpec(500, 0.9, 13)
     d = decompose(sample_graph(spec, 0))
-    for k in range(min(d.n_clusters, 200)):
+    # an isolated vertex is a one-vertex cluster: its one eigenvalue is the kernel
+    isolated = np.setdiff1d(np.arange(d.graph.n), d.vertices)
+    assert d.n_isolated == isolated.size > 0
+    for v in isolated[:100].tolist():
+        s = eigenvalues_cluster(Cluster(np.array([v]), np.empty((0, 2), dtype=np.int64)))
+        assert s.tolist() == [0.0]
+    for k in range(min(d.sizes.size, 200)):
         c = d.cluster(int(k))
         s = eigenvalues_cluster(c)
         assert s.shape == (c.size,) and s[0] == 0.0
         assert np.all(np.diff(s) >= 0.0)
-        if c.size >= 2:
-            assert s[1] > 0.0
+        assert s[1] > 0.0
 
 
 def test_eigenvalues_cluster_rejects_a_disconnected_cluster():
@@ -1000,7 +1006,7 @@ def test_trace_powers_refuse_products_beyond_int64():
     g = _graph(m + 1, [(0, i) for i in range(1, m + 1)])
     assert (2 * (m - 1)) ** 4 < 2**63 <= (2 * m) ** 4
     with pytest.raises(ValueError, match="exceeds int64"):
-        spectral._trace_powers(g, degree_sequence(g), 4)
+        spectral._trace_powers(decompose(g), 4)
 
 
 
@@ -1039,8 +1045,8 @@ _PIECES = {
 
 
 def _fourth_traces_of(g):
-    degrees = degree_sequence(g)
-    return spectral._fourth_traces(decompose(g), degrees, np.bincount(degrees).tolist())
+    d = decompose(g)
+    return spectral._fourth_traces(d, np.bincount(d.degrees).tolist())
 
 
 def _stack_traces(g, k_max=2):
@@ -1107,7 +1113,7 @@ def test_fourth_traces_match_stack_oracle_on_acceptance_seeds(n, p, seed, reps):
         g = sample_graph(GraphSpec(n, p, seed), r)
         (lap4, *lap_k), (adj4, *adj_k) = _stack_traces(g, 4)
         assert _fourth_traces_of(g) == (lap4, adj4)
-        assert spectral._trace_powers(g, degree_sequence(g), 4) == (lap_k, adj_k)
+        assert spectral._trace_powers(decompose(g), 4) == (lap_k, adj_k)
 
 
 @given(g=_cycle_rich_graphs, k_max=st.integers(min_value=3, max_value=MAX_MOMENT_POWER // 2))
@@ -1116,7 +1122,7 @@ def test_trace_powers_match_stack_oracle_from_k3(g, k_max):
     # _trace_powers starts at k = 3; the rows are the correctly rounded quotients
     two_ks = tuple(range(2, 2 * k_max + 1, 2))
     lap_k, adj_k = _stack_traces(g, k_max)
-    assert spectral._trace_powers(g, degree_sequence(g), k_max) == (lap_k[1:], adj_k[1:])
+    assert spectral._trace_powers(decompose(g), k_max) == (lap_k[1:], adj_k[1:])
     lap, _, adj = spectral._moment_one(decompose(g), 0, two_ks)
     assert lap[1:].tolist() == [t / g.n for t in lap_k]
     assert adj[1:].tolist() == [t / g.n for t in adj_k]
@@ -1129,7 +1135,7 @@ def test_moments_never_lay_out_a_stack():
     real, real_powers = spectral._check_size_cap, spectral._trace_powers
     with mock.patch.object(spectral, "_laplacian_stacks", side_effect=AssertionError), \
             mock.patch.object(spectral, "_check_size_cap", lambda *args: checked.append(real(*args))), \
-            mock.patch.object(spectral, "_trace_powers", lambda *args: powers.append(args[2]) or real_powers(*args)):
+            mock.patch.object(spectral, "_trace_powers", lambda *args: powers.append(args[1]) or real_powers(*args)):
         for k_max in range(1, MAX_MOMENT_POWER // 2 + 1):
             moment_samples(GraphSpec(10_000, 0.99, 20260809), 3, k_max)
     assert len(checked) == 4 * 3
