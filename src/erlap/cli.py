@@ -44,7 +44,8 @@ def _build_config(args: argparse.Namespace, analytic: bool = False) -> harness.E
     """The ``--config`` file (or the defaults) overridden by every flag given; each
     config flag's dest is its :class:`~erlap.harness.ExperimentConfig` field.  An
     ``analytic`` command draws nothing and takes no ``--n``, so its p is checked
-    first, on its own: it must lie in (0, 1)."""
+    first, on its own: it must lie in (0, 1).  Every other command's graph is checked
+    here, p/N > 0 included, before anything is drawn or written."""
     if args.config:
         config = harness.ExperimentConfig.from_file(args.config)
     else:
@@ -57,7 +58,10 @@ def _build_config(args: argparse.Namespace, analytic: bool = False) -> harness.E
     if energies is not None:  # an explicit grid, malformed when empty
         overrides["energies"] = tuple(float(x) for x in energies.split(","))
         overrides["grid_kind"] = "explicit"
-    return replace(config, **overrides)
+    config = replace(config, **overrides)
+    if not analytic:
+        config.spec()
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:

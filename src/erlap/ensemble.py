@@ -53,18 +53,21 @@ class GraphSpec:
     master_seed: int
 
     def __post_init__(self) -> None:
-        n = self.n_vertices
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-            raise ValueError(f"n_vertices must be an integer >= 2, got {n!r}")
-        p = self.edge_prob
-        if not (0.0 < float(p) < n and float(p) / n > 0.0):  # p/N may underflow to 0
-            raise ValueError(f"edge_prob must satisfy 0 < p < N and p/N > 0, got p={p!r} for N={n}")
-        s = self.master_seed
-        if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or not (0 <= s <= _MAX_SEED):
-            raise ValueError(f"master_seed must fit in an unsigned 64-bit integer, got {s!r}")
-        object.__setattr__(self, "n_vertices", int(n))
-        object.__setattr__(self, "edge_prob", float(p))
-        object.__setattr__(self, "master_seed", int(s))
+        _check_graph_fields(self.n_vertices, self.edge_prob, self.master_seed)
+        object.__setattr__(self, "n_vertices", int(self.n_vertices))
+        object.__setattr__(self, "edge_prob", float(self.edge_prob))
+        object.__setattr__(self, "master_seed", int(self.master_seed))
+
+
+def _check_graph_fields(n, p, s, drawn: bool = True) -> None:
+    """Raise ValueError unless 2 <= N < 2^63 (vertex ids are int64), 0 < p < N and the
+    seed fits in 64 bits; for a graph that is ``drawn``, p/N must not underflow to 0."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 2 <= n < 1 << 63:
+        raise ValueError(f"n_vertices must be an integer in [2, 2^63), got {n!r}")
+    if not (0.0 < float(p) < n and (not drawn or float(p) / n > 0.0)):
+        raise ValueError(f"edge_prob must satisfy 0 < p < N and p/N > 0, got p={p!r} for N={n}")
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or not (0 <= s <= _MAX_SEED):
+        raise ValueError(f"master_seed must fit in an unsigned 64-bit integer, got {s!r}")
 
 
 class Graph:

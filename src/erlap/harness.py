@@ -92,7 +92,8 @@ class ExperimentConfig:
     tau_n_max: int = 50
 
     def __post_init__(self):
-        GraphSpec(self.n_vertices, self.edge_prob, self.master_seed)  # reuse validation
+        # bounds and tau draw no graph, so p/N may underflow; spec() checks the drawn graph
+        ensemble._check_graph_fields(self.n_vertices, self.edge_prob, self.master_seed, drawn=False)
         if self.n_reps < 1:
             raise ValueError("n_reps must be at least 1")
         if self.grid_kind not in _GRID_KINDS:

@@ -23,6 +23,11 @@ need no eigensolve: #{lambda <= E} is the number of pivots <= 0 of L - E*I
 (Sylvester's law of inertia), eliminated leaf to root with no fill-in down to the
 2-core, then sparsest row first.  A Laplacian eigenvalue is an algebraic integer,
 so it equals a float E only at an integer E, where exact pivots count the ties.
+One such count is a hundred-odd numpy calls on small arrays, so empirical_ids counts a
+block of realizations at a time: their counted clusters form one graph, each numbered
+from its realization's offset, and one count of it gives each realization the row it
+gets alone.  A block closes once its pivot table holds _BLOCK_CELLS cells (counted
+vertices x energies); larger tables trade the saved calls for fresh memory pages.
 Verify needs no eigensolve either: with each vertex shifted by its cluster's floor
 less n*eps*2*d_max, one count equals the number of clusters of size >= 2 iff each has
 a one-dimensional kernel and clears its floor.  Its path oracle counts the forest of the
@@ -268,14 +273,31 @@ def _leaf_rounds(n: int, edges: np.ndarray):
     return deg, rounds, live
 
 
+def _group_cores(core: np.ndarray, core_edges: np.ndarray, offsets: np.ndarray):
+    """``(group, lo, hi, edges)`` per group with a core vertex: its core vertices are
+    lo..hi-1 of the core numbering, and ``edges`` its core edges numbered from lo, in
+    their order in ``core_edges``."""
+    bounds = np.searchsorted(core.nonzero()[0], offsets)
+    owner = np.searchsorted(bounds, core_edges[:, 0], side="right") - 1
+    order = np.argsort(owner, kind="stable")
+    core_edges, cuts = core_edges.take(order, axis=0), np.searchsorted(owner.take(order), np.arange(offsets.size))
+    return [(g, bounds[g], bounds[g + 1], core_edges[cuts[g]:cuts[g + 1]] - bounds[g])
+            for g in (bounds[1:] > bounds[:-1]).nonzero()[0].tolist()]
+
+
 @np.errstate(divide="ignore", invalid="ignore")
-def counting_function(n: int, edges, energies) -> np.ndarray:
+def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
     """#{eigenvalues <= E}, kernel included, at each energy E of the Laplacian of the
     simple graph on vertices 0..n-1 with ``edges``: the pivots <= 0 of L - E*I (module
     docstring).  ``energies`` of shape (k,) is a grid; of shape (n, k), column j shifts
     each vertex v by its own E[v, j] and counts the pivots <= 0 of L - diag(E[:, j]).
     A column is integer, and counted exactly, iff every entry is.  A repeated pair or a
     loop raises ValueError.
+
+    ``offsets``, ascending from 0 to n, split the vertices into groups for a grid:
+    group g holds ``offsets[g]``..``offsets[g + 1] - 1``, and no edge joins two groups.
+    The result then has one row per group, equal to that group's own count with its
+    vertices renumbered from 0; an empty group counts 0.
 
     Each round peels the current leaves, one per parent, into their parents, until only
     the 2-core is left; a tree's root is the larger end of its last edge.  One mask keeps
@@ -285,37 +307,58 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
     Trevisan (Linear Algebra Appl. 2011): the parent's pivot becomes -1/2, one zero
     child's 2, and the parent sends nothing on.  That 2x2 pivot's inverse is 0 in the
     parent's slot, so the parent, core or not, is dropped with no update to its
-    neighbours.  The core S = diag(f) - A_core goes to :func:`_inertia` on float arrays,
-    or, in an integer column and where a float core pivot rounds to 0, as the integer
-    matrix diag(g) S diag(g) of the exact pivots f/g, congruent to S for any nonzero g.
+    neighbours.  Each group's core S = diag(f) - A_core goes to :func:`_inertia` on float
+    arrays, or, in an integer column and where a float core pivot of that group rounds to
+    0, as the integer matrix diag(g) S diag(g) of the exact pivots f/g, congruent to S for
+    any nonzero g.  Groups share no edge and every pivot is formed from its own group's
+    alone, so a group's row does not depend on the others.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = np.asarray(energies, dtype=np.float64)
+    one = offsets is None
+    offsets = np.array([0, n]) if one else np.asarray(offsets, dtype=np.int64)
+    if not one and (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != n
+                    or (offsets[1:] < offsets[:-1]).any() or e.ndim != 1):
+        raise ValueError("offsets must ascend from 0 to n, with a 1-d grid of energies")
+    full = (offsets[1:] > offsets[:-1]).nonzero()[0]  # the groups with a vertex
+
+    def group_counts(table):
+        """The True entries of each column of the (n, k) boolean ``table``, per group."""
+        out = np.zeros((offsets.size - 1, table.shape[1]), dtype=np.int64)
+        # reduceat would sum the next row into an empty group and reject a start equal to n
+        out[full] = np.add.reduceat(table.view(np.uint8), offsets.take(full), axis=0, dtype=np.int64)
+        return out
+
     deg, rounds, live = _leaf_rounds(n, edges)
-    core = live > 0
-    if has_core := core.any():
+    core, cores = live > 0, []
+    if core.any():
         # a loop or a repeated pair lies on a cycle of the multigraph, so in the core
         core_edges = np.sort(edges[core[edges[:, 0]] & core[edges[:, 1]]], axis=1)
         if (core_edges[:, 0] == core_edges[:, 1]).any() or np.unique(core_edges, axis=0).shape != core_edges.shape:
             raise ValueError("edges repeat a pair or join a vertex to itself")
-        core_edges = _renumber(core)[1].take(core_edges)
-    counts = np.empty(e.shape[-1], dtype=np.int64)
+        cores = _group_cores(core, _renumber(core)[1].take(core_edges), offsets)
     integral = (e == np.floor(e)).reshape(-1, e.shape[-1]).all(axis=0)
     floats, exact = np.flatnonzero(~integral), np.flatnonzero(integral)
+    counts = np.empty((offsets.size - 1, integral.size), dtype=np.int64)
+    rounded = np.zeros(counts.shape, dtype=bool)  # a float core pivot of group g rounded to 0 in column j
     # a leaf's pivot a adds -1/a to its parent's; a zero pivot sends 1/0 = inf, so
     # its parent falls to -inf and later sends 1/-inf = -0
     f = deg[:, None] - np.take(e, floats, axis=-1)
     for leaves, parents in rounds:
         f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
     counted = (f <= 0) & (f > -np.inf)
-    counted[core] = False
-    counts[floats] = np.count_nonzero(counted.T.copy(), axis=1)  # rows contiguous: 2x faster
-    if has_core and floats.size:
-        minus_one = -np.ones(floats.size)
-        core_count, zero = _inertia(core_edges, list(f[core]), lambda i, j: minus_one)
-        counts[floats] += core_count
-        exact = np.union1d(exact, floats[zero])
+    if cores:
+        counted[core] = False
+    counts[:, floats] = group_counts(counted)
+    if cores and floats.size:
+        minus_one, fc = -np.ones(floats.size), list(f[core])
+        for grp, lo, hi, ge in cores:
+            core_count, zero = _inertia(ge, fc[lo:hi], lambda i, j: minus_one)
+            counts[grp, floats] += core_count
+            rounded[grp, floats] = zero
+        exact = np.union1d(exact, np.flatnonzero(rounded.any(axis=0)))
     if exact.size:  # exact pivots f/g of E = num/den, g = 0 leaving a vertex out
+        need = (integral | rounded).take(exact, axis=1)  # the groups each exact column counts
         num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(np.take(e, exact, axis=-1))
         wide = int(deg.max(initial=0)) * den.max(initial=1) + np.abs(num).max(initial=0) >= _INT64_PIVOT_BOUND
         num, den = num.astype(object if wide else np.int64), den.astype(object if wide else np.int64)
@@ -332,11 +375,15 @@ def counting_function(n: int, edges, energies) -> np.ndarray:
                 wide, f, g = True, f.astype(object), g.astype(object)
         counted = (g != 0) & ((f == 0) | ((f < 0) != (g < 0)))
         counted[core] = False
-        counts[exact] = np.count_nonzero(counted.T.copy(), axis=1)
-        for col, (fc, gc) in enumerate(zip(f[core].T.tolist(), g[core].T.tolist()) if has_core else ()):
-            diag = [Fraction(x * y) if y else None for x, y in zip(fc, gc)]
-            counts[exact[col]] += _inertia(core_edges, diag, lambda i, j: Fraction(-gc[i] * gc[j]))[0]
-    return counts
+        exact_counts = group_counts(counted)
+        for col, (fc, gc) in enumerate(zip(f[core].T.tolist(), g[core].T.tolist()) if cores else ()):
+            for grp, lo, hi, ge in cores:
+                if need[grp, col]:
+                    fg, gg = fc[lo:hi], gc[lo:hi]
+                    diag = [Fraction(x * y) if y else None for x, y in zip(fg, gg)]
+                    exact_counts[grp, col] += _inertia(ge, diag, lambda i, j: Fraction(-gg[i] * gg[j]))[0]
+        counts[:, exact] = np.where(need, exact_counts, counts.take(exact, axis=1))
+    return counts[0] if one else counts
 
 
 def graph_spectrum(d: ClusterDecomposition) -> np.ndarray:
@@ -404,35 +451,84 @@ def _validate_grid(grid) -> np.ndarray:
     return e
 
 
-def _ids_one(d: ClusterDecomposition, r: int, grid: np.ndarray, min_size: int):
+def _ids_one(d: ClusterDecomposition, r: int, min_size: int):
+    """The clusters of ``d`` of size >= ``min_size``, the ones an IDS count takes by
+    inertia, as one graph: its vertex count and its edges, renumbered in ascending order;
+    then the kernels of the other clusters, and ``d.n_clusters``."""
     counted = d.sizes >= min_size
     # a cluster has an edge, so its edges' ends are all its vertices
     edges = d.edges.take(counted.take(d.edge_labels).nonzero()[0], axis=0)
     flag = np.zeros(d.vertices.size, dtype=bool)
     flag[edges] = True
     vertices, local = _renumber(flag)
-    counts = counting_function(vertices.size, local.take(edges), grid)
-    return counts + d.n_clusters - np.count_nonzero(counted), int(d.n_clusters)  # uncounted: kernels
+    return vertices.size, local.take(edges), int(d.n_clusters - np.count_nonzero(counted)), int(d.n_clusters)
 
 
-def _each_realization(args):
-    """Chunk worker, the one place a realization is drawn and its size cap checked: for
-    each index ``r`` it decomposes realization ``r`` of ``spec``, applies
-    :func:`_check_size_cap` and then ``one(d, r, *extra)`` to the decomposition ``d``,
-    re-raising an :class:`EigensolverError` or a ValueError with ``(master_seed, r)``."""
-    spec, rs, size_cap, one, *extra = args
-    out = []
+def _realizations(spec, rs, size_cap: int, one, *extra):
+    """Yield ``one(d, r, *extra)`` for each index ``r``, ``d`` the decomposition of
+    realization ``r`` of ``spec`` once :func:`_check_size_cap` has passed it; an
+    :class:`EigensolverError` or a ValueError is re-raised with ``(master_seed, r)``.
+    The one place a realization is drawn and its size cap checked."""
     for r in rs:
         try:
             d = decompose(sample_graph(spec, r))
             _check_size_cap(d, size_cap)
-            out.append(one(d, r, *extra))
+            value = one(d, r, *extra)
             del d  # so that the next draw does not hold two decompositions at once
         except EigensolverError as exc:
             raise EigensolverError(str(exc), exc.cluster, spec.master_seed, r) from exc
         except ValueError as exc:  # e.g. _trace_powers' int64 refusal
             raise ValueError(f"{exc} (master_seed={spec.master_seed}, realization={r})") from exc
-    return out
+        yield value
+
+
+def _each_realization(args):
+    """Chunk worker: the list of :func:`_realizations` over ``args = (spec, rs, size_cap,
+    one, *extra)``."""
+    return list(_realizations(*args))
+
+
+# pivot-table cells (counted vertices x energies) that close a block of IDS counts
+_BLOCK_CELLS = 25_000
+
+
+def _count_block(master_seed: int, block: list, grid: np.ndarray) -> list:
+    """(counts, n_clusters) per ``(r, part)`` of ``block``, ``part`` as :func:`_ids_one`
+    returns it: the parts' graphs joined with vertex offsets and counted in one
+    :func:`counting_function` call, one row per part, plus its uncounted kernels."""
+    if not block:
+        return []
+    parts = [part for _, part in block]
+    sizes = np.array([n for n, *_ in parts], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    edges = np.concatenate([e + s for (_, e, *_), s in zip(parts, offsets.tolist())])
+    try:
+        rows = counting_function(int(offsets[-1]), edges, grid, offsets)
+    except ValueError:  # one part at a time finds the realization to name
+        for r, (n, e, *_) in block:
+            try:
+                counting_function(n, e, grid)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (master_seed={master_seed}, realization={r})") from exc
+        raise
+    return [(row + kernels, k) for row, (_, _, kernels, k) in zip(rows, parts)]
+
+
+def _ids_chunk(args):
+    """Chunk worker of :func:`empirical_ids`: (counts, n_clusters) for each realization of
+    ``rs``, counted a block at a time.  A block takes the counted graphs of consecutive
+    realizations (:func:`_ids_one`, through :func:`_realizations`) until their pivot
+    table reaches ``_BLOCK_CELLS``; each row equals its realization's own count, so the
+    blocks, like the chunks, change no value."""
+    spec, rs, size_cap, grid, min_size = args
+    out, block, cells = [], [], 0
+    for r, part in zip(rs, _realizations(spec, rs, size_cap, _ids_one, min_size)):
+        block.append((r, part))
+        cells += part[0] * grid.size
+        if cells >= _BLOCK_CELLS:
+            out += _count_block(spec.master_seed, block, grid)
+            block, cells = [], 0
+    return out + _count_block(spec.master_seed, block, grid)
 
 
 def _run_chunked(worker, spec, n_reps: int, extra: tuple, workers: int):
@@ -471,14 +567,16 @@ def empirical_ids(
     workers: int = 1,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> IdsEstimate:
-    """Monte Carlo IDS estimate over ``n_reps`` realizations of ``spec``.
+    """Monte Carlo IDS estimate over ``n_reps`` realizations of ``spec``, counted a
+    block of realizations at a time (:func:`_ids_chunk`); neither the blocks nor the
+    workers change a value.
 
     Standard errors require at least two realizations and come out as NaN
     for a single one.
     """
     e = _validate_grid(grid)
-    extra = (size_cap, _ids_one, e, _min_solved_size(float(e[-1])))
-    results = _run_chunked(_each_realization, spec, n_reps, extra, workers)
+    extra = (size_cap, e, _min_solved_size(float(e[-1])))
+    results = _run_chunked(_ids_chunk, spec, n_reps, extra, workers)
     counts = np.stack([c for c, _ in results])
     ks = np.asarray([k for _, k in results], dtype=np.int64)
     n = spec.n_vertices

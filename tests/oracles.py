@@ -362,6 +362,44 @@ def all_graphs(n: int):
         yield edges, len(edges)
 
 
+def exact_small_ensemble_ids(n: int, energies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer tables over all 2^M labelled graphs on ``n`` vertices, M = n(n - 1)/2, by
+    edge count m = 0..M: the number of graphs, their summed cluster counts (BFS, isolated
+    vertices included) and their summed #{eigenvalues <= E} at each energy.  At edge
+    probability q, E[sigma_N(E)] = sum_m q^m (1 - q)^(M - m) counts[m, E] / n, and
+    E[sigma_N(0)] the same over the cluster counts.
+
+    The eigenvalues come from one stacked ``np.linalg.eigvalsh`` of the Laplacians built
+    entry by entry.  A Laplacian eigenvalue lambda is an algebraic integer whose conjugates
+    lie in [0, n], so for an integer E != lambda the norm of E - lambda, a nonzero integer,
+    gives |E - lambda| >= n^-(n - 1): one within 1e-9 of an integer E equals it and counts.
+    Every other eigenvalue must lie at least 1e-3 from a non-integer energy and 1e-9
+    (beyond the solve's error) from an integer one, else ValueError.
+    """
+    e = np.asarray(energies, dtype=np.float64)
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    lap = np.zeros((bits.shape[0], n, n))
+    for k, (i, j) in enumerate(pairs):
+        lap[:, i, j] = lap[:, j, i] = -bits[:, k]
+        lap[:, i, i] += bits[:, k]
+        lap[:, j, j] += bits[:, k]
+    dist = np.linalg.eigvalsh(lap)[:, :, None] - e
+    integer = e == np.floor(e)
+    tie = integer & (np.abs(dist) <= 1e-9)
+    if (~tie & (np.abs(dist) < np.where(integer, 2e-9, 1e-3))).any():
+        raise ValueError("an eigenvalue lies too near a grid energy")
+    below = np.count_nonzero((dist < 0) | tie, axis=1)
+    clusters = [len(bfs_components(n, [pair for pair, b in zip(pairs, row) if b])) for row in bits.tolist()]
+    m = bits.sum(axis=1)
+    graphs = np.bincount(m, minlength=len(pairs) + 1)
+    cluster_sums = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.add.at(cluster_sums, m, clusters)
+    count_sums = np.zeros((len(pairs) + 1, e.size), dtype=np.int64)
+    np.add.at(count_sums, m, below)
+    return graphs, cluster_sums, count_sums
+
+
 def reference_pair_indices(n: int, p: float, master_seed: int, r: int) -> np.ndarray:
     """Sorted linear pair indices of realization ``r`` of G(N, p/N): Geometric(p/N)
     gaps from ``np.random.default_rng([master_seed, r])``, walked from slot -1

@@ -46,6 +46,9 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="p/N > 0"):
         GraphSpec(2, 5e-324, 0)  # p/N rounds to 0
     GraphSpec(200, 1e-310, 0)  # p/N is subnormal, not 0
+    for n in (1 << 63, 10**400):  # vertex ids are int64, and p/N would overflow a float
+        with pytest.raises(ValueError, match="n_vertices"):
+            GraphSpec(n, 0.5, 0)
     with pytest.raises(ValueError):
         GraphSpec(10, 0.5, -1)
     with pytest.raises(ValueError):

@@ -522,6 +522,21 @@ def test_cli_bounds_and_tau_write_underflowed_values(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_bounds_and_tau_take_a_p_whose_p_over_n_underflows(tmp_path, capsys):
+    # bounds and tau draw no graph: p/N underflowing at the default N = 1000 is no error
+    # of theirs, and the closed forms that underflow are written as 0.0
+    for cmd, name in (("bounds", "bound_curve.csv"), ("tau", "tau.csv")):
+        assert cli_dispatch([cmd, "--p", "1e-322", "--outdir", str(tmp_path / cmd)]) == 0
+        table = _csv_columns(tmp_path / cmd / name)
+        assert "0.0" in {v for column in table.values() for v in column}, cmd
+    out = capsys.readouterr()
+    assert out.err == "" and "status=ok p=1e-322 " in out.out
+    # a sampling command still checks the graph it draws, before drawing or writing
+    assert cli_dispatch(["ids", "--n", "2", "--p", "5e-324", "--reps", "2", "--outdir", str(tmp_path / "ids")]) == 2
+    assert capsys.readouterr().err == "error: edge_prob must satisfy 0 < p < N and p/N > 0, got p=5e-324 for N=2\n"
+    assert not (tmp_path / "ids").exists()
+
+
 def test_cli_tiny_p_draws_edgeless_graphs(tmp_path, capsys):
     # numpy's gaps near 2**63 at tiny p/N once wrapped the int64 slot sums into
     # "pair index outside [0, N(N-1)/2)" and exit status 2

@@ -1,7 +1,9 @@
 """Laplacian assembly, eigensolves, kernel bookkeeping, IDS, and moments."""
 
+import dataclasses
 import itertools
 import math
+import statistics
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -37,6 +39,7 @@ from oracles import (
     eigen_moment_rows,
     eigenvalue_counts,
     exact_counts,
+    exact_small_ensemble_ids,
     exact_tree_counts,
     path_spectrum_closed_form,
     stack_trace_powers,
@@ -273,10 +276,15 @@ def test_grid_rejects_non_finite_energies():
             empirical_ids(spec, 2, grid)
 
 
+def _ids_one(d, r, grid, min_size):
+    # realization r's (counts, n_clusters) as empirical_ids counts it, in a block of one
+    return spectral._count_block(0, [(r, spectral._ids_one(d, r, min_size))], grid)[0]
+
+
 def _pruned_and_full_counts(d, grid):
     min_size = spectral._min_solved_size(float(grid[-1]))
-    return (spectral._ids_one(d, 0, grid, min_size)[0],
-            spectral._ids_one(d, 0, grid, 2)[0])
+    return (_ids_one(d, 0, grid, min_size)[0],
+            _ids_one(d, 0, grid, 2)[0])
 
 
 def _exact_ids_counts(g, grid):
@@ -324,7 +332,7 @@ def test_pruned_ids_counts_match_dense_oracle(n, p, seed, grid):
     min_size = spectral._min_solved_size(float(grid[-1]))
     g = sample_graph(spec, 0)
     d = decompose(g)
-    counts, k = spectral._ids_one(d, 0, grid, min_size)
+    counts, k = _ids_one(d, 0, grid, min_size)
     assert k == d.n_clusters
     pruned, full = _pruned_and_full_counts(d, grid)
     assert np.array_equal(pruned, full)
@@ -471,7 +479,7 @@ def _clusters_in_any_order(draw):
 def test_ids_counts_do_not_depend_on_the_renumbering_of_counted_vertices(g, grid):
     d = decompose(g)
     min_size = spectral._min_solved_size(float(grid[-1]))
-    counts, k = spectral._ids_one(d, 0, grid, min_size)
+    counts, k = _ids_one(d, 0, grid, min_size)
     counted = d.sizes >= min_size
     n, edges = unique_renumbering(g.edges[counted[d.edge_labels]])
     want = counting_function(n, edges, grid) + d.n_clusters - np.count_nonzero(counted)
@@ -634,7 +642,7 @@ def test_integer_energy_ties_counted_exactly_on_cyclic_clusters(n, p, r, count):
     # eigenvalues 1 above 1 (eigvalsh counted 7106 and 1069); inertia counts every one
     d = decompose(sample_graph(GraphSpec(n, p, 20260809), r))
     grid = np.array([0.5, 1.0, 2.0])
-    counts, _ = spectral._ids_one(d, r, grid, 2)
+    counts, _ = _ids_one(d, r, grid, 2)
     tolerant = np.searchsorted(graph_spectrum(d), grid + 1e-7, side="right")
     assert counts[1] == count
     assert np.array_equal(counts, tolerant)
@@ -689,6 +697,91 @@ def test_pruning_exact_when_top_energy_sits_on_a_path_floor(paths, extra, target
     _assert_matches_dense(g, grid, pruned)
 
 
+def _joined(graphs):
+    """The graphs as one, each numbered from its offset: (n, edges, offsets)."""
+    offsets = np.concatenate(([0], np.cumsum([n for n, _ in graphs]))).astype(np.int64)
+    edges = [np.asarray(e, dtype=np.int64).reshape(-1, 2) + o for (_, e), o in zip(graphs, offsets.tolist())]
+    return int(offsets[-1]), np.concatenate([np.empty((0, 2), dtype=np.int64), *edges]), offsets
+
+
+# cyclic graphs (2-cores), trees, and groups with no vertex or no edge
+_groups = st.lists(
+    st.one_of(_cyclic_graph(), st.integers(min_value=0, max_value=4).map(lambda n: (n, []))),
+    min_size=1, max_size=6,
+)
+
+
+@given(graphs=_groups, energies=st.lists(_shift, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_grouped_rows_equal_each_graph_counted_alone(graphs, energies):
+    # float grids and integer energies; an empty group counts 0 at every energy
+    n, edges, offsets = _joined(graphs)
+    rows = counting_function(n, edges, energies, offsets)
+    assert rows.shape == (len(graphs), len(energies))
+    for row, (m, e) in zip(rows, graphs):
+        assert np.array_equal(row, counting_function(m, e, energies))
+
+
+def test_grouped_count_takes_offsets_from_0_to_n_and_a_grid():
+    n, edges, offsets = _joined([(3, [(0, 1), (1, 2)]), (0, []), (2, [(0, 1)])])
+    assert counting_function(n, edges, [0.5, 1.0], offsets).tolist() == [[1, 2], [0, 0], [1, 1]]
+    for bad in ([0, 3, 3], [1, 3, 3, 5], [0, 3, 2, 5], [[0, 5]], [0]):
+        with pytest.raises(ValueError, match="offsets must ascend"):
+            counting_function(n, edges, [0.5], bad)
+    with pytest.raises(ValueError, match="1-d grid"):
+        counting_function(n, edges, np.full((n, 1), 0.5), offsets)
+
+
+def _rounded_to_zero_on_odd_cores(edges, diag, off, _real=spectral._inertia, calls=None):
+    # as if a float core pivot rounded to 0 in every core of odd order, and in no other
+    count, zero = _real(edges, diag, off)
+    exact = not isinstance(diag[0], np.ndarray)  # Fraction or None entries
+    if calls is not None:
+        calls.append((len(diag), exact))
+    return count, zero | (not exact and len(diag) % 2 == 1)
+
+
+@given(graphs=_groups, energies=st.lists(_shift, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_a_zero_core_pivot_sends_only_its_own_group_to_the_exact_count(graphs, energies):
+    # each group's core is eliminated on its own: a core pivot rounded to 0 sends that
+    # group's column to the exact count, as it would alone, and no other group's
+    n, edges, offsets = _joined(graphs)
+    joined, alone = [], []
+    with mock.patch.object(spectral, "_inertia", lambda *a: _rounded_to_zero_on_odd_cores(*a, calls=joined)):
+        rows = counting_function(n, edges, energies, offsets)
+    with mock.patch.object(spectral, "_inertia", lambda *a: _rounded_to_zero_on_odd_cores(*a, calls=alone)):
+        want = [counting_function(m, e, energies) for m, e in graphs]
+    assert np.array_equal(rows, np.array(want).reshape(rows.shape))
+    assert sorted(joined) == sorted(alone)
+
+
+def test_a_core_pivot_that_rounds_to_zero_beside_one_that_does_not():
+    # at E = 5e-324, the least subnormal, 2 - E rounds to 2: the triangle's last float core
+    # pivot is exactly 0 and goes to the exact count, while the 4-cycle's rounds to a
+    # positive one and keeps its float count, in a block as alone.  That float count
+    # misses the kernel, which lies within rounding of E: had the block sent the 4-cycle
+    # to the exact count too, its row would read 1, not 0
+    triangle, c4 = (3, [(0, 1), (0, 2), (1, 2)]), (4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+    graphs, energies = [triangle, (0, []), c4, (2, [])], [5e-324, 0.5]
+    zeros = []
+
+    def spy(*args, _real=spectral._inertia):
+        count, zero = _real(*args)
+        if isinstance(args[1][0], np.ndarray):
+            zeros.append((len(args[1]), bool(np.any(zero))))
+        return count, zero
+
+    n, edges, offsets = _joined(graphs)
+    with mock.patch.object(spectral, "_inertia", spy):
+        rows = counting_function(n, edges, energies, offsets)
+    assert sorted(zeros) == [(3, True), (4, False)]
+    for row, (m, e) in zip(rows, graphs):
+        assert np.array_equal(row, counting_function(m, e, energies))
+    assert rows.tolist() == [[1, 1], [0, 0], [0, 1], [2, 2]]
+    assert exact_counts(*triangle, energies).tolist() == [1, 1] and exact_counts(*c4, energies).tolist() == [1, 1]
+
+
 def _decomposition_of(monkeypatch, g):
     """Make the realization driver decompose ``g`` whatever it draws."""
     d = decompose(g)
@@ -703,7 +796,7 @@ def test_size_cap_checked_whatever_min_size(monkeypatch):
     _decomposition_of(monkeypatch, g)
     monkeypatch.setattr(spectral, "counting_function", None)
     spec = GraphSpec(20, 0.5, 4)
-    runs = [(spectral._ids_one, np.array([0.5, 1.0]), m) for m in (2, 5, 12, 13, 50)]
+    runs = [(spectral._ids_one, m) for m in (2, 5, 12, 13, 50)]
     runs += [(lambda d, r: spectral._grouped_eigenvalues(d),), (spectral._moment_one, (2, 4))]
     for one, *extra in runs:
         with pytest.raises(EigensolverError) as err:
@@ -853,6 +946,70 @@ def test_empirical_ids_monotone_and_errors():
     single = empirical_ids(spec, 1, grid)
     assert np.all(np.isnan(single.sigma_se))
     assert math.isnan(single.sigma0_se)
+
+
+def _ids_fields(est):
+    return [getattr(est, f.name) for f in dataclasses.fields(est)]
+
+
+def test_block_budget_and_workers_change_no_value(monkeypatch):
+    # blocks of one realization, of the default budget and of a whole chunk, at 1 and 2
+    # workers (chunks of 2, 2, ..., 1), count every realization as it counts alone:
+    # near-critical 2-cores and integer energies
+    spec, grid = GraphSpec(3000, 0.9, 20260809), [0.05, 0.3, 1.0, 2.0]
+    sizes = []
+
+    def spy(n, edges, energies, offsets=None, _real=spectral.counting_function):
+        sizes.append(0 if offsets is None else len(offsets) - 1)
+        return _real(n, edges, energies, offsets)
+
+    monkeypatch.setattr(spectral, "counting_function", spy)
+    want = _ids_fields(empirical_ids(spec, 13, grid))
+    assert max(sizes) > 2  # the default budget joins several realizations
+    for budget, workers in itertools.product((1, spectral._BLOCK_CELLS, 1 << 62), (1, 2)):
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", budget)
+        got = _ids_fields(empirical_ids(spec, 13, grid, workers=workers))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (budget, workers)
+
+
+def test_an_error_in_the_middle_of_a_block_names_its_realization(monkeypatch):
+    real = spectral._ids_one
+
+    def repeat_a_pair(d, r, min_size):
+        n, edges, kernels, k = real(d, r, min_size)
+        return n, np.concatenate((edges, edges[:1] if r == 5 else edges[:0])), kernels, k
+
+    def refuse(d, r, min_size):
+        if r == 5:
+            raise ValueError("refused")
+        return real(d, r, min_size)
+
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1 << 62)
+    spec = GraphSpec(2000, 0.9, 7)
+    for one, message in ((repeat_a_pair, "edges repeat a pair or join a vertex to itself"), (refuse, "refused")):
+        monkeypatch.setattr(spectral, "_ids_one", one)
+        with pytest.raises(ValueError) as err:
+            empirical_ids(spec, 9, [0.5, 1.0])
+        assert str(err.value) == f"{message} (master_seed=7, realization=5)"
+
+
+def test_empirical_ids_matches_the_exact_small_ensemble():
+    # all 32,768 graphs on N = 6 vertices (tests/oracles.py) give E[sigma_6(E)] exactly; at
+    # p = 2.5, q = 5/12 >= 1/3 draws through numpy's geometric, and one block holds
+    # hundreds of realizations, most with no counted cluster.  18 comparisons (sigma at
+    # eight energies and sigma0, at two p) share a family-wise level of 1e-3
+    n, reps, m = 6, 20_000, 15
+    grid = np.array([0.15, 0.45, 0.8, 1.0, 1.3, 2.0, 2.6, 3.5])
+    z_bound = statistics.NormalDist().inv_cdf(1 - 1e-3 / (2 * 18))
+    graphs, clusters, counts = exact_small_ensemble_ids(n, grid)
+    assert graphs.sum() == 1 << m
+    for p in (0.5, 2.5):
+        q = p / n
+        weights = q ** np.arange(m + 1) * (1 - q) ** (m - np.arange(m + 1))
+        est = empirical_ids(GraphSpec(n, p, 20260809), reps, grid)
+        z = (est.sigma - weights @ counts / n) / est.sigma_se
+        z0 = (est.sigma0 - weights @ clusters / n) / est.sigma0_se
+        assert np.all(np.abs(z) <= z_bound) and abs(z0) <= z_bound, (p, z, z0)
 
 
 def test_ids_gap_sits_between_bounds():
