@@ -25,9 +25,10 @@ need no eigensolve: #{lambda <= E} is the number of pivots <= 0 of L - E*I
 so it equals a float E only at an integer E, where exact pivots count the ties.
 One such count is a hundred-odd numpy calls on small arrays, so empirical_ids counts a
 block of realizations at a time: their counted clusters form one graph, each numbered
-from its realization's offset, and one count of it gives each realization the row it
-gets alone.  A block closes once its pivot table holds _BLOCK_CELLS cells (counted
-vertices x energies); larger tables trade the saved calls for fresh memory pages.
+from its realization's offset.  Peel and core pivots land in one per-vertex table, and
+one sum per realization gives each the row it gets alone.  A block closes once its
+pivot table holds _BLOCK_CELLS cells (counted vertices x energies); larger tables trade
+the saved calls for fresh memory pages.
 Verify needs no eigensolve either: with each vertex shifted by its cluster's floor
 less n*eps*2*d_max, one count equals the number of clusters of size >= 2 iff each has
 a one-dimensional kernel and clears its floor.  Its path oracle counts the forest of the
@@ -209,15 +210,18 @@ def _grouped_eigenvalues(d: ClusterDecomposition):
 
 
 def _inertia(edges: np.ndarray, diag: list, off):
-    """Eigenvalues <= 0 of the symmetric matrix with diagonal ``diag`` and entry
-    ``off(i, j)`` at each edge (i, j), less the vertices whose diagonal is None, by
-    elimination of the sparsest live row first.
+    """Which pivots are <= 0, and which are exactly 0, of the symmetric matrix with
+    diagonal ``diag`` and entry ``off(i, j)`` at each edge (i, j), by elimination of the
+    sparsest live row first: two boolean arrays with a row per vertex.  A vertex whose
+    diagonal is None is left out and reads False in both.
 
     Entries are ``Fraction``s, or float64 arrays that carry one matrix per energy through
-    one order fixed by the pattern.  A -inf diagonal (a vertex the peel left out) sends 0
-    and is not counted.  An exact zero diagonal beside b = rows[v][w] != 0 is first made
-    2sb + rows[w][w] != 0 by the congruence v <- v + s*w, s = +-1; an exact zero row is a
-    zero eigenvalue.  Returns the count and, for arrays, where a pivot rounded to 0.
+    one order fixed by the pattern, a flag per energy in each row.  A -inf diagonal (a
+    vertex the peel left out) sends 0 and reads False.  An exact zero diagonal beside
+    b = rows[v][w] != 0 is first made 2sb + rows[w][w] != 0 by the congruence
+    v <- v + s*w, s = +-1; an exact zero row is a zero eigenvalue.  The heap pops each
+    component's rows in the order it pops them alone, and no pivot mixes two components,
+    so each vertex reads what its component gives alone.
     """
     rows = {v: {v: x} for v, x in enumerate(diag) if x is not None}  # row v: {column: entry}
     for i, j in edges.tolist():
@@ -225,7 +229,7 @@ def _inertia(edges: np.ndarray, diag: list, off):
             rows[i][j] = rows[j][i] = off(i, j)
     heap = [(len(row), v) for v, row in rows.items()]
     heapq.heapify(heap)
-    count, zero = 0, False
+    le, zero = [False] * len(diag), [False] * len(diag)
     while heap:
         k, v = heapq.heappop(heap)
         if len(rows.get(v, ())) != k:
@@ -239,7 +243,7 @@ def _inertia(edges: np.ndarray, diag: list, off):
             for x, a in rows[w].items():
                 if x != v:
                     row[x] = rows[x][v] = row.get(x, 0) + s * a
-        count, zero = count + ((d <= 0) & (d > -np.inf)), zero | (d == 0)
+        le[v], zero[v] = (d <= 0) & (d > -np.inf), d == 0
         inv = 1 / d if not exact or d else 0  # an exact zero row sends nothing
         for x, a in row.items():
             rx, a = rows[x], a * inv
@@ -247,7 +251,7 @@ def _inertia(edges: np.ndarray, diag: list, off):
             for y, b in row.items():
                 rx[y] = rx.get(y, 0) - a * b
             heapq.heappush(heap, (len(rx), x))
-    return count, zero
+    return np.array(le, dtype=bool), np.array(zero, dtype=bool)
 
 
 def _leaf_rounds(n: int, edges: np.ndarray):
@@ -273,26 +277,17 @@ def _leaf_rounds(n: int, edges: np.ndarray):
     return deg, rounds, live
 
 
-def _group_cores(core: np.ndarray, core_edges: np.ndarray, offsets: np.ndarray):
-    """``(group, lo, hi, edges)`` per group with a core vertex: its core vertices are
-    lo..hi-1 of the core numbering, and ``edges`` its core edges numbered from lo, in
-    their order in ``core_edges``."""
-    bounds = np.searchsorted(core.nonzero()[0], offsets)
-    owner = np.searchsorted(bounds, core_edges[:, 0], side="right") - 1
-    order = np.argsort(owner, kind="stable")
-    core_edges, cuts = core_edges.take(order, axis=0), np.searchsorted(owner.take(order), np.arange(offsets.size))
-    return [(g, bounds[g], bounds[g + 1], core_edges[cuts[g]:cuts[g + 1]] - bounds[g])
-            for g in (bounds[1:] > bounds[:-1]).nonzero()[0].tolist()]
-
-
 @np.errstate(divide="ignore", invalid="ignore")
 def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
     """#{eigenvalues <= E}, kernel included, at each energy E of the Laplacian of the
     simple graph on vertices 0..n-1 with ``edges``: the pivots <= 0 of L - E*I (module
     docstring).  ``energies`` of shape (k,) is a grid; of shape (n, k), column j shifts
     each vertex v by its own E[v, j] and counts the pivots <= 0 of L - diag(E[:, j]).
-    A column is integer, and counted exactly, iff every entry is.  A repeated pair or a
-    loop raises ValueError.
+    A column is integer, and counted exactly, iff every entry is.  A column within
+    [0, 2^-54] counts as E = 0: there 1 - E rounds to 1, so float pivots cannot see E,
+    and every such E lies below Fiedler's floor of each connected graph on fewer than
+    4*10^8 vertices, so only the kernel counts.  A repeated pair or a loop raises
+    ValueError.
 
     ``offsets``, ascending from 0 to n, split the vertices into groups for a grid:
     group g holds ``offsets[g]``..``offsets[g + 1] - 1``, and no edge joins two groups.
@@ -307,11 +302,14 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
     Trevisan (Linear Algebra Appl. 2011): the parent's pivot becomes -1/2, one zero
     child's 2, and the parent sends nothing on.  That 2x2 pivot's inverse is 0 in the
     parent's slot, so the parent, core or not, is dropped with no update to its
-    neighbours.  Each group's core S = diag(f) - A_core goes to :func:`_inertia` on float
-    arrays, or, in an integer column and where a float core pivot of that group rounds to
-    0, as the integer matrix diag(g) S diag(g) of the exact pivots f/g, congruent to S for
-    any nonzero g.  Groups share no edge and every pivot is formed from its own group's
-    alone, so a group's row does not depend on the others.
+    neighbours.  The core S = diag(f) - A_core goes to :func:`_inertia` once, on float
+    arrays, and its per-vertex flags fill the core's rows of the peel's table, so one
+    ``reduceat`` counts each group.  A group counts a column exactly when the column is
+    integer or a float core pivot of that group rounds to 0: its core then goes to
+    :func:`_inertia` as the integer matrix diag(g) S diag(g) of the exact pivots f/g,
+    congruent to S for any nonzero g, and the other groups' vertices are left out.
+    Groups share no edge, so no pivot mixes two groups and a group's row does not
+    depend on the others.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = np.asarray(energies, dtype=np.float64)
@@ -330,35 +328,33 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
         return out
 
     deg, rounds, live = _leaf_rounds(n, edges)
-    core, cores = live > 0, []
-    if core.any():
+    core = live > 0
+    if has_core := core.any():
         # a loop or a repeated pair lies on a cycle of the multigraph, so in the core
         core_edges = np.sort(edges[core[edges[:, 0]] & core[edges[:, 1]]], axis=1)
         if (core_edges[:, 0] == core_edges[:, 1]).any() or np.unique(core_edges, axis=0).shape != core_edges.shape:
             raise ValueError("edges repeat a pair or join a vertex to itself")
-        cores = _group_cores(core, _renumber(core)[1].take(core_edges), offsets)
+        core_edges = _renumber(core)[1].take(core_edges)
+    if (e <= 2.0**-54).any():  # a column within [0, 2^-54] counts as E = 0
+        e = np.where(((e >= 0) & (e <= 2.0**-54)).reshape(-1, e.shape[-1]).all(axis=0), 0.0, e)
     integral = (e == np.floor(e)).reshape(-1, e.shape[-1]).all(axis=0)
-    floats, exact = np.flatnonzero(~integral), np.flatnonzero(integral)
+    floats = np.flatnonzero(~integral)
     counts = np.empty((offsets.size - 1, integral.size), dtype=np.int64)
-    rounded = np.zeros(counts.shape, dtype=bool)  # a float core pivot of group g rounded to 0 in column j
+    need = np.tile(integral, (offsets.size - 1, 1))  # the groups each column counts exactly
     # a leaf's pivot a adds -1/a to its parent's; a zero pivot sends 1/0 = inf, so
     # its parent falls to -inf and later sends 1/-inf = -0
     f = deg[:, None] - np.take(e, floats, axis=-1)
     for leaves, parents in rounds:
         f[parents] = f.take(parents, axis=0) - np.reciprocal(f.take(leaves, axis=0))
     counted = (f <= 0) & (f > -np.inf)
-    if cores:
-        counted[core] = False
+    if has_core and floats.size:
+        zero, minus_one = np.zeros(f.shape, dtype=bool), -np.ones(floats.size)
+        counted[core], zero[core] = _inertia(core_edges, list(f[core]), lambda i, j: minus_one)
+        need[:, floats] = group_counts(zero) > 0  # a float core pivot of the group rounded to 0
     counts[:, floats] = group_counts(counted)
-    if cores and floats.size:
-        minus_one, fc = -np.ones(floats.size), list(f[core])
-        for grp, lo, hi, ge in cores:
-            core_count, zero = _inertia(ge, fc[lo:hi], lambda i, j: minus_one)
-            counts[grp, floats] += core_count
-            rounded[grp, floats] = zero
-        exact = np.union1d(exact, np.flatnonzero(rounded.any(axis=0)))
+    exact = np.flatnonzero(need.any(axis=0))
     if exact.size:  # exact pivots f/g of E = num/den, g = 0 leaving a vertex out
-        need = (integral | rounded).take(exact, axis=1)  # the groups each exact column counts
+        need = need.take(exact, axis=1)
         num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(np.take(e, exact, axis=-1))
         wide = int(deg.max(initial=0)) * den.max(initial=1) + np.abs(num).max(initial=0) >= _INT64_PIVOT_BOUND
         num, den = num.astype(object if wide else np.int64), den.astype(object if wide else np.int64)
@@ -374,15 +370,12 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
             if not wide and max(np.abs(fp).max(), np.abs(gp).max()) >= _INT64_PIVOT_BOUND:
                 wide, f, g = True, f.astype(object), g.astype(object)
         counted = (g != 0) & ((f == 0) | ((f < 0) != (g < 0)))
-        counted[core] = False
-        exact_counts = group_counts(counted)
-        for col, (fc, gc) in enumerate(zip(f[core].T.tolist(), g[core].T.tolist()) if cores else ()):
-            for grp, lo, hi, ge in cores:
-                if need[grp, col]:
-                    fg, gg = fc[lo:hi], gc[lo:hi]
-                    diag = [Fraction(x * y) if y else None for x, y in zip(fg, gg)]
-                    exact_counts[grp, col] += _inertia(ge, diag, lambda i, j: Fraction(-gg[i] * gg[j]))[0]
-        counts[:, exact] = np.where(need, exact_counts, counts.take(exact, axis=1))
+        if has_core:
+            mine = np.repeat(need, np.diff(offsets), axis=0)[core]  # each core vertex's group's need
+            for col, (fc, gc, mc) in enumerate(zip(f[core].T.tolist(), g[core].T.tolist(), mine.T.tolist())):
+                diag = [Fraction(x * y) if y and m else None for x, y, m in zip(fc, gc, mc)]
+                counted[core, col] = _inertia(core_edges, diag, lambda i, j: Fraction(-gc[i] * gc[j]))[0]
+        counts[:, exact] = np.where(need, group_counts(counted), counts.take(exact, axis=1))
     return counts[0] if one else counts
 
 

@@ -523,8 +523,8 @@ def test_counts_match_exact_oracle_on_cyclic_graphs(graph, energies):
 
 def _all_rounded_to_zero(*args, _real=spectral._inertia):
     # as if every float core pivot rounded to 0: each column goes to the exact count
-    count, zero = _real(*args)
-    return count, zero | True
+    le, zero = _real(*args)
+    return le, np.ones_like(zero)
 
 
 _shift = st.one_of(
@@ -732,54 +732,177 @@ def test_grouped_count_takes_offsets_from_0_to_n_and_a_grid():
         counting_function(n, edges, np.full((n, 1), 0.5), offsets)
 
 
-def _rounded_to_zero_on_odd_cores(edges, diag, off, _real=spectral._inertia, calls=None):
-    # as if a float core pivot rounded to 0 in every core of odd order, and in no other
-    count, zero = _real(edges, diag, off)
-    exact = not isinstance(diag[0], np.ndarray)  # Fraction or None entries
-    if calls is not None:
-        calls.append((len(diag), exact))
-    return count, zero | (not exact and len(diag) % 2 == 1)
+def _core_groups(n, edges, offsets):
+    """The group of each 2-core vertex of the joined graph, in core order."""
+    live = spectral._leaf_rounds(n, edges)[2]
+    return np.searchsorted(offsets, np.flatnonzero(live > 0), side="right") - 1
 
 
-@given(graphs=_groups, energies=st.lists(_shift, min_size=1, max_size=6))
+def _marking(mark, exact_calls):
+    # as if a float core pivot rounded to 0 at the core vertices ``mark``; the exact
+    # eliminations record which vertices they take
+    def inertia(edges, diag, off, _real=spectral._inertia):
+        le, zero = _real(edges, diag, off)
+        if isinstance(diag[0], np.ndarray):
+            zero[mark] = True
+        else:
+            exact_calls.append(np.array([x is not None for x in diag]))
+        return le, zero
+
+    return inertia
+
+
+_non_integer = st.one_of(
+    st.integers(min_value=1, max_value=128).filter(lambda k: k % 8).map(lambda k: k / 8),
+    st.floats(min_value=1e-3, max_value=16.0).filter(lambda x: x != math.floor(x)),
+)
+
+
+@given(graphs=_groups, energies=st.lists(_non_integer, min_size=1, max_size=6), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_a_zero_core_pivot_sends_only_its_own_group_to_the_exact_count(graphs, energies):
-    # each group's core is eliminated on its own: a core pivot rounded to 0 sends that
-    # group's column to the exact count, as it would alone, and no other group's
+def test_a_zero_core_pivot_sends_only_its_own_group_to_the_exact_count(graphs, energies, data):
+    # the zero flags of the chosen groups' core vertices are set: each row equals its
+    # group counted alone under the same marking, the unmarked rows keep their float
+    # count, and only marked core vertices enter an exact elimination (the energies are
+    # not integers, which would send every group to the exact count)
+    marked = data.draw(st.lists(st.integers(0, len(graphs) - 1), unique=True))
     n, edges, offsets = _joined(graphs)
-    joined, alone = [], []
-    with mock.patch.object(spectral, "_inertia", lambda *a: _rounded_to_zero_on_odd_cores(*a, calls=joined)):
+    groups = _core_groups(n, edges, offsets)
+    mine = np.isin(groups, marked)
+    exact_calls = []
+    with mock.patch.object(spectral, "_inertia", _marking(mine, exact_calls)):
         rows = counting_function(n, edges, energies, offsets)
-    with mock.patch.object(spectral, "_inertia", lambda *a: _rounded_to_zero_on_odd_cores(*a, calls=alone)):
-        want = [counting_function(m, e, energies) for m, e in graphs]
-    assert np.array_equal(rows, np.array(want).reshape(rows.shape))
-    assert sorted(joined) == sorted(alone)
+    for grp, (row, (m, e)) in enumerate(zip(rows, graphs)):
+        if grp in marked:
+            with mock.patch.object(spectral, "_inertia", _marking(slice(None), [])):
+                assert np.array_equal(row, counting_function(m, e, energies))
+            if grp in groups:  # a marked group with a core is counted exactly
+                assert np.array_equal(row, exact_counts(m, e, energies))
+        else:
+            assert np.array_equal(row, counting_function(m, e, energies))
+    assert len(exact_calls) == (len(energies) if mine.any() else 0)
+    for taken in exact_calls:
+        assert not (taken & ~mine).any()
 
 
 def test_a_core_pivot_that_rounds_to_zero_beside_one_that_does_not():
-    # at E = 5e-324, the least subnormal, 2 - E rounds to 2: the triangle's last float core
-    # pivot is exactly 0 and goes to the exact count, while the 4-cycle's rounds to a
-    # positive one and keeps its float count, in a block as alone.  That float count
-    # misses the kernel, which lies within rounding of E: had the block sent the 4-cycle
-    # to the exact count too, its row would read 1, not 0
+    # at E = 2 - 60 ulps, just below the 4-cycle's double eigenvalue 2, its last float
+    # core pivot rounds to exactly 0 and its float count reads 2; the exact count sends
+    # it 1.  The triangle's pivots do not round to 0, so it keeps its float count, in a
+    # block as alone
     triangle, c4 = (3, [(0, 1), (0, 2), (1, 2)]), (4, [(0, 1), (0, 3), (1, 2), (2, 3)])
-    graphs, energies = [triangle, (0, []), c4, (2, [])], [5e-324, 0.5]
-    zeros = []
+    graphs, energies = [triangle, (0, []), c4, (2, [])], [float.fromhex("0x1.fffffffffffc4p+0"), 0.5]
+    zeros, exact_calls = [], []
 
-    def spy(*args, _real=spectral._inertia):
-        count, zero = _real(*args)
-        if isinstance(args[1][0], np.ndarray):
-            zeros.append((len(args[1]), bool(np.any(zero))))
-        return count, zero
+    def spy(edges, diag, off, _real=spectral._inertia):
+        le, zero = _real(edges, diag, off)
+        if isinstance(diag[0], np.ndarray):
+            zeros.append((le.sum(axis=0).tolist(), zero.tolist()))
+        else:
+            exact_calls.append([x is not None for x in diag])
+        return le, zero
 
     n, edges, offsets = _joined(graphs)
     with mock.patch.object(spectral, "_inertia", spy):
         rows = counting_function(n, edges, energies, offsets)
-    assert sorted(zeros) == [(3, True), (4, False)]
+    # the core is the triangle's 3 vertices, then the 4-cycle's: at E the triangle counts
+    # its kernel, the 4-cycle 2, and only its last pivot rounds to 0
+    assert zeros == [([1 + 2, 1 + 1], [[False, False]] * 6 + [[True, False]])]
+    assert exact_calls == [[False] * 3 + [True] * 4]
     for row, (m, e) in zip(rows, graphs):
         assert np.array_equal(row, counting_function(m, e, energies))
-    assert rows.tolist() == [[1, 1], [0, 0], [0, 1], [2, 2]]
+    assert rows.tolist() == [[1, 1], [0, 0], [1, 1], [2, 2]]
     assert exact_counts(*triangle, energies).tolist() == [1, 1] and exact_counts(*c4, energies).tolist() == [1, 1]
+
+
+def test_a_column_within_2_to_the_minus_54_counts_the_kernel_exactly():
+    # at 0 < E <= 2^-54, 1 - E rounds to 1, so the float pivots cannot see E: the
+    # 4-cycle's last core pivot rounded to a tiny positive and missed the kernel.  Such a
+    # column counts as E = 0, which it equals below Fiedler's floor, exactly and in no
+    # float elimination; a block or a per-vertex table changes nothing
+    triangle, c4 = (3, [(0, 1), (0, 2), (1, 2)]), (4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+    graphs = [triangle, (0, []), c4, (2, [])]
+    n, edges, offsets = _joined(graphs)
+    for tiny in (5e-324, 1e-17, 2.0**-54):
+        energies = [tiny, 0.5]
+        assert counting_function(*c4, energies).tolist() == [1, 1]
+        assert counting_function(*c4, np.full((4, 2), energies)).tolist() == [1, 1]
+        widths = []
+
+        def spy(edges, diag, off, _real=spectral._inertia):
+            if isinstance(diag[0], np.ndarray):
+                widths.append(diag[0].size)
+            return _real(edges, diag, off)
+
+        with mock.patch.object(spectral, "_inertia", spy):
+            rows = counting_function(n, edges, energies, offsets)
+        assert rows.tolist() == [[1, 1], [0, 0], [1, 1], [2, 2]]
+        assert widths == [1]  # the 0.5 column alone
+        assert exact_counts(*c4, energies).tolist() == [1, 1]
+    # a column of zeros and tiny entries counts the kernel too
+    assert counting_function(*c4, np.array([[0.0], [5e-324], [0.0], [1e-17]])).tolist() == [1]
+
+
+@st.composite
+def _matrix_part(draw, k, exact):
+    # a cyclic graph with a diagonal and edge weights: Fractions of small integers (exact
+    # zeros that need the congruence step) or None, left out; or float arrays over k
+    # energies, -inf entries left out
+    if exact:
+        entry = st.one_of(st.none(), st.integers(-3, 3).map(Fraction))
+    else:
+        value = st.one_of(st.just(-np.inf), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+        entry = st.lists(value, min_size=k, max_size=k).map(np.array)
+    n, edges = draw(_cyclic_graph())
+    weights = draw(st.lists(st.sampled_from([1, -1, 2, 3]), min_size=n, max_size=n))
+    return n, edges, draw(st.lists(entry, min_size=n, max_size=n)), weights
+
+
+def _off(weights, k, exact):
+    return (lambda i, j: Fraction(-weights[i] * weights[j])) if exact else (lambda i, j: -np.ones(k))
+
+
+@given(data=st.data(), exact=st.booleans(), k=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+@np.errstate(all="ignore")
+def test_inertia_flags_each_vertex_as_its_part_alone(data, exact, k):
+    # on a disjoint union, each vertex's flags (pivot <= 0, pivot == 0) equal those its
+    # part gives alone; left-out vertices read False in both
+    parts = data.draw(st.lists(_matrix_part(k, exact), min_size=1, max_size=4))
+    n, edges, offsets = _joined([(m, e) for m, e, _, _ in parts])
+    diag = [x for _, _, d, _ in parts for x in d]
+    weights = [w for *_, ws in parts for w in ws]
+    le, zero = spectral._inertia(edges, diag, _off(weights, k, exact))
+    assert le.shape == zero.shape == ((n,) if exact else (n, k))
+    alone = [spectral._inertia(np.asarray(e, dtype=np.int64).reshape(-1, 2), d, _off(w, k, exact))
+             for _, e, d, w in parts]
+    assert np.array_equal(le, np.concatenate([a for a, _ in alone]))
+    assert np.array_equal(zero, np.concatenate([z for _, z in alone]))
+    out = np.array([x is None for x in diag]) if exact else np.isneginf(np.array(diag))
+    assert not (le[out].any() or zero[out].any())
+    assert not (zero & ~le).any()
+    if exact:  # the flags count the eigenvalues <= 0 of the matrix on the vertices kept
+        keep = np.flatnonzero(~out)
+        m = np.diag([float(x or 0) for x in diag])
+        for i, j in edges.tolist():
+            m[i, j] = m[j, i] = -weights[i] * weights[j]
+        vals = np.linalg.eigvalsh(m[np.ix_(keep, keep)])
+        assert np.count_nonzero(vals <= -1e-9) <= le.sum() <= np.count_nonzero(vals <= 1e-9)
+
+
+def test_inertia_congruence_on_zero_diagonals_beside_a_left_out_vertex():
+    # two 4-cycles with an all-zero diagonal, the first with vertex 1 left out: the
+    # first pivot of each needs a partner w and the congruence v <- v + s*w
+    c4 = [(0, 1), (0, 3), (1, 2), (2, 3)]
+    edges = np.array(c4 + [(i + 4, j + 4) for i, j in c4])
+    diag = [Fraction(0), None, Fraction(0), Fraction(0)] + [Fraction(0)] * 4
+    le, zero = spectral._inertia(edges, diag, lambda i, j: Fraction(-1))
+    # the path 2 - 3 - 0 has spectrum -sqrt(2), 0, sqrt(2); the 4-cycle's adjacency
+    # -2, 0, 0, 2 under the minus sign
+    assert le[:4].sum() == 2 and not le[1] and zero[:4].sum() == 1
+    assert le[4:].sum() == 3 and zero[4:].sum() == 2
+    alone = spectral._inertia(np.array(c4), diag[4:], lambda i, j: Fraction(-1))
+    assert np.array_equal(le[4:], alone[0]) and np.array_equal(zero[4:], alone[1])
 
 
 def _decomposition_of(monkeypatch, g):
