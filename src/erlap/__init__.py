@@ -50,7 +50,6 @@ from .harness import (
 from .spectral import (
     EigensolverError,
     IdsEstimate,
-    MomentInequalityReport,
     MomentSamples,
     cluster_min_gaps,
     eigenvalues_cluster,

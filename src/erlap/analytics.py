@@ -3,11 +3,10 @@ bounds, cluster-size distribution, finite-N probabilities, Poisson moments,
 and the heuristic replica rate.
 
 Everything here is a pure function of its arguments, and no sampling module is
-imported: the Monte Carlo moment check sits beside its samples, in
-:meth:`erlap.spectral.MomentSamples.inequality`.  Combinatorial
-probabilities are evaluated in log-space with lgamma so that moderate sizes
-do not underflow, and series are truncated adaptively against certified
-tail majorants.
+imported: the Monte Carlo moment check lives in :func:`erlap.harness.moment_columns`,
+which calls :func:`poisson_moment`.  Combinatorial probabilities are evaluated in
+log-space with lgamma so that moderate sizes do not underflow, and series are
+truncated adaptively against certified tail majorants.
 """
 
 from __future__ import annotations

@@ -273,7 +273,7 @@ def _cmd_tau(args) -> int:
 def _cmd_moments(args) -> int:
     config = _build_config(args)
     result = harness.run_moments(config)
-    ok = all(r.satisfied for r in result.reports)
+    ok = all(dict(result.columns)["satisfied"])
     print(
         harness.summary_line(
             "moments",

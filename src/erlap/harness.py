@@ -25,9 +25,9 @@ from .spectral import (
     DEFAULT_SIZE_CAP,
     MAX_MOMENT_POWER,
     IdsEstimate,
-    MomentInequalityReport,
     MomentSamples,
     _each_realization,
+    _mean_se,
     _run_chunked,
     # unused here, wrapped on this module by perfbench's traced run: cluster_min_gaps,
     # eigenvalues_cluster, graph_spectrum, path_emin_reference, quadratic_form (and sample_graph)
@@ -291,7 +291,7 @@ def run_ids(config: ExperimentConfig) -> IdsRunResult:
         "sigma0_stderr": ids.sigma0_se,
         "grid_points": ids.energies.shape[0],
     }
-    p, e, delta = ids.p, ids.energies, ids.delta_sigma
+    p, e, delta = config.edge_prob, ids.energies, ids.delta_sigma
     if 0.0 < p < 1.0:
         usable = np.array(_gap_status(ids, config.noise_floor)) == "used"
         rescaled = np.full(e.shape, np.nan)
@@ -478,8 +478,8 @@ def fit_lifshitz_exponent(ids: IdsEstimate, status: list[str], config: Experimen
 
     The limiting slope is -1/2; at accessible energies the empirical fit is
     reported against a wide soft gate while the analytic envelopes act as
-    sanity anchors with the exact limiting slope.  ``ids.p`` lies in (0, 1), as
-    :func:`run_lifshitz` checks before sampling.  Returns the lifshitz summary's
+    sanity anchors with the exact limiting slope.  ``config.edge_prob`` lies in
+    (0, 1), as :func:`run_lifshitz` checks before sampling.  Returns the lifshitz summary's
     values in summary order.
     """
     delta = ids.delta_sigma
@@ -499,7 +499,7 @@ def fit_lifshitz_exponent(ids: IdsEstimate, status: list[str], config: Experimen
         )
     slope, _, slope_se = weighted_line_fit(used_x, used_y, used_w)
     anchors = np.geomspace(config.anchor_e_min, config.anchor_e_max, config.anchor_points)
-    envelopes = dict(envelope_columns(anchors, ids.p))
+    envelopes = dict(envelope_columns(anchors, config.edge_prob))
     upper_slope, upper_se = _anchor_fit(anchors, envelopes["upper"])
     smooth_slope, smooth_se = _anchor_fit(anchors, envelopes["lower_smooth"])
     return {
@@ -568,17 +568,43 @@ def run_lifshitz(config: ExperimentConfig) -> LifshitzRunResult:
 # moments
 
 
+def moment_columns(samples: MomentSamples, p: float) -> list[tuple[str, list]]:
+    """The moments table, a row per power 2k of ``samples``: :func:`_mean_se` of the
+    rows of M^Delta_2k, M^D_2k, M^A_2k and the slack, the Poisson degree moment with the
+    z-score of M^D_2k against it, and M^Delta_2k <= 2^{2k-1}(M^D_2k + M^A_2k).  Trace
+    convexity of x -> x^{2k} (Jensen's trace inequality) makes that hold for every graph,
+    so it is satisfied iff the slack 2^{2k-1}(deg + adj) - lap is nonnegative on every
+    realization, not merely on average.
+    """
+    names = ("two_k", "lap_mean", "lap_se", "deg_mean", "deg_se", "poisson_moment",
+             "z_deg_vs_poisson", "adj_mean", "adj_se", "rhs_mean", "slack_mean", "slack_se",
+             "satisfied")
+    rows = []
+    for j, two_k in enumerate(samples.two_ks):
+        lap, deg, adj = samples.lap[:, j], samples.deg[:, j], samples.adj[:, j]
+        slack = (2.0 ** (two_k - 1)) * (deg + adj) - lap
+        (lap_mean, lap_se), (deg_mean, deg_se), (adj_mean, adj_se), (slack_mean, slack_se) = (
+            map(float, _mean_se(col)) for col in (lap, deg, adj, slack)
+        )
+        poisson = analytics.poisson_moment(p, two_k)
+        z_deg = (deg_mean - poisson) / deg_se if math.isfinite(deg_se) and deg_se > 0 else math.nan
+        rhs_mean = (2.0 ** (two_k - 1)) * (deg_mean + adj_mean)
+        rows.append((two_k, lap_mean, lap_se, deg_mean, deg_se, poisson, z_deg, adj_mean, adj_se,
+                     rhs_mean, slack_mean, slack_se, bool(np.all(slack >= 0))))
+    return [(name, list(values)) for name, values in zip(names, zip(*rows))]
+
+
 @dataclass(frozen=True)
 class MomentsRunResult:
     samples: MomentSamples
-    reports: tuple[MomentInequalityReport, ...]
+    columns: list[tuple[str, list]]
     moments_csv: Path
     summary_path: Path
 
 
 def run_moments(config: ExperimentConfig) -> MomentsRunResult:
     """Even spectral moments versus the Poisson degree moments and the
-    moment inequality, persisted as a table."""
+    moment inequality (:func:`moment_columns`), persisted as a table."""
     outdir = Path(config.outdir)
     samples = moment_samples(
         config.spec(),
@@ -587,43 +613,20 @@ def run_moments(config: ExperimentConfig) -> MomentsRunResult:
         workers=config.workers,
         size_cap=config.size_cap,
     )
-    reports = tuple(samples.inequality(k) for k in range(1, config.k_max + 1))
-    poisson = [analytics.poisson_moment(config.edge_prob, 2 * r.k) for r in reports]
-    z_deg = [
-        (r.deg_mean - poi) / r.deg_se if math.isfinite(r.deg_se) and r.deg_se > 0 else math.nan
-        for r, poi in zip(reports, poisson)
-    ]
-    moments_csv = write_table(
-        outdir / "moments.csv",
-        "moments-csv",
-        config,
-        [
-            ("two_k", [2 * r.k for r in reports]),
-            ("lap_mean", [r.lap_mean for r in reports]),
-            ("lap_se", [r.lap_se for r in reports]),
-            ("deg_mean", [r.deg_mean for r in reports]),
-            ("deg_se", [r.deg_se for r in reports]),
-            ("poisson_moment", poisson),
-            ("z_deg_vs_poisson", z_deg),
-            ("adj_mean", [r.adj_mean for r in reports]),
-            ("adj_se", [r.adj_se for r in reports]),
-            ("rhs_mean", [r.rhs_mean for r in reports]),
-            ("slack_mean", [r.slack_mean for r in reports]),
-            ("slack_se", [r.slack_se for r in reports]),
-            ("satisfied", [r.satisfied for r in reports]),
-        ],
-    )
+    columns = moment_columns(samples, config.edge_prob)
+    moments_csv = write_table(outdir / "moments.csv", "moments-csv", config, columns)
+    satisfied = all(dict(columns)["satisfied"])
     summary_path = write_summary(
         outdir / "moments_summary.txt",
         "moments",
         config,
         {
-            "status": "ok" if all(r.satisfied for r in reports) else "inequality_violated",
+            "status": "ok" if satisfied else "inequality_violated",
             "k_max": config.k_max,
-            "all_satisfied": all(r.satisfied for r in reports),
+            "all_satisfied": satisfied,
         },
     )
-    return MomentsRunResult(samples, reports, moments_csv, summary_path)
+    return MomentsRunResult(samples, columns, moments_csv, summary_path)
 
 
 # ---------------------------------------------------------------------------

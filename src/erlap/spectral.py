@@ -39,8 +39,8 @@ Tr L^2 = sum d(d + 1) as Python integers.  Tr A^4 and Tr L^4 count closed 4-walk
 degrees, edge degree sums, and the triangles and 4-cycles of the cyclic clusters,
 counted from their wedges a - v - b in int64.  So at k <= 2 no matrix is laid out;
 for k >= 3, Tr M^{2k} = ||M^k||_F^2 (M = L, A) comes from sparse int64 products over
-the vertices of degree > 0.  The moment inequality is checked beside the rows, by
-:meth:`MomentSamples.inequality`.
+the vertices of degree > 0.  The moments table and the moment inequality are reduced
+from the rows in one step, by :func:`erlap.harness.moment_columns`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "EigensolverError",
     "IdsEstimate",
     "MomentSamples",
-    "MomentInequalityReport",
     "quadratic_form",
     "eigenvalues_cluster",
     "fiedler_floor",
@@ -286,8 +285,9 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
     A column is integer, and counted exactly, iff every entry is.  A column within
     [0, 2^-54] counts as E = 0: there 1 - E rounds to 1, so float pivots cannot see E,
     and every such E lies below Fiedler's floor of each connected graph on fewer than
-    4*10^8 vertices, so only the kernel counts.  A repeated pair or a loop raises
-    ValueError.
+    4*10^8 vertices, so only the kernel counts.  A column with every entry < 0 counts 0,
+    L - diag(E) being positive definite.  A column in (2^-54, ulp(d_max)/2] can still
+    miscount, as d - E rounds to d.  A repeated pair or a loop raises ValueError.
 
     ``offsets``, ascending from 0 to n, split the vertices into groups for a grid:
     group g holds ``offsets[g]``..``offsets[g + 1] - 1``, and no edge joins two groups.
@@ -335,8 +335,10 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
         if (core_edges[:, 0] == core_edges[:, 1]).any() or np.unique(core_edges, axis=0).shape != core_edges.shape:
             raise ValueError("edges repeat a pair or join a vertex to itself")
         core_edges = _renumber(core)[1].take(core_edges)
+    negative = None  # the columns with every entry < 0, which count 0
     if (e <= 2.0**-54).any():  # a column within [0, 2^-54] counts as E = 0
-        e = np.where(((e >= 0) & (e <= 2.0**-54)).reshape(-1, e.shape[-1]).all(axis=0), 0.0, e)
+        cols = e.reshape(-1, e.shape[-1])
+        negative, e = (cols < 0).all(axis=0), np.where(((cols >= 0) & (cols <= 2.0**-54)).all(axis=0), 0.0, e)
     integral = (e == np.floor(e)).reshape(-1, e.shape[-1]).all(axis=0)
     floats = np.flatnonzero(~integral)
     counts = np.empty((offsets.size - 1, integral.size), dtype=np.int64)
@@ -376,6 +378,8 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
                 diag = [Fraction(x * y) if y and m else None for x, y, m in zip(fc, gc, mc)]
                 counted[core, col] = _inertia(core_edges, diag, lambda i, j: Fraction(-gc[i] * gc[j]))[0]
         counts[:, exact] = np.where(need, group_counts(counted), counts.take(exact, axis=1))
+    if negative is not None:
+        counts[:, negative] = 0
     return counts[0] if one else counts
 
 
@@ -415,9 +419,6 @@ class IdsEstimate:
     correlated.
     """
 
-    n: int
-    p: float
-    n_reps: int
     energies: np.ndarray
     sigma: np.ndarray
     sigma_se: np.ndarray
@@ -577,9 +578,6 @@ def empirical_ids(
     sigma0, sigma0_se = _mean_se(ks, scale=n)
     delta, delta_se = _mean_se((counts - ks[:, None]) / n)
     return IdsEstimate(
-        n=n,
-        p=spec.edge_prob,
-        n_reps=n_reps,
         energies=e,
         sigma=sigma,
         sigma_se=sigma_se,
@@ -598,70 +596,14 @@ class MomentSamples:
     powers listed in ``two_ks``, the correctly rounded quotient of an exact integer
     trace, never an eigenvalue power sum: from the degrees for M = D and at k = 1,
     from closed-walk counts at k = 2, and at k >= 3 from ||M^k||_F^2 by sparse int64
-    products.  Means and standard errors derive from the rows, so parallel
-    collection order cannot change them.
+    products.  :func:`erlap.harness.moment_columns` reduces the rows, so parallel
+    collection order cannot change its means and standard errors.
     """
 
-    n: int
-    p: float
-    n_reps: int
     two_ks: tuple[int, ...]
     lap: np.ndarray
     deg: np.ndarray
     adj: np.ndarray
-
-    def inequality(self, k: int) -> MomentInequalityReport:
-        """Check M^Delta_{2k} <= 2^{2k-1} (M^D_{2k} + M^A_{2k}) on the rows.
-
-        Trace convexity of x -> x^{2k} (Jensen's trace inequality) makes it hold for
-        every graph, so it is satisfied iff the slack 2^{2k-1}(deg + adj) - lap is
-        nonnegative on every realization.  Each mean and standard error is
-        :func:`_mean_se` of one column (ddof=1, NaN for a single realization).
-        """
-        if 2 * k not in self.two_ks:
-            raise ValueError(f"power {2 * k} was not collected (have {self.two_ks})")
-        j = self.two_ks.index(2 * k)
-        lap, deg, adj = self.lap[:, j], self.deg[:, j], self.adj[:, j]
-        slack = (2.0 ** (2 * k - 1)) * (deg + adj) - lap
-        (lap_mean, lap_se), (deg_mean, deg_se), (adj_mean, adj_se), (slack_mean, slack_se) = (
-            map(float, _mean_se(col)) for col in (lap, deg, adj, slack)
-        )
-        return MomentInequalityReport(
-            k=k,
-            n=self.n,
-            p=self.p,
-            n_reps=self.n_reps,
-            lap_mean=lap_mean,
-            lap_se=lap_se,
-            deg_mean=deg_mean,
-            deg_se=deg_se,
-            adj_mean=adj_mean,
-            adj_se=adj_se,
-            rhs_mean=(2.0 ** (2 * k - 1)) * (deg_mean + adj_mean),
-            slack_mean=slack_mean,
-            slack_se=slack_se,
-            satisfied=bool(np.all(slack >= 0)),
-        )
-
-
-@dataclass(frozen=True)
-class MomentInequalityReport:
-    """The moment inequality at power 2k, as :meth:`MomentSamples.inequality` reduces it."""
-
-    k: int
-    n: int
-    p: float
-    n_reps: int
-    lap_mean: float
-    lap_se: float
-    deg_mean: float
-    deg_se: float
-    adj_mean: float
-    adj_se: float
-    rhs_mean: float
-    slack_mean: float
-    slack_se: float
-    satisfied: bool
 
 
 def _trace_powers(d: ClusterDecomposition, k_max: int) -> tuple[list[int], list[int]]:
@@ -756,9 +698,6 @@ def moment_samples(
         _each_realization, spec, n_reps, (size_cap, _moment_one, two_ks), workers
     )
     return MomentSamples(
-        n=spec.n_vertices,
-        p=spec.edge_prob,
-        n_reps=n_reps,
         two_ks=two_ks,
         lap=np.stack([r[0] for r in rows]),
         deg=np.stack([r[1] for r in rows]),

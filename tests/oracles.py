@@ -362,6 +362,21 @@ def all_graphs(n: int):
         yield edges, len(edges)
 
 
+def _small_ensemble_laplacians(n: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs, the edge count m of each of the 2^M labelled graphs on ``n`` vertices
+    (graph b holds the pairs whose bit is set in b), the number of graphs of each m, and
+    their int64 Laplacians built entry by entry, stacked in the order of b."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    lap = np.zeros((bits.shape[0], n, n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        lap[:, i, j] = lap[:, j, i] = -bits[:, k]
+        lap[:, i, i] += bits[:, k]
+        lap[:, j, j] += bits[:, k]
+    m = bits.sum(axis=1)
+    return pairs, m, np.bincount(m, minlength=len(pairs) + 1), lap
+
+
 def exact_small_ensemble_ids(n: int, energies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integer tables over all 2^M labelled graphs on ``n`` vertices, M = n(n - 1)/2, by
     edge count m = 0..M: the number of graphs, their summed cluster counts (BFS, isolated
@@ -377,27 +392,46 @@ def exact_small_ensemble_ids(n: int, energies) -> tuple[np.ndarray, np.ndarray, 
     (beyond the solve's error) from an integer one, else ValueError.
     """
     e = np.asarray(energies, dtype=np.float64)
-    pairs = list(itertools.combinations(range(n), 2))
-    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
-    lap = np.zeros((bits.shape[0], n, n))
-    for k, (i, j) in enumerate(pairs):
-        lap[:, i, j] = lap[:, j, i] = -bits[:, k]
-        lap[:, i, i] += bits[:, k]
-        lap[:, j, j] += bits[:, k]
-    dist = np.linalg.eigvalsh(lap)[:, :, None] - e
+    pairs, m, graphs, lap = _small_ensemble_laplacians(n)
+    dist = np.linalg.eigvalsh(lap.astype(np.float64))[:, :, None] - e
     integer = e == np.floor(e)
     tie = integer & (np.abs(dist) <= 1e-9)
     if (~tie & (np.abs(dist) < np.where(integer, 2e-9, 1e-3))).any():
         raise ValueError("an eigenvalue lies too near a grid energy")
     below = np.count_nonzero((dist < 0) | tie, axis=1)
-    clusters = [len(bfs_components(n, [pair for pair, b in zip(pairs, row) if b])) for row in bits.tolist()]
-    m = bits.sum(axis=1)
-    graphs = np.bincount(m, minlength=len(pairs) + 1)
+    clusters = [len(bfs_components(n, [(i, j) for i, j in pairs if row[i][j]])) for row in lap.tolist()]
     cluster_sums = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.add.at(cluster_sums, m, clusters)
     count_sums = np.zeros((len(pairs) + 1, e.size), dtype=np.int64)
     np.add.at(count_sums, m, below)
     return graphs, cluster_sums, count_sums
+
+
+def exact_small_ensemble_moments(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integer tables over all 2^M labelled graphs on ``n`` vertices, by edge count
+    m = 0..M: the number of graphs, and their summed Tr L^2k, sum_v d_v^2k and Tr A^2k
+    for 2k = 2, 4 (one column each).  At edge probability q, E[N^-1 Tr M^2k] =
+    sum_m q^m (1 - q)^(M - m) sums[m, k - 1] / n.
+
+    The traces come from batched int64 matrix products of the Laplacian stack that
+    :func:`exact_small_ensemble_ids` solves, not from eigenvalues: with M symmetric and
+    S = M^2, Tr M^2 = Tr S and Tr M^4 = ||S||_F^2.
+    """
+    pairs, m, graphs, lap = _small_ensemble_laplacians(n)
+    deg = np.einsum("gii->gi", lap)
+    adj = deg[:, :, None] * np.eye(n, dtype=np.int64) - lap
+
+    def by_edge_count(per_graph):
+        sums = np.zeros((len(pairs) + 1, 2), dtype=np.int64)
+        np.add.at(sums, m, per_graph)
+        return sums
+
+    def traces(mat):
+        sq = mat @ mat
+        return np.stack([np.einsum("gii->g", sq), (sq * sq).sum(axis=(1, 2))], axis=1)
+
+    degs = np.stack([(deg**2).sum(axis=1), (deg**4).sum(axis=1)], axis=1)
+    return graphs, by_edge_count(traces(lap)), by_edge_count(degs), by_edge_count(traces(adj))
 
 
 def reference_pair_indices(n: int, p: float, master_seed: int, r: int) -> np.ndarray:

@@ -237,17 +237,19 @@ def test_criterion_10_moments(tmp_path):
         outdir=str(tmp_path),
     )
     res = run_moments(config)
-    k1, k2 = res.reports
-    deg_ok = abs(k1.deg_mean - 0.75) < 3.0 * k1.deg_se
-    lap_ok = abs(k1.lap_mean - 1.25) < 3.0 * k1.lap_se
-    ineq_ok = all(r.slack_mean >= -4.0 * r.slack_se for r in (k1, k2))
+    c = dict(res.columns)
+    deg2, deg2_se, lap2, lap2_se = (c[name][0] for name in ("deg_mean", "deg_se", "lap_mean", "lap_se"))
+    deg_ok = abs(deg2 - 0.75) < 3.0 * deg2_se
+    lap_ok = abs(lap2 - 1.25) < 3.0 * lap2_se
+    ineq_ok = all(m >= -4.0 * se for m, se in zip(c["slack_mean"], c["slack_se"]))
     ok = deg_ok and lap_ok and ineq_ok
+    slack1, slack2 = c["slack_mean"]
     _report(
         10,
         "moments",
         ok,
-        f"deg2={k1.deg_mean:.4f} (3se={3 * k1.deg_se:.4f}) lap2={k1.lap_mean:.4f} "
-        f"(3se={3 * k1.lap_se:.4f}) slacks k1={k1.slack_mean:.3f} k2={k2.slack_mean:.3f}",
+        f"deg2={deg2:.4f} (3se={3 * deg2_se:.4f}) lap2={lap2:.4f} "
+        f"(3se={3 * lap2_se:.4f}) slacks k1={slack1:.3f} k2={slack2:.3f}",
     )
 
 

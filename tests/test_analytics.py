@@ -27,6 +27,7 @@ from erlap.analytics import (
     upper_bound_U,
     zeta_three_halves_minus_one,
 )
+from erlap.harness import moment_columns
 from erlap.spectral import MomentSamples
 
 from oracles import poisson_moment_exact
@@ -376,22 +377,20 @@ def test_bound_curve_container():
 
 
 def test_moment_inequality_check_synthetic():
-    # the check lives beside its samples, MomentSamples.inequality; rows are
+    # the check reduces the rows in one step, harness.moment_columns; rows are
     # (realization, power) arrays at 2k = 2
-    def samples(lap, deg, adj):
+    def report(lap, deg, adj):
         cols = [np.array(x, dtype=np.float64)[:, None] for x in (lap, deg, adj)]
-        return MomentSamples(100, 0.5, 4, (2,), *cols)
+        return {name: values[0] for name, values in moment_columns(MomentSamples((2,), *cols), 0.5)}
 
-    report = samples([1.2, 1.22, 1.18, 1.2], [0.75] * 4, [0.5, 0.49, 0.51, 0.5]).inequality(1)
-    assert report.satisfied
-    assert (report.k, report.n, report.p, report.n_reps) == (1, 100, 0.5, 4)
-    assert abs(report.rhs_mean - 2.0 * (0.75 + 0.5)) < 1e-12
-    assert abs(report.slack_mean - 1.3) < 1e-12
-    with pytest.raises(ValueError, match="power 4 was not collected"):
-        samples([1.2] * 4, [0.75] * 4, [0.5] * 4).inequality(2)
+    r = report([1.2, 1.22, 1.18, 1.2], [0.75] * 4, [0.5, 0.49, 0.51, 0.5])
+    assert r["satisfied"]
+    assert (r["two_k"], r["poisson_moment"]) == (2, poisson_moment(0.5, 2))
+    assert abs(r["rhs_mean"] - 2.0 * (0.75 + 0.5)) < 1e-12
+    assert abs(r["slack_mean"] - 1.3) < 1e-12
 
     # the inequality holds for every graph: one negative row fails the check
     # even though the mean slack is far above -4 standard errors
-    report = samples([1.2, 1.22, 2.5 + 1e-9, 1.2], [0.75] * 4, [0.5, 0.49, 0.5, 0.5]).inequality(1)
-    assert report.slack_mean > -4.0 * report.slack_se
-    assert not report.satisfied
+    r = report([1.2, 1.22, 2.5 + 1e-9, 1.2], [0.75] * 4, [0.5, 0.49, 0.5, 0.5])
+    assert r["slack_mean"] > -4.0 * r["slack_se"]
+    assert not r["satisfied"]

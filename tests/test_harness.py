@@ -425,10 +425,10 @@ def test_run_moments_small(tmp_path):
             outdir=str(tmp_path),
         )
     )
-    assert len(res.reports) == 2
-    assert all(r.satisfied for r in res.reports)
-    k1 = res.reports[0]
-    assert abs(k1.lap_mean - 1.25) < 5 * k1.lap_se + 5e-3
+    c = dict(res.columns)
+    assert c["two_k"] == [2, 4]
+    assert all(c["satisfied"])
+    assert abs(c["lap_mean"][0] - 1.25) < 5 * c["lap_se"][0] + 5e-3
     text = res.moments_csv.read_text()
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert rows[0].split(",")[0] == "two_k"
@@ -658,6 +658,27 @@ def test_cli_spectrum_bytes_are_pinned(tmp_path, capsys, n, p, seed, digest):
     assert cli_dispatch(argv) == 0
     capsys.readouterr()
     lines = (tmp_path / "spectrum.csv").read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(("# build=", "# config.workers=", "# config.outdir="))]
+    assert len(kept) == len(lines) - 3
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
+    # sparse int64 products at k = 3, 4 on near-critical cyclic clusters
+    ("--n 2000 --p 0.9 --reps 5 --kmax 4", "0d589680d088a9f96e9573938e8b17d630c71f1a1ae47a09566c7b7a697e130a"),
+    # closed-walk counts on a giant 2-core
+    ("--n 2000 --p 1.5 --reps 2", "f7cc05a7606f1c6fb46ac96276cc6a3bbc76fcb2f13983ea4dc5923246d392ec"),
+    # p/N >= 1/3 draws by geometric gaps; every power on graphs of 6 vertices
+    ("--n 6 --p 2.5 --reps 500 --kmax 4", "8291fbfcaef16bb7efd6903f51e21fa106bfc6518b405daf1eb12cca05f507a5"),
+], ids=["p0.9_k4", "p1.5_k2", "n6_k4"])
+def test_cli_moments_bytes_are_pinned(tmp_path, capsys, args, digest):
+    # the benchmark compares moments.csv at k_max = 2 to a relative 1e-12; this pins
+    # every byte, at every power, less the build, workers and outdir header lines
+    import hashlib
+
+    assert cli_dispatch(["moments", *args.split(), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "moments.csv").read_text().splitlines(keepends=True)
     kept = [ln for ln in lines if not ln.startswith(("# build=", "# config.workers=", "# config.outdir="))]
     assert len(kept) == len(lines) - 3
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest

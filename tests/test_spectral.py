@@ -17,6 +17,7 @@ from erlap import spectral
 from erlap.analytics import lower_bound_L, upper_bound_U
 from erlap.clusters import Cluster, decompose
 from erlap.ensemble import Graph, GraphSpec, degree_sequence, sample_graph
+from erlap.harness import moment_columns
 from erlap.spectral import (
     DEFAULT_SIZE_CAP,
     MAX_MOMENT_POWER,
@@ -40,6 +41,7 @@ from oracles import (
     eigenvalue_counts,
     exact_counts,
     exact_small_ensemble_ids,
+    exact_small_ensemble_moments,
     exact_tree_counts,
     path_spectrum_closed_form,
     stack_trace_powers,
@@ -843,6 +845,33 @@ def test_a_column_within_2_to_the_minus_54_counts_the_kernel_exactly():
     assert counting_function(*c4, np.array([[0.0], [5e-324], [0.0], [1e-17]])).tolist() == [1]
 
 
+def test_a_column_of_negative_energies_counts_nothing():
+    # every E_v < 0 makes L - diag(E) positive definite, but at E = -1e-300 or -2^-53
+    # d - E rounds to d, so the float pivots reached the kernel and counted 1.  Such a
+    # column counts 0: each graph alone, at each energy alone, joined in one block, and
+    # as a per-vertex table
+    pieces = [(2, [(0, 1)]), (3, [(0, 1), (1, 2)]), (4, [(0, 1), (0, 2), (0, 3)]),
+              (4, [(0, 1), (0, 3), (1, 2), (2, 3)]), (3, [(0, 1), (0, 2), (1, 2)])]
+    energies = [-1e-300, -2.0**-53, -0.5, 0.5]
+    n, edges, offsets = _joined(pieces)
+    rows = counting_function(n, edges, energies, offsets)
+    for row, (m, e) in zip(rows, pieces):
+        want = exact_counts(m, e, energies).tolist()
+        assert want[:3] == [0, 0, 0] and want[3] == 1
+        assert row.tolist() == want
+        assert counting_function(m, e, energies).tolist() == want
+        assert [int(counting_function(m, e, [x])[0]) for x in energies] == want
+        assert counting_function(m, e, np.full((m, len(energies)), energies)).tolist() == want
+    # per vertex: a column with every entry < 0 counts 0; one with mixed signs is not
+    # zeroed and counts as it does alone
+    c4 = pieces[3]
+    table = np.array([[-1e-300, -0.5], [-2.0**-53, 1.5], [-0.5, -0.5], [-3.0, 3.0]])
+    want = exact_counts(*c4, table).tolist()
+    assert want[0] == 0 and want[1] > 0
+    assert counting_function(*c4, table).tolist() == want
+    assert counting_function(*c4, table[:, 1:]).tolist() == want[1:]
+
+
 @st.composite
 def _matrix_part(draw, k, exact):
     # a cyclic graph with a diagonal and edge weights: Fractions of small integers (exact
@@ -1135,6 +1164,26 @@ def test_empirical_ids_matches_the_exact_small_ensemble():
         assert np.all(np.abs(z) <= z_bound) and abs(z0) <= z_bound, (p, z, z0)
 
 
+def test_moment_columns_match_the_exact_small_ensemble():
+    # all 32,768 graphs on N = 6 vertices give E[N^-1 Tr M^2k] exactly, for M = L, D, A
+    # and 2k = 2, 4, from integer matrix products; p = 2.5 draws through numpy's
+    # geometric.  12 comparisons (three moments at two powers, at two p) share a
+    # family-wise level of 1e-3
+    n, reps, m = 6, 10_000, 15
+    z_bound = statistics.NormalDist().inv_cdf(1 - 1e-3 / (2 * 12))
+    assert round(z_bound, 2) == 3.93
+    graphs, *sums = exact_small_ensemble_moments(n)
+    assert graphs.sum() == 1 << m
+    for p in (0.5, 2.5):
+        q = p / n
+        weights = q ** np.arange(m + 1) * (1 - q) ** (m - np.arange(m + 1))
+        columns = dict(moment_columns(moment_samples(GraphSpec(n, p, 20260809), reps, 2), p))
+        assert columns["two_k"] == [2, 4]
+        for name, table in zip(("lap", "deg", "adj"), sums):
+            z = (np.array(columns[f"{name}_mean"]) - weights @ table / n) / columns[f"{name}_se"]
+            assert np.all(np.abs(z) <= z_bound), (p, name, z)
+
+
 def test_ids_gap_sits_between_bounds():
     # the spectral-edge gap estimate lands inside the analytic envelope
     n, p, reps = 10_000, 0.5, 100
@@ -1164,10 +1213,10 @@ def test_moment_matches_dense_trace_power():
 def test_moment_samples_small_scale():
     n, p, reps = 2000, 0.5, 30
     samples = moment_samples(GraphSpec(n, p, 88), reps, k_max=2)
-    r = samples.inequality(1)
-    lap2, lap2_se = r.lap_mean, r.lap_se
-    deg2, deg2_se = r.deg_mean, r.deg_se
-    adj2, adj2_se = r.adj_mean, r.adj_se
+    r = {name: values[0] for name, values in moment_columns(samples, p)}
+    lap2, lap2_se = r["lap_mean"], r["lap_se"]
+    deg2, deg2_se = r["deg_mean"], r["deg_se"]
+    adj2, adj2_se = r["adj_mean"], r["adj_se"]
     # Tr L^2 = sum d_i^2 + sum d_i and Tr A^2 = sum d_i exactly per graph
     assert abs(lap2 - (p**2 + 2 * p)) < 4 * lap2_se + 2e-3
     assert abs(adj2 - p) < 4 * adj2_se + 1e-3
@@ -1185,7 +1234,7 @@ def test_moment_samples_small_scale():
 def test_mean_se_matches_the_expressions_it_replaced(reps, width, n, counts, seed):
     # bit for bit: sigma (2-d, scale N), sigma0 (1-d, scale N) and delta_sigma
     # (2-d, scale 1) in empirical_ids, and each column and the slack in
-    # MomentSamples.inequality (1-d, scale 1); NaN errors, shaped like the mean, at R = 1
+    # harness.moment_columns (1-d, scale 1); NaN errors, shaped like the mean, at R = 1
     rng = np.random.default_rng(seed)
     shape = (reps,) if width is None else (reps, width)
     if counts:
@@ -1300,16 +1349,17 @@ def test_moment_inequality_fields_are_column_reductions(reps, k_max, seed):
     rng = np.random.default_rng(seed)
     two_ks = tuple(range(2, 2 * k_max + 1, 2))
     lap, deg, adj = (rng.uniform(0.0, 50.0, (reps, k_max)) for _ in range(3))
-    samples = spectral.MomentSamples(100, 0.5, reps, two_ks, lap, deg, adj)
+    columns = dict(moment_columns(spectral.MomentSamples(two_ks, lap, deg, adj), 0.5))
+    assert columns["two_k"] == list(two_ks)
     for j, two_k in enumerate(two_ks):
-        r = samples.inequality(two_k // 2)
+        r = {name: values[j] for name, values in columns.items()}
         slack = (2.0 ** (two_k - 1)) * (deg[:, j] + adj[:, j]) - lap[:, j]
         for name, col in (("lap", lap[:, j]), ("deg", deg[:, j]), ("adj", adj[:, j]), ("slack", slack)):
             want = tuple(float(x) for x in spectral._mean_se(col))
-            got = (getattr(r, f"{name}_mean"), getattr(r, f"{name}_se"))
+            got = (r[f"{name}_mean"], r[f"{name}_se"])
             assert np.array(got).tobytes() == np.array(want).tobytes(), name
-        assert r.rhs_mean == (2.0 ** (two_k - 1)) * (r.deg_mean + r.adj_mean)
-        assert r.satisfied == bool(np.all(slack >= 0))
+        assert r["rhs_mean"] == (2.0 ** (two_k - 1)) * (r["deg_mean"] + r["adj_mean"])
+        assert r["satisfied"] == bool(np.all(slack >= 0))
 
 
 # small graphs rich in triangles and 4-cycles, with Tr A^4 and Tr L^4 from their
