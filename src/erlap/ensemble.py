@@ -8,16 +8,18 @@ results never depend on execution order.
 
 Realization r draws the stream of ``np.random.default_rng([master_seed, r])``.
 Its PCG64 is seeded from words that SeedSequence's hash would give, worked out
-for many indices at once (:func:`sample_pair_index_blocks`), so no
-SeedSequence is built per realization.  A block of realizations draws its gaps
-as one (block, batch) stack: below q = p/N = 1/3 numpy's geometric gap is a
-rounded-up exponential, so each row is one ``standard_exponential`` fill and
-the whole stack is scaled, rounded up and clipped just above total + 1 in a few
-array passes; from q = 1/3 on each row is filled by ``geometric`` itself.
+for many indices at once (a lone draw keeps those of the 256-index slice that
+holds it), so no SeedSequence is built per realization.  A block of
+realizations draws its gaps as one (block, batch) stack: below q = p/N = 1/3
+numpy's geometric gap is a rounded-up exponential, so each row is one
+``standard_exponential`` fill and the whole stack is scaled, rounded up and
+clipped just above total + 1 in a few array passes; from q = 1/3 on each row
+is filled by ``geometric`` itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -141,15 +143,32 @@ def index_pair(idx, n: int):
     k = np.atleast_1d(np.asarray(idx, dtype=np.int64))
     b = 2 * n - 1
     out = np.empty((k.size, 2), dtype=np.int64)
-    # float solve of i*(2n-1-i)/2 <= k, truncated into the output; the row is right iff
-    # i < j < n, and only otherwise does the exact integer fixup (off by <= 1) run
-    out[:, 0] = (b - np.sqrt(b * b - 8.0 * k)) / 2.0
-    i, j = out[:, 0], out[:, 1]
-    j[:] = k - _row_offset(i, n) + i + 1
+    # float solve of i*(2n-1-i)/2 <= k, truncated; the row is right iff i < j < n, and
+    # only otherwise does the exact integer fixup (off by <= 1) run
+    if b * b < 1 << 53:
+        # every step but the square root is exact: each value is an integer below 2^53,
+        # and i(2n-3-i) is even
+        i = k.astype(np.float64)
+        i *= -8.0
+        i += b * b
+        np.sqrt(i, out=i)
+        np.subtract(b, i, out=i)
+        i /= 2.0
+        np.trunc(i, out=i)
+        j = np.subtract(b - 2, i)
+        j *= i
+        j *= -0.5
+        j += k
+        j += 1.0
+        out[:, 0], out[:, 1] = i, j
+    else:
+        out[:, 0] = (b - np.sqrt(b * b - 8.0 * k)) / 2.0
+        i, j = out[:, 0], out[:, 1]
+        j[:] = k - _row_offset(i, n) + i + 1
     if not ((j > i) & (j < n)).all():
         if k.min() < 0 or k.max() >= n * (n - 1) // 2:  # the fixup would never end
             raise ValueError(f"pair index outside [0, N(N-1)/2) for N={n}")
-        i = np.clip(i, 0, n - 2)
+        i = np.clip(out[:, 0], 0, n - 2)
         while (low := k < _row_offset(i, n)).any():
             i[low] -= 1
         while (high := k >= _row_offset(i + 1, n)).any():
@@ -194,8 +213,7 @@ def _seed_words(master_seed: int, r) -> list:
     A seed below 2**64 is one or two uint32 words and so is ``r``; the pool
     takes at most four, and a missing word hashes exactly like a zero word, so
     the pool is the seed's words, then ``r``'s low and high words, zero-padded.
-    Every step is masked to 32 bits, so the same code runs on either type; the
-    hash is written out inline because a lone index spends its time in calls.
+    Every step is masked to 32 bits, so the same code runs on either type.
     """
     pool = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
     pool += [r & _MASK32, r >> 32] + [0] * (2 - len(pool))
@@ -233,6 +251,34 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _slots(spec: GraphSpec, words: np.ndarray):
+    """The walks of the realizations whose seed words are the rows of ``words``, and the
+    number of pairs ``total``: an int64 array with one row per realization, whose slots
+    below ``total`` are its edges' linear indices, ascending and ahead of every other
+    slot."""
+    n = spec.n_vertices
+    q = spec.edge_prob / n
+    total = n * (n - 1) // 2
+    batch = _batch_size(q, total)
+    clip = math.nextafter(float(total + 1), math.inf)  # above total + 1 where float() rounds down
+    gens = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+    slots = []
+    while not slots or slots[-1][:, -1].min() < total:
+        gaps = np.empty((len(gens), batch))
+        for gen, row in zip(gens, gaps):
+            if q < 1 / 3:
+                gen.standard_exponential(out=row)
+            else:
+                row[:] = gen.geometric(q, batch)
+        if q < 1 / 3:
+            with np.errstate(over="ignore"):  # a subnormal q: inf gaps, clipped below
+                np.ceil(np.divide(gaps, -math.log1p(-q), out=gaps), out=gaps)
+        s = np.minimum(gaps, clip, out=gaps).astype(np.int64)
+        s[:, 0] += np.minimum(slots[-1][:, -1], total) if slots else -1
+        slots.append(np.cumsum(s, axis=1, out=s))
+    return (slots[0] if len(slots) == 1 else np.concatenate(slots, axis=1)), total
+
+
 def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
     """Yield ``(idx, counts)`` for consecutive blocks of at most ``block`` of
     ``realization_indices``: ``idx`` holds the sorted linear indices
@@ -261,47 +307,40 @@ def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
     rs = realization_indices
     if len(rs) and not (0 <= min(rs) and max(rs) <= _MAX_SEED):
         raise ValueError("realization indices must lie in [0, 2**64 - 1]")
-    n = spec.n_vertices
-    q = spec.edge_prob / n
-    total = n * (n - 1) // 2
-    batch = _batch_size(q, total)
-    clip = math.nextafter(float(total + 1), math.inf)  # above total + 1 where float() rounds down
     span = block * max(1, _SEED_SLICE // block)
     for i in range(0, len(rs), span):
-        part = rs[i : i + span]
-        # array operations cost about a microsecond whatever their length, so
-        # a lone index is hashed as a Python int
-        r = int(part[0]) if len(part) == 1 else np.fromiter(part, np.uint64, len(part))
-        words = np.array(_seed_words(spec.master_seed, r), dtype=np.uint64).T.reshape(-1, 4).copy()
+        part = np.fromiter(rs[i : i + span], np.uint64, min(span, len(rs) - i))
+        words = np.array(_seed_words(spec.master_seed, part), dtype=np.uint64).T.copy()
         for j in range(0, len(part), block):
-            gens = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words[j : j + block]]
-            slots = []
-            while not slots or slots[-1][:, -1].min() < total:
-                gaps = np.empty((len(gens), batch))
-                for gen, row in zip(gens, gaps):
-                    if q < 1 / 3:
-                        gen.standard_exponential(out=row)
-                    else:
-                        row[:] = gen.geometric(q, batch)
-                if q < 1 / 3:
-                    with np.errstate(over="ignore"):  # a subnormal q: inf gaps, clipped below
-                        np.ceil(np.divide(gaps, -math.log1p(-q), out=gaps), out=gaps)
-                s = np.minimum(gaps, clip, out=gaps).astype(np.int64)
-                s[:, 0] += np.minimum(slots[-1][:, -1], total) if slots else -1
-                slots.append(np.cumsum(s, axis=1, out=s))
-            s = slots[0] if len(slots) == 1 else np.concatenate(slots, axis=1)
+            s, total = _slots(spec, words[j : j + block])
             keep = s < total
             # every row ends past the last pair, so its count is its first dropped slot
             yield s[keep], keep.argmin(axis=1)
 
 
+@functools.lru_cache(maxsize=4)
+def _slice_words(master_seed: int, start: int) -> np.ndarray:
+    """The seed words of realizations ``start``, ``start + 1``, ... up to 256 of them
+    and below 2**64, hashed as one array: a read-only (count, 4) uint64 array.  Drawn one
+    at a time, consecutive realizations share it, at about 0.5 us an index against 10 us
+    for one Python-int hash."""
+    rs = np.arange(min(_SEED_SLICE, _MAX_SEED + 1 - start), dtype=np.uint64) + np.uint64(start)
+    words = np.array(_seed_words(master_seed, rs), dtype=np.uint64).T.copy()
+    words.setflags(write=False)
+    return words
+
+
 def sample_pair_indices(spec: GraphSpec, realization_index: int) -> np.ndarray:
-    """Sorted linear indices (:func:`pair_index`) of the edges of realization ``r``."""
+    """Sorted linear indices (:func:`pair_index`) of the edges of realization ``r``,
+    bit for bit its part of :func:`sample_pair_index_blocks`; its seed words come from
+    the 256-index slice that holds ``r``."""
     r = realization_index
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not (0 <= r <= _MAX_SEED):
         raise ValueError(f"realization_index must be an integer in [0, 2**64 - 1], got {r!r}")
-    [(idx, _)] = sample_pair_index_blocks(spec, [int(r)], 1)
-    return idx
+    start, k = divmod(int(r), _SEED_SLICE)
+    [row], total = _slots(spec, _slice_words(spec.master_seed, start * _SEED_SLICE)[k : k + 1])
+    # the slots below total come first, so one binary search counts them
+    return row[: row.searchsorted(total)]
 
 
 def sample_graph(spec: GraphSpec, realization_index: int) -> Graph:

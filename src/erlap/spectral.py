@@ -282,12 +282,11 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
     simple graph on vertices 0..n-1 with ``edges``: the pivots <= 0 of L - E*I (module
     docstring).  ``energies`` of shape (k,) is a grid; of shape (n, k), column j shifts
     each vertex v by its own E[v, j] and counts the pivots <= 0 of L - diag(E[:, j]).
-    A column is integer, and counted exactly, iff every entry is.  A column within
-    [0, 2^-54] counts as E = 0: there 1 - E rounds to 1, so float pivots cannot see E,
-    and every such E lies below Fiedler's floor of each connected graph on fewer than
-    4*10^8 vertices, so only the kernel counts.  A column with every entry < 0 counts 0,
-    L - diag(E) being positive definite.  A column in (2^-54, ulp(d_max)/2] can still
-    miscount, as d - E rounds to d.  A repeated pair or a loop raises ValueError.
+    A column is counted exactly iff every entry is an integer, or every entry lies in
+    [-2^-52, 2^-52], where d - E can round to d and float pivots miss E.  A column with
+    every entry < 0 counts 0, L - diag(E) being positive definite.  A column in
+    (2^-52, ulp(d_max)/2], empty unless d_max >= 4, can still miscount, as d - E rounds
+    to d.  A repeated pair or a loop raises ValueError.
 
     ``offsets``, ascending from 0 to n, split the vertices into groups for a grid:
     group g holds ``offsets[g]``..``offsets[g + 1] - 1``, and no edge joins two groups.
@@ -305,7 +304,7 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
     neighbours.  The core S = diag(f) - A_core goes to :func:`_inertia` once, on float
     arrays, and its per-vertex flags fill the core's rows of the peel's table, so one
     ``reduceat`` counts each group.  A group counts a column exactly when the column is
-    integer or a float core pivot of that group rounds to 0: its core then goes to
+    exact or a float core pivot of that group rounds to 0: its core then goes to
     :func:`_inertia` as the integer matrix diag(g) S diag(g) of the exact pivots f/g,
     congruent to S for any nonzero g, and the other groups' vertices are left out.
     Groups share no edge, so no pivot mixes two groups and a group's row does not
@@ -335,11 +334,13 @@ def counting_function(n: int, edges, energies, offsets=None) -> np.ndarray:
         if (core_edges[:, 0] == core_edges[:, 1]).any() or np.unique(core_edges, axis=0).shape != core_edges.shape:
             raise ValueError("edges repeat a pair or join a vertex to itself")
         core_edges = _renumber(core)[1].take(core_edges)
+    cols = e.reshape(-1, e.shape[-1])
+    # the columns counted exactly: integer ones, and those within [-2^-52, 2^-52]
+    integral = (cols == np.floor(cols)).all(axis=0)
     negative = None  # the columns with every entry < 0, which count 0
-    if (e <= 2.0**-54).any():  # a column within [0, 2^-54] counts as E = 0
-        cols = e.reshape(-1, e.shape[-1])
-        negative, e = (cols < 0).all(axis=0), np.where(((cols >= 0) & (cols <= 2.0**-54)).all(axis=0), 0.0, e)
-    integral = (e == np.floor(e)).reshape(-1, e.shape[-1]).all(axis=0)
+    if (e <= 2.0**-52).any():
+        negative = (cols < 0).all(axis=0)
+        integral |= (np.abs(cols) <= 2.0**-52).all(axis=0)
     floats = np.flatnonzero(~integral)
     counts = np.empty((offsets.size - 1, integral.size), dtype=np.int64)
     need = np.tile(integral, (offsets.size - 1, 1))  # the groups each column counts exactly
@@ -647,8 +648,10 @@ def _fourth_traces(d: ClusterDecomposition, hist: list) -> tuple[int, int]:
     """
     degrees, n = d.degrees, d.vertices.size
     d2, d3, d4 = (sum(count * v**t for v, count in enumerate(hist)) for t in (2, 3, 4))
-    pairs = np.bincount(degrees.take(d.edges[:, 0]) + degrees.take(d.edges[:, 1])).tolist()
-    lap = d4 + 2 * d3 + d2 + 2 * sum(count * v * v for v, count in enumerate(pairs))
+    pairs = degrees.take(d.edges[:, 0]) + degrees.take(d.edges[:, 1])
+    # sum_e (d_i + d_j)^2 <= m (2 d_max)^2 < m (2 len(hist))^2: in int64 while that is below 2^63
+    pairs = pairs.astype(object if pairs.size * (2 * len(hist)) ** 2 >= 1 << 63 else np.int64, copy=False)
+    lap = d4 + 2 * d3 + d2 + 2 * int(np.dot(pairs, pairs))
     walks = d2 - 2 * d.edges.shape[0]  # sum d(d - 1); the 4-cycles add 8 C4
     if not d.is_tree.all():
         e = d.edges.take(np.flatnonzero(~d.is_tree.take(d.edge_labels)), axis=0)

@@ -448,6 +448,17 @@ def reference_pair_indices(n: int, p: float, master_seed: int, r: int) -> np.nda
     return idx[idx < total]
 
 
+def isqrt_index_pair(k: int, n: int) -> tuple[int, int]:
+    """The pair (i, j), i < j, at linear index ``k`` of the lexicographic order of the
+    pairs of n vertices, in Python integers.  Row i starts at i(b - i)/2, b = 2n - 1, so
+    i is the largest integer with i(b - i) <= 2k, the floor of (b - sqrt(b^2 - 8k))/2,
+    which is (b - c) // 2 for c the ceiling of that square root."""
+    b = 2 * n - 1
+    s = math.isqrt(b * b - 8 * k)
+    i = (b - s - (s * s < b * b - 8 * k)) // 2
+    return i, k - i * (b - i) // 2 + i + 1
+
+
 def geometric_pair_index_blocks(spec, realization_indices, block: int, batch: int):
     """``(idx, counts)`` per block of at most ``block`` realizations, as the block
     sampler yields them, from one ``Generator.geometric`` loop per realization:

@@ -1,5 +1,6 @@
 """Sampling semantics: Bernoulli(p/N) pairs, canonical form, reproducibility."""
 
+import hashlib
 import io
 import math
 import sys
@@ -29,6 +30,7 @@ from oracles import (
     all_graphs,
     geometric_pair_index_blocks,
     graph_probability,
+    isqrt_index_pair,
     reference_pair_indices,
 )
 
@@ -352,6 +354,70 @@ def test_index_pair_round_trip_where_the_float_estimate_misses(n, monkeypatch):
         calls.clear()
         index_pair(ks[:10_000], n)  # random k alone pass the exactness test
         assert len(calls) == 1
+
+
+# n = 47,453,133 is the largest N with (2N - 1)^2 < 2^53, where index_pair decodes in
+# float64; above it the decode runs in int64
+@given(n=st.integers(min_value=2, max_value=2**26), data=st.data())
+@settings(max_examples=200, deadline=None)
+@example(n=2, data=None)
+@example(n=47_453_133, data=None)
+@example(n=47_453_134, data=None)
+@example(n=2**26, data=None)
+def test_index_pair_matches_the_isqrt_oracle_at_row_starts(n, data):
+    total = n * (n - 1) // 2
+    rows = [0, n - 2] if data is None else [data.draw(st.integers(0, n - 2)) for _ in range(4)]
+    starts = [i * (2 * n - 1 - i) // 2 for i in rows]
+    ks = sorted({k for s in starts for k in (s - 1, s, s + 1) if 0 <= k < total})
+    assert index_pair(np.array(ks), n).tolist() == [list(isqrt_index_pair(k, n)) for k in ks]
+    for bad in (-1, total):
+        with pytest.raises(ValueError, match="pair index outside"), np.errstate(invalid="ignore"):
+            index_pair(np.array([0, bad]), n)
+
+
+# sha256 of sample_graph(GraphSpec(n, p, seed), r).edges.tobytes(), taken before the lone
+# draw had its own seed-word memo, row count and float pair decode: q = p/N below and
+# from 1/3 on, tiny p, N = 2, both sides of a 256-index seed slice, the last index, and
+# N on both sides of the float decode's bound
+_GRAPH_DIGESTS = [
+    ((1000, 0.5, 20260809, 0), 260, "154e3cb00ee8763bcd03ebee3a0cee8978dbaa37bcfcfcc83c0f03d4d3b3b788"),
+    ((20000, 0.5, 20260809, 7), 5025, "848ec6ec1e1ad2fd29ac2bd02745ebf6947cbaf70f4860f636abbe7b6c9e3c39"),
+    ((6, 2.5, 4242, 3), 8, "91ff791452171b06d1defe83a8489ddad4d8af2d4cf8f309ad446163c29fece9"),
+    ((3, 1.5, 1, 12), 2, "07cb712f20f3e2427b6b2832a4a022963b0de21c4708c95a5fca7a228508e42b"),
+    ((10000, 1e-15, 20260809, 1), 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((2**27 + 1, 1e-12, 1, 0), 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((2, 0.5, 11, 1), 1, "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
+    ((2, 0.5, 11, 2), 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((200, 0.5, 20260809, 255), 50, "e5af91ada41ba0ebac8216a18792fcc3e779b0308bdcf5ee5701332d2cb25554"),
+    ((200, 0.5, 20260809, 256), 46, "afd3666e68677cddf82bab94a484ab87181003437dfe8a8489c6fbffb3cff5bf"),
+    ((200, 3.0, 2**64 - 1, 2**64 - 1), 331, "90823bf8cae9d81492f77f8a3f36fa815016b98d1f72237d37baab8896fb005e"),
+    ((5, 2.0, 2**64 - 1, 2**64 - 1), 5, "acce2df16512b784b8ec65928eee000237ab5b8fdaf1034ce3c1d6da72137ede"),
+    ((100000, 0.5, 3, 2), 24659, "f2f4e032b6c1bd1758c33d6520a22c40910524bd91158a5cfeef97919e6bc8d7"),
+    ((5 * 10**7, 1e-6, 3, 0), 30, "1a9a5cdcc1e62c5b9536cc78416225a3339e330a758bdd13eac6c3dafad3d89f"),
+    ((10**9, 1e-7, 20260809, 256), 46, "b4edbd405d7dec022ec4267e354035d97d07f8b02710a1a765543110eba03f44"),
+]
+
+
+@pytest.mark.parametrize("case, m, digest", _GRAPH_DIGESTS)
+def test_sampled_graphs_are_pinned(case, m, digest):
+    n, p, seed, r = case
+    g = sample_graph(GraphSpec(n, p, seed), r)
+    assert g.n_edges == m
+    assert hashlib.sha256(g.edges.tobytes()).hexdigest() == digest
+
+
+def test_a_lone_draw_is_its_part_of_the_block_path_across_a_seed_slice():
+    # lone draws take their seed words from the 256-index slice that holds them, in
+    # any order; the block path hashes its own ranges, here starting mid-slice
+    for spec in (GraphSpec(200, 0.5, 20260809), GraphSpec(7, 2.5, 2**64 - 1)):
+        for rs in (range(250, 262), range(2**32 - 4, 2**32 + 4), range(2**64 - 6, 2**64)):
+            for block in (1, 5):
+                idx, counts = _blocks(spec, rs, block)
+                want = np.split(idx, np.cumsum(counts)[:-1])
+                for r in [*reversed(rs), *rs]:
+                    assert np.array_equal(sample_pair_indices(spec, r), want[r - rs[0]])
+                    assert np.array_equal(sample_graph(spec, r).edges,
+                                          index_pair(want[r - rs[0]], spec.n_vertices))
 
 
 def test_sampled_graphs_canonical():

@@ -820,8 +820,8 @@ def test_a_core_pivot_that_rounds_to_zero_beside_one_that_does_not():
 def test_a_column_within_2_to_the_minus_54_counts_the_kernel_exactly():
     # at 0 < E <= 2^-54, 1 - E rounds to 1, so the float pivots cannot see E: the
     # 4-cycle's last core pivot rounded to a tiny positive and missed the kernel.  Such a
-    # column counts as E = 0, which it equals below Fiedler's floor, exactly and in no
-    # float elimination; a block or a per-vertex table changes nothing
+    # column is counted exactly, in no float elimination, and below Fiedler's floor that
+    # is the kernel; a block or a per-vertex table changes nothing
     triangle, c4 = (3, [(0, 1), (0, 2), (1, 2)]), (4, [(0, 1), (0, 3), (1, 2), (2, 3)])
     graphs = [triangle, (0, []), c4, (2, [])]
     n, edges, offsets = _joined(graphs)
@@ -843,6 +843,34 @@ def test_a_column_within_2_to_the_minus_54_counts_the_kernel_exactly():
         assert exact_counts(*c4, energies).tolist() == [1, 1]
     # a column of zeros and tiny entries counts the kernel too
     assert counting_function(*c4, np.array([[0.0], [5e-324], [0.0], [1e-17]])).tolist() == [1]
+
+
+def test_a_column_within_2_to_the_minus_52_is_counted_exactly():
+    # at |E| <= 2^-52, d - E can round to d and the float pivots miss E: the 4-cycle read
+    # 0 at E = 2^-53 (exact 1), and on P3 the per-vertex columns below, tiny negatives
+    # beside zeros or tiny positives, read 1 (exact 0).  Every such column is counted
+    # exactly: each graph alone, at each energy alone, joined in one block, and as a
+    # per-vertex table
+    c4, p3 = (4, [(0, 1), (0, 3), (1, 2), (2, 3)]), (3, [(0, 1), (1, 2)])
+    pieces = [c4, p3, (1, []), c4, (2, [(0, 1)]), (3, [(0, 1), (0, 2), (1, 2)])]
+    energies = [2.0**-53, -2.0**-53, 2.0**-52, -2.0**-52, 1e-300, -1e-300, 0.5]
+    n, edges, offsets = _joined(pieces)
+    rows = counting_function(n, edges, energies, offsets)
+    for row, (m, e) in zip(rows, pieces):
+        want = exact_counts(m, e, energies).tolist()
+        assert row.tolist() == want
+        assert counting_function(m, e, energies).tolist() == want
+        assert [int(counting_function(m, e, [x])[0]) for x in energies] == want
+        assert counting_function(m, e, np.full((m, len(energies)), energies)).tolist() == want
+    assert counting_function(*c4, [2.0**-53]).tolist() == exact_counts(*c4, [2.0**-53]).tolist() == [1]
+    table = np.array([[-1e-300, -1e-300, -2.0**-53, 0.5],
+                      [0.0, 1e-300, 0.0, 0.5],
+                      [-1e-300, -1e-300, 0.0, 0.5]])
+    want = exact_counts(*p3, table).tolist()
+    assert want == [0, 0, 0, 1]
+    assert counting_function(*p3, table).tolist() == want
+    for col in range(table.shape[1]):
+        assert counting_function(*p3, table[:, col:col + 1]).tolist() == want[col:col + 1]
 
 
 def test_a_column_of_negative_energies_counts_nothing():
