@@ -303,6 +303,10 @@ def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
     slot exceeds total + batch * (total + 1), and no int64 sum can wrap while
     that is below 2**63: for every N up to 3.3e6 at p <= 1, up to 2.0e6 at
     p <= 4, and up to 1.0e9 as p -> 0 (batch 16).
+
+    No array of a block's walk outlives its ``yield``: the gap and slot stacks
+    and the mask are freed before the block is handed out, and the generator
+    keeps no reference to ``idx`` or ``counts``.
     """
     rs = realization_indices
     if len(rs) and not (0 <= min(rs) and max(rs) <= _MAX_SEED):
@@ -312,10 +316,16 @@ def sample_pair_index_blocks(spec: GraphSpec, realization_indices, block: int):
         part = np.fromiter(rs[i : i + span], np.uint64, min(span, len(rs) - i))
         words = np.array(_seed_words(spec.master_seed, part), dtype=np.uint64).T.copy()
         for j in range(0, len(part), block):
-            s, total = _slots(spec, words[j : j + block])
-            keep = s < total
-            # every row ends past the last pair, so its count is its first dropped slot
-            yield s[keep], keep.argmin(axis=1)
+            yield _block_pairs(spec, words[j : j + block])
+
+
+def _block_pairs(spec: GraphSpec, words: np.ndarray):
+    """One block of :func:`sample_pair_index_blocks`, in a call of its own so that the
+    generator's frame holds none of its arrays across the ``yield``."""
+    s, total = _slots(spec, words)
+    keep = s < total
+    # every row ends past the last pair, so its count is its first dropped slot
+    return s[keep], keep.argmin(axis=1)
 
 
 @functools.lru_cache(maxsize=4)

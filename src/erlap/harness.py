@@ -334,12 +334,15 @@ def run_ids(config: ExperimentConfig) -> IdsRunResult:
 
 
 # Census realizations are decomposed in blocks, one disjoint union of at most this
-# many vertices (one realization per block from N = 8192 on).  It bounds the block's
-# temporaries: only its degrees and renumbering are this long, and the decomposition
-# holds only the vertices with an edge (39% at p = 0.5), so 8192 needs about what
-# 4096 did when every vertex was labelled.  census_small ran at 47.8k reps/s with
-# 8192 and 36.8k with 4096 (perfbench, 4 paired 25 s runs, 2 shared vCPUs).
-_BLOCK_VERTICES = 8192
+# many vertices (one realization per block from N = 16384 on).  A block pays its fixed
+# numpy calls once, but its degrees and renumbering are this long; the sampler and the
+# loop below free each array once nothing needs it, so peak RSS stays near 8192's.
+# census_small (N = 200, 81 realizations per block) against 8192, perfbench, 10 paired
+# 25 s runs on 2 shared vCPUs: 49.8k -> 58.2k reps/s (10 of 10), peak RSS growth
+# level; the first call's VmHWM growth 1052 -> 1100 KiB (1234 without the frees).
+# The knee, against 8192 interleaved in one process: reps/s +9.6% at 12000, +15.8% at
+# 16384, +18.5% at 24576 and -3% at 32768; VmHWM growth +11% at 20480, +39% at 24576.
+_BLOCK_VERTICES = 16384
 
 
 def _census_chunk(args):
@@ -348,7 +351,9 @@ def _census_chunk(args):
     acc = CensusAccumulator(n, spec.edge_prob)
     for idx, counts in ensemble.sample_pair_index_blocks(spec, rs, max(1, _BLOCK_VERTICES // n)):
         # one index_pair call per block; offsetting graph b by b*N keeps the edges sorted
-        edges = ensemble.index_pair(idx, n) + np.repeat(np.arange(counts.size) * n, counts)[:, None]
+        edges = ensemble.index_pair(idx, n)
+        del idx  # so that it is not alive through the decomposition
+        edges += np.repeat(np.arange(counts.size) * n, counts)[:, None]
         acc.add(decompose(Graph(counts.size * n, edges, validate=False)), n_reps=counts.size)
     return [acc]
 

@@ -1,9 +1,11 @@
 """Sampling semantics: Bernoulli(p/N) pairs, canonical form, reproducibility."""
 
+import gc
 import hashlib
 import io
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +26,7 @@ from erlap.ensemble import (
     sample_pair_indices,
     write_edge_list,
 )
-from erlap.harness import _census_chunk
+from erlap.harness import _BLOCK_VERTICES, _census_chunk
 
 from oracles import (
     all_graphs,
@@ -144,12 +146,12 @@ def _blocks(spec, rs, block):
 @pytest.mark.parametrize("n, p", [(2, 1.9), (50, 1.2), (200, 0.5), (5000, 4.0)])
 def test_block_sampler_matches_default_rng_reference(n, p):
     # blocks of 7 divide neither a seed slice nor the index ranges; the census
-    # block holds 2048 realizations at N = 2 and one at N = 5000
+    # block holds 8192 realizations at N = 2 and three at N = 5000
     for seed in _SEEDS:
         spec = GraphSpec(n, p, seed)
         for rs in _INDEX_RANGES:
             want = [reference_pair_indices(n, p, seed, r) for r in rs]
-            for block in (7, max(1, 4096 // n)):
+            for block in (7, max(1, _BLOCK_VERTICES // n)):
                 idx, counts = _blocks(spec, rs, block)
                 assert np.array_equal(idx, np.concatenate(want))
                 assert counts == [x.size for x in want]
@@ -169,6 +171,32 @@ def test_block_sampler_continues_short_batches(monkeypatch):
     assert counts == [x.size for x in want]
     assert np.array_equal(sample_pair_indices(spec, rs[0]), want[0])
     assert _blocks(spec, range(0), 20)[1] == []
+
+
+def test_block_sampler_frees_each_walk_before_its_yield(monkeypatch):
+    # a block's slot stack must not stay alive in the generator while the census
+    # decomposes the block; at 81 realizations of N = 200 it is about 70 KiB
+    spec = GraphSpec(200, 0.5, 20260809)
+    rs = range(250)
+    want = list(sample_pair_index_blocks(spec, rs, 81))
+    real_slots, stacks = ensemble._slots, []
+
+    def slots(spec, words):
+        s, total = real_slots(spec, words)
+        stacks.append(weakref.ref(s))
+        return s, total
+
+    monkeypatch.setattr(ensemble, "_slots", slots)
+    blocks = sample_pair_index_blocks(spec, rs, 81)
+    for k, (want_idx, want_counts) in enumerate(want):
+        idx, counts = next(blocks)
+        gc.collect()
+        assert len(stacks) == k + 1 and stacks[-1]() is None
+        assert np.array_equal(idx, want_idx) and np.array_equal(counts, want_counts)
+        held = weakref.ref(idx)
+        del idx  # nor does the generator keep what it yielded
+        assert held() is None
+    assert next(blocks, None) is None
 
 
 _THIRD = 1 / 3  # numpy's geometric draws by inversion below this q, by search from it on

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erlap import spectral
+from erlap import ensemble, harness, spectral
 from erlap.cli import cli_dispatch
 from erlap.clusters import CensusAccumulator, decompose
 from erlap.ensemble import GraphSpec, read_edge_list, sample_graph
@@ -257,10 +257,26 @@ def test_run_census_outputs(tmp_path):
     assert "chain_frequency=" in summary and "chain_exact=" in summary
 
 
-def test_census_blocks_count_like_single_realizations():
-    # N=50 packs 81 realizations per block, so 200 of them leave a short last block
+@pytest.mark.parametrize("block_vertices, block_sizes", [
+    pytest.param(4050, [81, 81, 38], id="short_last_block"),
+    pytest.param(50, [1] * 200, id="one_per_block"),
+    pytest.param(None, [200], id="default"),
+])
+def test_census_blocks_count_like_single_realizations(block_vertices, block_sizes, monkeypatch):
+    # N=50: the cap sets how 200 realizations fall into blocks, which no counter sees
+    if block_vertices is not None:
+        monkeypatch.setattr(harness, "_BLOCK_VERTICES", block_vertices)
+    real_blocks, seen = ensemble.sample_pair_index_blocks, []
+
+    def blocks(spec, rs, block):
+        for idx, counts in real_blocks(spec, rs, block):
+            seen.append(counts.size)
+            yield idx, counts
+
+    monkeypatch.setattr(ensemble, "sample_pair_index_blocks", blocks)
     spec = GraphSpec(50, 1.2, 8)
     [acc] = _census_chunk((spec, range(200)))
+    assert seen == block_sizes
     want = CensusAccumulator(50, 1.2)
     v0_sizes, v0_linear = [], []
     for r in range(200):
